@@ -15,13 +15,10 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import costmodel, engine, theory
 from .compression import FULL_PRECISION_BITS, bits_transmitted, effective_alpha
 from .config import (
-    RunConfig, build_compressor, build_problem, build_topology,
-    config_to_dict, parse_config, resolve_gamma, serialize_config,
+    RunConfig, build_compressor, build_run, config_to_dict, parse_config, resolve_gamma,
 )
 from .errors import ConfigError, InfeasibleError, InputError, TopologyError
 
@@ -214,12 +211,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_theory(args) -> int:
     cfg = _load_config(args)
-    W = build_topology(cfg.topology)
-    master = np.random.SeedSequence(cfg.seed)
-    problem_ss, _ = master.spawn(2)
-    problem = build_problem(cfg.problem, W.n,
-                            np.random.Generator(np.random.Philox(problem_ss)))
-    c = build_compressor(cfg.compressor)
+    W, problem, c, _ = build_run(cfg)
     alpha = effective_alpha(c, problem.dim)
     feasible = theory.dcd_feasible(W.rho, W.mu, alpha) if math.isfinite(alpha) else False
     doc = {

@@ -31,11 +31,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import costmodel, problems, theory, topology
+from . import compression, costmodel, problems, theory, topology
 from .compression import Compressor, effective_alpha
+from .engine import ALGORITHMS
 from .errors import ConfigError, TopologyError
-
-ALGORITHMS = ("dpsgd", "naive", "dcd", "ecd", "centralized")
 
 
 @dataclass(frozen=True)
@@ -159,12 +158,9 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("missing required key 'algorithm'")
     if cfg.algorithm not in ALGORITHMS:
         raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {cfg.algorithm!r}")
-    if not isinstance(cfg.T, int) or cfg.T < 0:
-        raise ConfigError(f"T must be a nonnegative integer, got {cfg.T!r}")
-    if not isinstance(cfg.seed, int):
-        raise ConfigError(f"seed must be an integer, got {cfg.seed!r}")
-    if not isinstance(cfg.trace_every, int) or cfg.trace_every < 1:
-        raise ConfigError(f"trace_every must be a positive integer, got {cfg.trace_every!r}")
+    _check_int("T", cfg.T, 0)
+    _check_int("seed", cfg.seed, 0)
+    _check_int("trace_every", cfg.trace_every, 1)
     if isinstance(cfg.gamma, str):
         if cfg.gamma != "theory":
             raise ConfigError(f"gamma must be a positive number or 'theory', got {cfg.gamma!r}")
@@ -193,9 +189,29 @@ def validate_config(cfg: RunConfig) -> None:
         )
 
 
+def _check_int(name: str, value, minimum: int) -> None:
+    # bool is an int subclass, but "T": true is a typo, not a count
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
+
+
+def build_run(cfg: RunConfig):
+    """Topology, problem, compressor and per-node stream seed of one run.
+
+    The master seed spawns the problem stream and the simulation seed, so
+    every caller that builds a run here sees the same problem.
+    """
+    _check_int("seed", cfg.seed, 0)
+    problem_ss, state_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    W = build_topology(cfg.topology)
+    problem = build_problem(cfg.problem, W.n, np.random.Generator(np.random.Philox(problem_ss)))
+    c = build_compressor(cfg.compressor)
+    return W, problem, c, state_ss
 
 
 def build_topology(spec: TopologySpec) -> topology.MixingMatrix:
@@ -224,13 +240,13 @@ def build_problem(spec: ProblemSpec, n: int, rng: np.random.Generator) -> proble
 
 def build_compressor(spec: CompressorSpec) -> Compressor:
     if spec.kind == "identity":
-        return Compressor(kind="identity")
+        return compression.identity()
     if spec.kind == "quantize":
-        return Compressor(kind="quantize", levels=spec.levels)
+        return compression.stochastic_quantize(spec.levels)
     if spec.kind == "sparsify":
-        return Compressor(kind="sparsify", keep_prob=spec.keep_prob)
+        return compression.random_sparsify(spec.keep_prob)
     if spec.kind == "synthetic":
-        return Compressor(kind="synthetic", noise_bound2=spec.noise_bound)
+        return compression.synthetic_noise(spec.noise_bound)
     raise ConfigError(
         f"compressor kind must be identity, quantize, sparsify or synthetic, got {spec.kind!r}"
     )

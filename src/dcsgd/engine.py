@@ -3,15 +3,15 @@
 State layout follows the matrix view of decentralized optimization: the
 (dim, n) matrix X holds one local model per column, and one synchronous
 round maps X to X W - gamma G(X) plus an algorithm-specific compression
-term.  All five step functions share the same arithmetic skeleton
+term.  The four gossip algorithms share one kernel, :func:`gossip_step`:
 
-    target = X_effective @ W - gamma * G,   X_new = X + (target - X)
+    delta = S @ W - gamma * G - X,   X_new = X + delta
 
-where X_effective is the information each node actually has about its
-neighbors (true models, compressed models, replicas, or estimates).  The
-difference form makes the collapse exact: with the identity compressor the
-three decentralized algorithms produce bit-identical trajectories from
-identical streams, because their compression terms vanish exactly.
+where S is what each node sees of its neighbors (true models, compressed
+models, replicas, or estimates); the ``*_step`` functions wrap it.  The
+difference form makes the collapse exact: with the identity compressor
+naive, dcd and ecd reproduce dpsgd bit for bit from identical streams,
+because their compression terms vanish exactly.
 
 Randomness: every (node, purpose) pair owns an independent counter-based
 stream (Philox) derived from the master seed, so node-parallel evaluation
@@ -73,7 +73,6 @@ class WorldState:
     compress_rngs: list
     replicas: np.ndarray | None = None
     estimate_err: np.ndarray | None = None
-    X_prev: np.ndarray | None = None
     bits_total: int = 0
     status: str = "running"
     last_step: StepStats | None = field(default=None, repr=False)
@@ -142,7 +141,6 @@ def init_state(problem: Problem, n: int, algorithm: str, seed) -> WorldState:
         state.replicas = X.copy()
     if algorithm == "ecd":
         state.estimate_err = np.zeros_like(X)
-        state.X_prev = X.copy()
     return state
 
 
@@ -151,15 +149,77 @@ def init_state(problem: Problem, n: int, algorithm: str, seed) -> WorldState:
 # ---------------------------------------------------------------------------
 
 
+def gossip_step(
+    algorithm: str, state: WorldState, W: MixingMatrix, c: Compressor, problem: Problem,
+    gamma: float, z_norm_cap: float = math.inf,
+) -> WorldState:
+    """One synchronous round of dpsgd, naive, dcd or ecd.
+
+    The algorithms differ only in what neighbors see and the noise Q_t they
+    record: dpsgd sees X and sends full precision whatever ``c`` is; naive
+    sees C(X); dcd sees the replicas and advances models and replicas by
+    C(delta); ecd sees X + E and folds the compressed extrapolated model
+    into E with weight 2/s.  A round whose broadcast is non-finite, or for
+    ecd exceeds ``z_norm_cap`` in norm, commits X + delta and marks the
+    state diverged.
+    """
+    if W.n != state.n:
+        raise ConfigError(f"topology has {W.n} nodes but state has {state.n}")
+    if gamma < 0.0:
+        raise InputError(f"gamma must be >= 0, got {gamma}")
+    if state.status == "diverged":
+        raise DivergedError("state has already diverged")
+    X = state.X
+    if algorithm == "dpsgd":
+        c = compression.identity()
+        seen, Q = X, np.zeros_like(X)
+    elif algorithm == "naive":
+        seen = _compress_columns(c, X, state.compress_rngs)
+        Q = seen - X
+    elif algorithm == "dcd":
+        if not math.isfinite(c.alpha_bound(problem.dim)):
+            raise ConfigError(
+                f"difference compression needs a finite noise-to-signal bound; "
+                f"{c.kind!r} has none"
+            )
+        # Q stays zero only if the round diverges before the exchange
+        seen, Q = state.replicas, np.zeros_like(X)
+    elif algorithm == "ecd":
+        seen, Q = X + state.estimate_err, state.estimate_err @ W.entries
+    else:
+        raise ConfigError(f"{algorithm!r} is not a gossip algorithm")
+    G = problem.stochastic_gradients(X, state.sample_rngs)
+    delta = seen @ W.entries - gamma * G - X
+    X_new = X + delta
+    bits = 2 * W.num_edges * bits_transmitted(c, problem.dim)  # one message per edge end
+    if algorithm in ("dpsgd", "naive"):
+        return _commit(state, X_new, Q, G, bits)
+
+    s = state.t + 1
+    Z = delta if algorithm == "dcd" else _extrapolate(X, X_new, s)
+    if not np.all(np.isfinite(Z)) or (
+        algorithm == "ecd" and np.max(np.sum(Z * Z, axis=0)) > z_norm_cap**2
+    ):
+        # nothing sane to broadcast: overflowed or past the input-norm guard
+        _commit(state, X_new, Q, G, bits)
+        state.status = "diverged"
+        return state
+    CZ = _compress_columns(c, Z, state.compress_rngs)
+    if algorithm == "ecd":
+        state.estimate_err = _fold(state.estimate_err, CZ - Z, s)
+        return _commit(state, X_new, Q, G, bits)
+    state.replicas = state.replicas + CZ
+    _commit(state, X + CZ, CZ - Z, G, bits)
+    if state.status != "diverged":
+        drift = np.max(np.abs(state.replicas - state.X))
+        if drift != 0.0:
+            raise AssertionError(f"replica drifted from its owner by {drift}")
+    return state
+
+
 def dpsgd_step(state: WorldState, W: MixingMatrix, problem: Problem, gamma: float) -> WorldState:
     """One uncompressed gossip round: X <- X W - gamma G(X)."""
-    _pre_step(state, W, gamma)
-    G = problem.stochastic_gradients(state.X, state.sample_rngs)
-    delta = state.X @ W.entries - gamma * G - state.X
-    X_new = state.X + delta
-    bits = _round_bits(W, compression.identity(), problem.dim)
-    Q = np.zeros_like(state.X)
-    return _commit(state, X_new, Q, G, bits)
+    return gossip_step("dpsgd", state, W, compression.identity(), problem, gamma)
 
 
 def naive_step(
@@ -170,13 +230,7 @@ def naive_step(
     The recorded noise Q = C(X) - X scales with the models themselves, so it
     never diminishes; this step exists as the divergence counterexample.
     """
-    _pre_step(state, W, gamma)
-    CX = _compress_columns(c, state.X, state.compress_rngs)
-    Q = CX - state.X
-    G = problem.stochastic_gradients(state.X, state.sample_rngs)
-    delta = CX @ W.entries - gamma * G - state.X
-    X_new = state.X + delta
-    return _commit(state, X_new, Q, G, _round_bits(W, c, problem.dim))
+    return gossip_step("naive", state, W, c, problem, gamma)
 
 
 def dcd_step(
@@ -184,39 +238,13 @@ def dcd_step(
 ) -> WorldState:
     """Difference-compression round.
 
-    Each node averages its neighbor replicas (own model for the self term),
-    takes the gradient step, compresses the difference z to its previous
-    model, and applies C(z) to both its model and every replica of it.
-    Owner and replicas advance by the same message, so they remain exactly
-    equal; the recorded noise is Q = C(Z) - Z with Z = X(W - I) - gamma G.
+    Each node averages its neighbor replicas, takes the gradient step,
+    compresses the difference z to its previous model, and applies C(z) to
+    both its model and every replica of it.  Owner and replicas advance by
+    the same message, so they remain exactly equal; the recorded noise is
+    Q = C(Z) - Z with Z = X(W - I) - gamma G.
     """
-    _pre_step(state, W, gamma)
-    if not math.isfinite(c.alpha_bound(problem.dim)):
-        raise ConfigError(
-            f"difference compression needs a finite noise-to-signal bound; "
-            f"{c.kind!r} has none"
-        )
-    # own model for the diagonal term; the correction is exactly zero while
-    # the replica invariant holds
-    own_diag = (state.X - state.replicas) * np.diag(W.entries)[None, :]
-    G = problem.stochastic_gradients(state.X, state.sample_rngs)
-    Z = state.replicas @ W.entries + own_diag - gamma * G - state.X
-    bits = _round_bits(W, c, problem.dim)
-    if not np.all(np.isfinite(Z)):
-        # the difference itself overflowed; nothing left to exchange
-        new_state = _commit(state, state.X + Z, np.zeros_like(Z), G, bits)
-        new_state.status = "diverged"
-        return new_state
-    CZ = _compress_columns(c, Z, state.compress_rngs)
-    Q = CZ - Z
-    X_new = state.X + CZ
-    state.replicas = state.replicas + CZ
-    new_state = _commit(state, X_new, Q, G, bits)
-    if new_state.status != "diverged":
-        drift = np.max(np.abs(new_state.replicas - new_state.X))
-        if drift != 0.0:
-            raise AssertionError(f"replica drifted from its owner by {drift}")
-    return new_state
+    return gossip_step("dcd", state, W, c, problem, gamma)
 
 
 def ecd_step(
@@ -240,24 +268,7 @@ def ecd_step(
     sparsifier): the run is declared diverged when any broadcast z exceeds
     it in norm.
     """
-    _pre_step(state, W, gamma)
-    E = state.estimate_err
-    Q = E @ W.entries
-    G = problem.stochastic_gradients(state.X, state.sample_rngs)
-    delta = (state.X + E) @ W.entries - gamma * G - state.X
-    X_new = state.X + delta
-    s = state.t + 1
-    Z = (1.0 - 0.5 * s) * state.X + (0.5 * s) * X_new
-    bits = _round_bits(W, c, problem.dim)
-    state.X_prev = state.X
-    if not np.all(np.isfinite(Z)) or np.max(np.sum(Z * Z, axis=0)) > z_norm_cap**2:
-        # nothing sane to broadcast: overflowed or past the input-norm guard
-        new_state = _commit(state, X_new, Q, G, bits)
-        new_state.status = "diverged"
-        return new_state
-    CZ = _compress_columns(c, Z, state.compress_rngs)
-    state.estimate_err = (1.0 - 2.0 / s) * E + (2.0 / s) * (CZ - Z)
-    return _commit(state, X_new, Q, G, bits)
+    return gossip_step("ecd", state, W, c, problem, gamma, z_norm_cap)
 
 
 def centralized_step(state: WorldState, problem: Problem, gamma: float) -> WorldState:
@@ -271,15 +282,6 @@ def centralized_step(state: WorldState, problem: Problem, gamma: float) -> World
     bits = 2 * (state.n - 1) * compression.FULL_PRECISION_BITS * problem.dim
     Q = np.zeros((problem.dim, state.n))
     return _commit(state, x_new[:, None], Q, G, bits)
-
-
-def _pre_step(state: WorldState, W: MixingMatrix, gamma: float) -> None:
-    if W.n != state.n:
-        raise ConfigError(f"topology has {W.n} nodes but state has {state.n}")
-    if gamma < 0.0:
-        raise InputError(f"gamma must be >= 0, got {gamma}")
-    if state.status == "diverged":
-        raise DivergedError("state has already diverged")
 
 
 def _commit(state: WorldState, X_new, Q, G, bits: int) -> WorldState:
@@ -298,16 +300,21 @@ def _commit(state: WorldState, X_new, Q, G, bits: int) -> WorldState:
     return state
 
 
-def _round_bits(W: MixingMatrix, c: Compressor, dim: int) -> int:
-    # every node sends one message per incident edge
-    return 2 * W.num_edges * bits_transmitted(c, dim)
-
-
 def _compress_columns(c: Compressor, Z: np.ndarray, rngs) -> np.ndarray:
     out = np.empty_like(Z)
     for i in range(Z.shape[1]):
         out[:, i] = compress(c, Z[:, i], rngs[i])
     return out
+
+
+def _extrapolate(x_prev: np.ndarray, x: np.ndarray, s: int) -> np.ndarray:
+    """Extrapolated value z_s = (1 - s/2) x_{s-1} + (s/2) x_s."""
+    return (1.0 - 0.5 * s) * x_prev + (0.5 * s) * x
+
+
+def _fold(estimate: np.ndarray, message: np.ndarray, s: int) -> np.ndarray:
+    """Estimate update (1 - 2/s) estimate + (2/s) message."""
+    return (1.0 - 2.0 / s) * estimate + (2.0 / s) * message
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +339,9 @@ def run(config) -> RunResult:
     Divergence (non-finite iterates or loss above 1e12) stops the loop with
     the partial trace retained.
     """
-    from .config import (
-        build_compressor, build_problem, build_topology, resolve_gamma,
-    )
+    from .config import build_run, resolve_gamma
 
-    master = np.random.SeedSequence(config.seed)
-    problem_ss, state_ss = master.spawn(2)
-    W = build_topology(config.topology)
-    problem = build_problem(config.problem, W.n, np.random.Generator(np.random.Philox(problem_ss)))
-    c = build_compressor(config.compressor)
+    W, problem, c, state_ss = build_run(config)
     gamma = resolve_gamma(config, problem, W, c)
 
     if config.algorithm == "dcd":
@@ -361,38 +362,39 @@ def run(config) -> RunResult:
     status = "completed"
     iterations = 0
 
-    for t in range(1, config.T + 1):
-        loss, grad_norm2, consensus = metrics(state, problem)
-        if not math.isfinite(loss) or loss > LOSS_CAP:
-            status = "diverged"
-            break
-        min_grad_norm2 = min(min_grad_norm2, grad_norm2)
-        if time_to_threshold is None and grad_norm2 <= config.grad_threshold:
-            time_to_threshold = t
-        try:
-            _dispatch_step(state, config.algorithm, W, c, problem, gamma, z_norm_cap)
-        except DivergedError:
-            status = "diverged"
-            break
-        iterations = t
-        if (t - 1) % config.trace_every == 0 or t == config.T:
-            records.append(TraceRecord(
-                t=t, loss=loss, grad_norm2=grad_norm2, consensus=consensus,
-                q_norm2=state.last_step.q_norm2, g_norm2=state.last_step.g_norm2,
-                bits=state.bits_total,
-            ))
-        if state.status == "diverged":
-            status = "diverged"
-            break
+    # blow-up is detected from the values, so numpy's overflow warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, config.T + 1):
+            loss, grad_norm2, consensus = metrics(state, problem)
+            if not math.isfinite(loss) or loss > LOSS_CAP:
+                status = "diverged"
+                break
+            min_grad_norm2 = min(min_grad_norm2, grad_norm2)
+            if time_to_threshold is None and grad_norm2 <= config.grad_threshold:
+                time_to_threshold = t
+            if config.algorithm == "centralized":
+                centralized_step(state, problem, gamma)
+            else:
+                gossip_step(config.algorithm, state, W, c, problem, gamma, z_norm_cap)
+            iterations = t
+            if (t - 1) % config.trace_every == 0 or t == config.T:
+                records.append(TraceRecord(
+                    t=t, loss=loss, grad_norm2=grad_norm2, consensus=consensus,
+                    q_norm2=state.last_step.q_norm2, g_norm2=state.last_step.g_norm2,
+                    bits=state.bits_total,
+                ))
+            if state.status == "diverged":
+                status = "diverged"
+                break
 
-    if status == "completed":
-        final_loss, final_grad_norm2, final_consensus = metrics(state, problem)
-        if not math.isfinite(final_loss) or final_loss > LOSS_CAP:
-            status = "diverged"
-        else:
-            min_grad_norm2 = min(min_grad_norm2, final_grad_norm2)
-            if time_to_threshold is None and final_grad_norm2 <= config.grad_threshold:
-                time_to_threshold = config.T + 1
+        if status == "completed":
+            final_loss, final_grad_norm2, final_consensus = metrics(state, problem)
+            if not math.isfinite(final_loss) or final_loss > LOSS_CAP:
+                status = "diverged"
+            else:
+                min_grad_norm2 = min(min_grad_norm2, final_grad_norm2)
+                if time_to_threshold is None and final_grad_norm2 <= config.grad_threshold:
+                    time_to_threshold = config.T + 1
     if status == "diverged":
         final_loss = final_grad_norm2 = final_consensus = math.inf
 
@@ -409,21 +411,6 @@ def run(config) -> RunResult:
         total_bits=state.bits_total,
     )
     return RunResult(records=records, summary=summary)
-
-
-def _dispatch_step(state, algorithm, W, c, problem, gamma, z_norm_cap):
-    if algorithm == "dpsgd":
-        dpsgd_step(state, W, problem, gamma)
-    elif algorithm == "naive":
-        naive_step(state, W, c, problem, gamma)
-    elif algorithm == "dcd":
-        dcd_step(state, W, c, problem, gamma)
-    elif algorithm == "ecd":
-        ecd_step(state, W, c, problem, gamma, z_norm_cap=z_norm_cap)
-    elif algorithm == "centralized":
-        centralized_step(state, problem, gamma)
-    else:  # pragma: no cover - init_state already validated
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +443,8 @@ def estimate_error_trace(
     err2 = np.empty(T)
     err2[0] = 0.0
     for t in range(2, T + 1):
-        z = (1.0 - 0.5 * t) * x_seq[t - 2] + (0.5 * t) * x_seq[t - 1]
-        estimate = (1.0 - 2.0 / t) * estimate + (2.0 / t) * compress(c, z, rng)
+        z = _extrapolate(x_seq[t - 2], x_seq[t - 1], t)
+        estimate = _fold(estimate, compress(c, z, rng), t)
         diff = estimate - x_seq[t - 1]
         err2[t - 1] = float(diff @ diff)
     return err2

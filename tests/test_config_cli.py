@@ -56,6 +56,14 @@ class TestParseValidate:
         with pytest.raises(ConfigError, match="gamma"):
             config_from_dict({**BASE, "gamma": -0.5})
 
+    def test_bad_integer_fields(self):
+        with pytest.raises(ConfigError, match="seed"):
+            config_from_dict({**BASE, "seed": -1})
+        for key in ("T", "seed", "trace_every"):
+            for flag in (True, False):
+                with pytest.raises(ConfigError, match=key):
+                    config_from_dict({**BASE, key: flag})
+
     def test_defaults_applied(self):
         cfg = config_from_dict({"algorithm": "dpsgd"})
         assert cfg.topology.kind == "ring" and cfg.topology.n == 8
@@ -146,6 +154,19 @@ class TestCliRun:
         path = write_config(tmp_path, {**BASE, "algorithm": "sgd"})
         assert main(["run", "--config", path]) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        path = write_config(tmp_path, {**BASE, "T": 20})
+        assert main(["run", "--config", path, "--seed", "-1"]) == 1
+        assert "seed" in capsys.readouterr().err
+        bad = write_config(tmp_path, {**BASE, "seed": -1}, name="bad.json")
+        assert main(["run", "--config", bad]) == 1
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", path, "--axis", "seed",
+                     "--values=-1,2", "--out", str(out)]) == 0
+        rows = [l for l in out.read_text().splitlines() if l.startswith("seed,")]
+        assert rows[0].startswith("seed,-1,-1,config_error: seed")
+        assert ",completed," in rows[1]
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1

@@ -407,6 +407,26 @@ class TestRun:
         bits = [r.bits for r in res.records]
         assert all(b2 > b1 for b1, b2 in zip(bits, bits[1:]))
 
+    def test_dpsgd_sends_full_precision_whatever_the_compressor(self):
+        cfg = config_from_dict({**self.BASE, "T": 10, "trace_every": 1, "problem": {
+            "kind": "quadratic", "dim": 6, "heterogeneity": 0.5, "noise": 0.3}})
+        plain = run(cfg)
+        quantized = run(dataclasses.replace(cfg, compressor=dataclasses.replace(
+            cfg.compressor, kind="quantize", levels=127)))
+        assert quantized.summary.total_bits == plain.summary.total_bits
+        assert all(r.q_norm2 == 0.0 for r in quantized.records)
+
+    @pytest.mark.parametrize("alg", ["dpsgd", "naive", "dcd", "ecd", "centralized"])
+    def test_overflow_diverges_without_numpy_warnings(self, alg):
+        cfg = config_from_dict({
+            **self.BASE, "algorithm": alg, "gamma": 1e300, "T": 50,
+            "compressor": {"kind": "quantize"},
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run(cfg)
+        assert res.summary.status == "diverged"
+
     def test_time_to_threshold_recorded(self):
         cfg = config_from_dict({**self.BASE, "grad_threshold": 1e-4, "trace_every": 1})
         res = run(cfg)
