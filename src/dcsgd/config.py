@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -178,10 +179,11 @@ def validate_config(cfg: RunConfig) -> None:
     c = build_compressor(cfg.compressor)
     if cfg.problem.kind not in ("quadratic", "logistic"):
         raise ConfigError(f"problem kind must be quadratic or logistic, got {cfg.problem.kind!r}")
-    if cfg.problem.dim < 1:
-        raise ConfigError(f"problem dim must be >= 1, got {cfg.problem.dim}")
-    if cfg.problem.kind == "logistic" and cfg.problem.samples_per_node < 1:
-        raise ConfigError("samples_per_node must be >= 1")
+    _check_int("problem dim", cfg.problem.dim, 1)
+    _check_int("samples_per_node", cfg.problem.samples_per_node, 1)
+    for name in ("heterogeneity", "noise", "reg"):
+        _check_real(name, getattr(cfg.problem, name), 0.0)
+    _check_real("separation", cfg.problem.separation)
     if cfg.algorithm == "dcd" and not math.isfinite(effective_alpha(c, cfg.problem.dim)):
         raise ConfigError(
             f"algorithm 'dcd' needs a compressor with a finite noise-to-signal "
@@ -193,6 +195,14 @@ def _check_int(name: str, value, minimum: int) -> None:
     # bool is an int subclass, but "T": true is a typo, not a count
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_real(name: str, value, minimum: float | None = None) -> None:
+    # NaN, infinities and integers beyond the float range fail the abs test
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max or (minimum is not None and value < minimum)):
+        floor = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{name} must be a finite number{floor}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

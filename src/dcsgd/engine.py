@@ -198,7 +198,7 @@ def gossip_step(
     s = state.t + 1
     Z = delta if algorithm == "dcd" else _extrapolate(X, X_new, s)
     if not np.all(np.isfinite(Z)) or (
-        algorithm == "ecd" and np.max(np.sum(Z * Z, axis=0)) > z_norm_cap**2
+        algorithm == "ecd" and np.max(np.sum(Z * Z, axis=0)) > z_norm_cap * z_norm_cap
     ):
         # nothing sane to broadcast: overflowed or past the input-norm guard
         _commit(state, X_new, Q, G, bits)

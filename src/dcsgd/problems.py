@@ -8,15 +8,15 @@ gradient oracles and reports the constants the step-size theory needs:
 * ``zeta2``    - across-node gradient variation bound
                  (1/n) sum_i ||grad f_i(x) - grad f(x)||^2.
 
-The quadratic family has all three in closed form plus a closed-form
-minimizer; the logistic family reports a hard L bound and Monte-Carlo
-estimates for sigma2 / zeta2 (documented as estimates, probed at
+Two families implement it.  :class:`QuadraticProblem` has all three in
+closed form plus a closed-form minimizer; :class:`LogisticProblem` holds
+all nodes' samples in one ``(n, samples, dim)`` array and reports a hard L
+bound and Monte-Carlo estimates for sigma2 / zeta2 (probed at
 standard-normal points).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,85 +30,46 @@ _ESTIMATE_MARGIN = 1.2
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """n-node objective f(x) = (1/n) sum_i f_i(x) with stochastic oracles."""
+    """n-node objective f(x) = (1/n) sum_i f_i(x) with stochastic oracles.
 
-    kind: str
+    A family implements batched primitives over a slice of nodes,
+    ``_gradients``, ``_samples`` (C-contiguous (dim, k) results) and
+    ``_losses``, plus the global ``_loss`` and ``_grad_mean``; each per-node
+    method is the one-node slice of its batched counterpart.
+    """
+
     dim: int
     n: int
     L: float
     sigma2: float
     zeta2: float
-    f_star: float | None
-    # quadratic internals: shared design matrix and per-node targets
-    A: np.ndarray | None = field(default=None, repr=False)
-    B: np.ndarray | None = field(default=None, repr=False)  # (m, n), column i = b_i
-    noise: float = 0.0
-    # logistic internals: per-node sample matrices / labels, l2 penalty
-    data: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
-    labels: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
-    reg: float = 0.0
-
-    # ---- exact quantities -------------------------------------------------
+    f_star: float | None = field(default=None, init=False)  # known optimal value
 
     def loss(self, x: np.ndarray) -> float:
         """Global objective f(x)."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "quadratic":
-            resid = self.A @ x[:, None] - self.B  # (m, n)
-            m = self.A.shape[0]
-            return float(0.5 * np.sum(resid * resid) / (m * self.n))
-        total = 0.0
-        for d, y in zip(self.data, self.labels):
-            margins = y * (d @ x)
-            total += float(np.mean(np.logaddexp(0.0, -margins)))
-        return total / self.n + 0.5 * self.reg * float(x @ x)
+        return self._loss(np.asarray(x, dtype=float))
 
     def loss_node(self, i: int, x: np.ndarray) -> float:
         """Per-node objective f_i(x)."""
         self._check_node(i)
-        x = np.asarray(x, dtype=float)
-        if self.kind == "quadratic":
-            resid = self.A @ x - self.B[:, i]
-            return float(0.5 * (resid @ resid) / self.A.shape[0])
-        d, y = self.data[i], self.labels[i]
-        margins = y * (d @ x)
-        return float(np.mean(np.logaddexp(0.0, -margins)) + 0.5 * self.reg * (x @ x))
+        return float(self._losses(np.asarray(x, dtype=float), slice(i, i + 1))[0])
 
     def gradient(self, i: int, x: np.ndarray) -> np.ndarray:
         """Exact per-node gradient grad f_i(x)."""
         self._check_node(i)
-        x = np.asarray(x, dtype=float)
-        if self.kind == "quadratic":
-            m = self.A.shape[0]
-            return self.A.T @ (self.A @ x - self.B[:, i]) / m
-        d, y = self.data[i], self.labels[i]
-        s = _sigmoid(-y * (d @ x))
-        return -(d.T @ (y * s)) / len(y) + self.reg * x
+        return self._gradients(np.asarray(x, dtype=float)[:, None], slice(i, i + 1))[:, 0]
 
     def gradients(self, X: np.ndarray) -> np.ndarray:
         """All exact per-node gradients at once; column i is grad f_i(X[:, i])."""
-        X = np.asarray(X, dtype=float)
-        if self.kind == "quadratic":
-            m = self.A.shape[0]
-            return self.A.T @ (self.A @ X - self.B) / m
-        return np.column_stack([self.gradient(i, X[:, i]) for i in range(self.n)])
+        return self._gradients(np.asarray(X, dtype=float), slice(None))
 
     def grad_mean(self, x: np.ndarray) -> np.ndarray:
         """Gradient of the global objective at a single point x."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "quadratic":
-            m = self.A.shape[0]
-            return self.A.T @ (self.A @ x - self.B.mean(axis=1)) / m
-        return sum(self.gradient(i, x) for i in range(self.n)) / self.n
+        return self._grad_mean(np.asarray(x, dtype=float))
 
     def minimizer(self) -> np.ndarray | None:
         """Closed-form global minimizer, when available."""
-        if self.kind != "quadratic":
-            return None
-        b_bar = self.B.mean(axis=1)
-        return np.linalg.solve(self.A.T @ self.A, self.A.T @ b_bar)
-
-    # ---- stochastic oracles -----------------------------------------------
+        return None
 
     def stochastic_gradient(self, i: int, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One unbiased sample of grad f_i(x)."""
@@ -116,34 +77,99 @@ class Problem:
         x = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(x)):
             raise DivergedError(f"node {i} asked for a gradient at a non-finite point")
-        if self.kind == "quadratic":
-            g = self.gradient(i, x)
-            if self.noise > 0.0:
-                g = g + self.noise * rng.standard_normal(self.dim)
-            return g
-        d, y = self.data[i], self.labels[i]
-        j = int(rng.integers(len(y)))
-        s = _sigmoid(-y[j] * (d[j] @ x))
-        return -y[j] * s * d[j] + self.reg * x
+        return self._samples(x[:, None], [rng], slice(i, i + 1))[:, 0]
 
     def stochastic_gradients(self, X: np.ndarray, rngs) -> np.ndarray:
         """Stacked per-node samples; node i's draw comes from rngs[i]."""
         X = np.asarray(X, dtype=float)
         if not np.all(np.isfinite(X)):
             raise DivergedError("asked for gradients at a non-finite state")
-        if self.kind == "quadratic":
-            G = self.gradients(X)
-            if self.noise > 0.0:
-                for i in range(self.n):
-                    G[:, i] += self.noise * rngs[i].standard_normal(self.dim)
-            return G
-        return np.column_stack(
-            [self.stochastic_gradient(i, X[:, i], rngs[i]) for i in range(self.n)]
-        )
+        return self._samples(X, rngs, slice(None))
 
     def _check_node(self, i: int) -> None:
         if not 0 <= i < self.n:
             raise InputError(f"node index {i} out of range [0, {self.n})")
+
+
+@dataclass(frozen=True, eq=False)
+class QuadraticProblem(Problem):
+    """f_i(x) = ||A x - b_i||^2 / (2m) with a shared design matrix A."""
+
+    A: np.ndarray = field(repr=False)
+    B: np.ndarray = field(repr=False)  # (m, n), column i = b_i
+    noise: float = 0.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "f_star", self.loss(self.minimizer()))
+
+    def minimizer(self) -> np.ndarray:
+        return np.linalg.solve(self.A.T @ self.A, self.A.T @ self.B.mean(axis=1))
+
+    def _loss(self, x):
+        resid = self.A @ x[:, None] - self.B  # (m, n)
+        return float(0.5 * np.sum(resid * resid) / (self.A.shape[0] * self.n))
+
+    def _losses(self, x, nodes):
+        resid = self.A @ x[:, None] - self.B[:, nodes]
+        return 0.5 * np.sum(resid * resid, axis=0) / self.A.shape[0]
+
+    def _gradients(self, X, nodes):
+        # BLAS rounds column i of A @ X differently at other widths of X, so
+        # a slice is cut from the full-width product to keep per-node bits.
+        wide = np.zeros((self.dim, self.n))
+        wide[:, nodes] = X
+        return (self.A.T @ (self.A @ wide - self.B) / self.A.shape[0])[:, nodes]
+
+    def _grad_mean(self, x):
+        return self.A.T @ (self.A @ x - self.B.mean(axis=1)) / self.A.shape[0]
+
+    def _samples(self, X, rngs, nodes):
+        G = self._gradients(X, nodes)
+        if self.noise > 0.0:
+            G += self.noise * np.column_stack([rng.standard_normal(self.dim) for rng in rngs])
+        return G
+
+
+@dataclass(frozen=True, eq=False)
+class LogisticProblem(Problem):
+    """l2-regularized logistic loss; node i holds data[i] (samples, dim), labels[i]."""
+
+    data: np.ndarray = field(repr=False)    # (n, samples, dim)
+    labels: np.ndarray = field(repr=False)  # (n, samples), entries +-1
+    reg: float = 0.0
+
+    def _loss(self, x):
+        fits = sum(self._fits(x, slice(None)).tolist(), 0.0)  # node by node, in order
+        return fits / self.n + 0.5 * self.reg * float(x @ x)
+
+    def _losses(self, x, nodes):
+        return self._fits(x, nodes) + 0.5 * self.reg * (x @ x)
+
+    def _fits(self, x, nodes):
+        margins = self.labels[nodes] * (self.data[nodes] @ x)
+        return np.mean(np.logaddexp(0.0, -margins), axis=1)
+
+    def _gradients(self, X, nodes):
+        return _logistic_gradients(self.data[nodes], self.labels[nodes], self.reg, X)
+
+    def _grad_mean(self, x):
+        X = np.broadcast_to(x[:, None], (self.dim, self.n))
+        return sum(self._gradients(X, slice(None)).T) / self.n  # columns in order
+
+    def _samples(self, X, rngs, nodes):
+        rows = np.arange(self.n)[nodes]
+        picks = [int(rng.integers(self.labels.shape[1])) for rng in rngs]
+        d, y = self.data[rows, picks], self.labels[rows, picks]  # (k, dim), (k,)
+        s = _sigmoid(-y * (d[:, None, :] @ X.T[:, :, None])[:, 0, 0])
+        return np.ascontiguousarray(((-y * s)[:, None] * d + self.reg * X.T).T)
+
+
+def _logistic_gradients(d, y, reg: float, X: np.ndarray) -> np.ndarray:
+    """Gradients at X's columns of the nodes holding d (k, samples, dim), y (k, samples)."""
+    # stacked @ makes the same BLAS call per node as for a single node
+    s = _sigmoid(-y * (d @ X.T[:, :, None])[..., 0])
+    g = -(np.swapaxes(d, 1, 2) @ (y * s)[..., None])[..., 0] / y.shape[1] + reg * X.T
+    return np.ascontiguousarray(g.T)
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
@@ -161,7 +187,7 @@ def make_quadratic(
     heterogeneity: float = 0.0,
     noise: float = 0.0,
     rng: np.random.Generator | None = None,
-) -> Problem:
+) -> QuadraticProblem:
     """Least-squares problem f_i(x) = ||A x - b_i||^2 / (2m) with a shared A.
 
     The shared design matrix is built with singular values giving Hessian
@@ -191,16 +217,7 @@ def make_quadratic(
     sigma2 = noise * noise * N
     grad_shifts = A.T @ (heterogeneity * deltas) / m  # grad f_i - grad f, constant in x
     zeta2 = float(np.mean(np.sum(grad_shifts * grad_shifts, axis=0)))
-
-    problem = Problem(
-        kind="quadratic", dim=N, n=n, L=L, sigma2=sigma2, zeta2=zeta2,
-        f_star=None, A=A, B=B, noise=noise,
-    )
-    f_star = problem.loss(problem.minimizer())
-    return Problem(
-        kind="quadratic", dim=N, n=n, L=L, sigma2=sigma2, zeta2=zeta2,
-        f_star=f_star, A=A, B=B, noise=noise,
-    )
+    return QuadraticProblem(dim=N, n=n, L=L, sigma2=sigma2, zeta2=zeta2, A=A, B=B, noise=noise)
 
 
 def _random_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
@@ -230,7 +247,7 @@ def make_logistic(
     separation: float = 1.0,
     rng: np.random.Generator | None = None,
     reg: float = 0.1,
-) -> Problem:
+) -> LogisticProblem:
     """l2-regularized logistic regression on per-node Gaussian clusters.
 
     Node i draws balanced +-1 labels and features from N(label * c_i, I)
@@ -252,38 +269,30 @@ def make_logistic(
     return logistic_from_data(data, labels, reg=reg, rng=rng)
 
 
-def logistic_from_data(data, labels, reg: float, rng: np.random.Generator) -> Problem:
-    """Build the logistic Problem from explicit per-node datasets.
+def logistic_from_data(data, labels, reg: float, rng: np.random.Generator) -> LogisticProblem:
+    """Build the logistic problem from per-node datasets of one common shape.
 
     L is the hard bound 0.25 * max ||sample||^2 + reg.  sigma2 and zeta2 are
     Monte-Carlo estimates: the empirical maxima over standard-normal probe
     points, inflated by a safety margin.
     """
-    data = tuple(np.asarray(d, dtype=float) for d in data)
-    labels = tuple(np.asarray(y, dtype=float) for y in labels)
-    n = len(data)
-    N = data[0].shape[1]
-    max_row2 = max(float(np.max(np.sum(d * d, axis=1))) for d in data)
-    L = 0.25 * max_row2 + reg
+    sizes = [len(y) for y in labels]
+    if len(set(sizes)) > 1:
+        raise InputError(f"every node needs the same number of samples, got {sizes}")
+    data, labels = np.asarray(data, dtype=float), np.asarray(labels, dtype=float)
+    n, _, N = data.shape
+    L = 0.25 * float(np.max(np.sum(data * data, axis=2))) + reg
 
-    problem = Problem(
-        kind="logistic", dim=N, n=n, L=L, sigma2=0.0, zeta2=0.0,
-        f_star=None, data=data, labels=labels, reg=reg,
-    )
     sigma2_hat, zeta2_hat = 0.0, 0.0
     for _ in range(_PROBE_POINTS):
         x = rng.standard_normal(N)
-        grads = np.column_stack([problem.gradient(i, x) for i in range(n)])
+        grads = _logistic_gradients(data, labels, reg, np.broadcast_to(x[:, None], (N, n)))
         g_mean = grads.mean(axis=1, keepdims=True)
         zeta2_hat = max(zeta2_hat, float(np.mean(np.sum((grads - g_mean) ** 2, axis=0))))
-        for i in range(n):
-            d, y = data[i], labels[i]
-            s = _sigmoid(-y * (d @ x))
-            per_sample = -(y * s)[:, None] * d + reg * x  # (samples, N)
-            dev = per_sample - problem.gradient(i, x)
-            sigma2_hat = max(sigma2_hat, float(np.mean(np.sum(dev * dev, axis=1))))
-    return Problem(
-        kind="logistic", dim=N, n=n, L=L,
-        sigma2=_ESTIMATE_MARGIN * sigma2_hat, zeta2=_ESTIMATE_MARGIN * zeta2_hat,
-        f_star=None, data=data, labels=labels, reg=reg,
+        s = _sigmoid(-labels * (data @ x))
+        dev = -(labels * s)[..., None] * data + reg * x - grads.T[:, None, :]  # (n, samples, N)
+        sigma2_hat = max(sigma2_hat, float(np.max(np.mean(np.sum(dev * dev, axis=2), axis=1))))
+    return LogisticProblem(
+        dim=N, n=n, L=L, sigma2=_ESTIMATE_MARGIN * sigma2_hat,
+        zeta2=_ESTIMATE_MARGIN * zeta2_hat, data=data, labels=labels, reg=reg,
     )

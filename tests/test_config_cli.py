@@ -21,6 +21,14 @@ BASE = {
     "trace_every": 10,
 }
 
+# malformed problem-section values, each of which must give a ConfigError
+BAD_PROBLEM_FIELDS = [
+    ("dim", 2.5), ("dim", "8"), ("dim", True),
+    ("samples_per_node", 2.5), ("samples_per_node", True),
+    ("noise", "x"), ("reg", "x"), ("separation", "x"),
+    ("noise", math.nan), ("reg", -1.0), ("heterogeneity", math.inf),
+]
+
 
 def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
@@ -63,6 +71,9 @@ class TestParseValidate:
             for flag in (True, False):
                 with pytest.raises(ConfigError, match=key):
                     config_from_dict({**BASE, key: flag})
+        for key, value in BAD_PROBLEM_FIELDS:
+            with pytest.raises(ConfigError, match=key):
+                config_from_dict({**BASE, "problem": {**BASE["problem"], key: value}})
 
     def test_defaults_applied(self):
         cfg = config_from_dict({"algorithm": "dpsgd"})
@@ -154,6 +165,12 @@ class TestCliRun:
         path = write_config(tmp_path, {**BASE, "algorithm": "sgd"})
         assert main(["run", "--config", path]) == 1
         assert "configuration error" in capsys.readouterr().err
+        for key, value in BAD_PROBLEM_FIELDS:
+            path = write_config(tmp_path, {**BASE, "problem": {
+                "kind": "logistic", "dim": 4, "samples_per_node": 8, key: value}})
+            assert main(["run", "--config", path]) == 1
+            err = capsys.readouterr().err
+            assert "configuration error" in err and key in err
 
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {**BASE, "T": 20})

@@ -427,6 +427,13 @@ class TestRun:
             res = run(cfg)
         assert res.summary.status == "diverged"
 
+    def test_huge_ecd_norm_cap_does_not_overflow(self):
+        cfg = config_from_dict({
+            **self.BASE, "algorithm": "ecd", "T": 3, "z_norm_cap": 1e200,
+            "compressor": {"kind": "sparsify", "keep_prob": 0.5},
+        })
+        assert run(cfg).summary.status == "completed"
+
     def test_time_to_threshold_recorded(self):
         cfg = config_from_dict({**self.BASE, "grad_threshold": 1e-4, "trace_every": 1})
         res = run(cfg)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dcsgd import DivergedError, make_logistic, make_quadratic
+from dcsgd import DivergedError, InputError, make_logistic, make_quadratic
 from dcsgd.problems import logistic_from_data
 
 
@@ -147,6 +147,13 @@ class TestLogistic:
                 se = devs.std(ddof=1) / math.sqrt(n_draws)
                 assert devs.mean() <= logi.sigma2 + 4 * se
 
+    def test_ragged_datasets_rejected(self):
+        rng = np.random.default_rng(20)
+        data = [rng.standard_normal((30, 4)), rng.standard_normal((20, 4))]
+        labels = [np.ones(30), np.ones(20)]
+        with pytest.raises(InputError, match=r"\[30, 20\]"):
+            logistic_from_data(data, labels, reg=0.1, rng=rng)
+
     def test_zeta2_bounds_node_variation(self, logi):
         rng = np.random.default_rng(14)
         for _ in range(20):
@@ -168,6 +175,17 @@ class TestOracles:
             g = p.gradient(i, x)
             fd = finite_difference_gradient(lambda y: p.loss_node(i, y), x)
             assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(g))
+
+    @pytest.mark.parametrize("which", ["quad", "logi"])
+    def test_per_node_methods_are_slices_of_batched(self, which, quad, logi):
+        p = quad if which == "quad" else logi
+        X = np.random.default_rng(21).standard_normal((p.dim, p.n))
+        G = p.gradients(X)
+        batched = p.stochastic_gradients(X, [np.random.default_rng(200 + i) for i in range(p.n)])
+        for i in range(p.n):
+            assert np.array_equal(G[:, i], p.gradient(i, X[:, i]))
+            g = p.stochastic_gradient(i, X[:, i], np.random.default_rng(200 + i))
+            assert np.array_equal(batched[:, i], g)
 
     def test_loss_is_mean_of_node_losses(self, quad):
         x = np.random.default_rng(16).standard_normal(10)
