@@ -11,15 +11,19 @@ tracked per operator:
   Only the synthetic sphere-noise operator has one; it exists to unit-test
   the extrapolation estimate recursion with an exactly known constant.
 
-Randomness is always external: callers pass a numpy Generator, so operators
-are pure given the stream and safe for parallel per-node use with per-node
-streams.  1-D inputs are treated as one vector; 2-D inputs compress each
-column independently (fresh draws per column from the same stream).
+Randomness is always external, so operators are pure given the streams.
+1-D inputs are treated as one vector; 2-D inputs compress each column
+independently.  With one Generator, a matrix's draws come row-major from
+that stream.  With a sequence of Generators, one per column, column i's
+draws come from stream i and are exactly the draws a one-column call on
+stream i makes, so a simulator compresses every node's message in one call
+and gets the same result as compressing node by node.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,46 +92,68 @@ def synthetic_noise(noise_bound2: float) -> Compressor:
     return Compressor(kind="synthetic", noise_bound2=noise_bound2)
 
 
-def compress(c: Compressor, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def compress(
+    c: Compressor, z: np.ndarray, rng: np.random.Generator | Sequence[np.random.Generator]
+) -> np.ndarray:
     """Draw one unbiased compressed sample of z.
 
-    2-D input: every column is an independent vector (per-column scaling and
-    per-column noise).  Empty input is returned unchanged.  Non-finite
-    entries raise InputError.
+    ``rng`` is one Generator, or for 2-D input a sequence of Generators, one
+    per column (see the module docstring).  2-D input: every column is an
+    independent vector (per-column scaling and per-column noise).  Empty
+    input is returned unchanged.  Non-finite entries raise InputError.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim not in (1, 2):
         raise InputError(f"expected a vector or a matrix of columns, got ndim={z.ndim}")
+    per_column = not isinstance(rng, np.random.Generator)
+    if per_column and (z.ndim != 2 or len(rng) != z.shape[1]):
+        raise InputError(
+            f"per-column streams need a matrix with one column per stream, "
+            f"got shape {z.shape} and {len(rng)} streams"
+        )
     if z.size == 0:
         return z.copy()
     if not np.all(np.isfinite(z)):
         raise InputError("compression input contains non-finite entries")
     if c.kind == "identity":
         return z.copy()
+    draw = "standard_normal" if c.kind == "synthetic" else "random"
+    if per_column:
+        rows = np.empty(z.shape[::-1])
+        for row, g in zip(rows, rng):
+            getattr(g, draw)(out=row)
+        u = np.ascontiguousarray(rows.T)
+    else:
+        u = getattr(rng, draw)(z.shape)
     if c.kind == "quantize":
-        return _quantize(z, c.levels, rng)
+        return _quantize(z, c.levels, u)
     if c.kind == "sparsify":
-        keep = rng.random(z.shape) < c.keep_prob
-        return np.where(keep, z / c.keep_prob, 0.0)
-    # synthetic: additive noise uniform on the sphere of radius b, per column
-    g = rng.standard_normal(z.shape)
-    norms = np.linalg.norm(g, axis=0, keepdims=True) if z.ndim == 2 else np.linalg.norm(g)
-    return z + math.sqrt(c.noise_bound2) * g / norms
+        return np.where(u < c.keep_prob, z / c.keep_prob, 0.0)
+    # synthetic: additive noise uniform on the sphere of radius b, per column;
+    # a column's norm is the 1-D norm of its draws, which axis=0 may round apart
+    if per_column:
+        norms = np.array([np.linalg.norm(row) for row in rows])
+    elif z.ndim == 2:
+        norms = np.linalg.norm(u, axis=0, keepdims=True)
+    else:
+        norms = np.linalg.norm(u)
+    return z + math.sqrt(c.noise_bound2) * u / norms
 
 
-def _quantize(z: np.ndarray, levels: int, rng: np.random.Generator) -> np.ndarray:
+def _quantize(z: np.ndarray, levels: int, u: np.ndarray) -> np.ndarray:
     """Magnitude-scaled stochastic rounding onto {0, +-1/s, ..., +-1} * ||z||_inf.
 
-    Computing |z|/scale before multiplying by s keeps the level index in
-    [0, s] exactly, so outputs never leave the grid; entries already on the
-    grid pass through with probability one.
+    ``u`` holds one uniform draw per entry of z.  Computing |z|/scale before
+    multiplying by s keeps the level index in [0, s] exactly, so outputs
+    never leave the grid; entries already on the grid pass through with
+    probability one.
     """
     scale = np.max(np.abs(z), axis=0, keepdims=True) if z.ndim == 2 else np.max(np.abs(z))
     safe_scale = np.where(scale == 0.0, 1.0, scale)
     y = (np.abs(z) / safe_scale) * levels
     low = np.floor(y)
     frac = y - low
-    level = low + (rng.random(z.shape) < frac)
+    level = low + (u < frac)
     # all-zero columns have sign(z) = 0 everywhere, so safe_scale never leaks
     return np.sign(z) * level * (safe_scale / levels)
 

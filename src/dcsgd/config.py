@@ -118,8 +118,10 @@ def config_from_dict(doc: dict) -> RunConfig:
         bad = sorted(set(sub) - valid)
         if bad:
             raise ConfigError(f"unknown key(s) in {section!r}: {', '.join(bad)}")
-        sub = {k: tuple(map(tuple, v)) if k == "edges" else tuple(v) if isinstance(v, list) else v
-               for k, v in sub.items()}
+        # lists become tuples, an edge list a tuple of tuples; validate_config
+        # checks their shapes and types
+        sub = {k: tuple(tuple(e) if k == "edges" and isinstance(e, list) else e for e in v)
+               if isinstance(v, list) else v for k, v in sub.items()}
         kwargs[section] = cls(**sub)
     for key in ("gamma", "T", "seed", "trace_every", "grad_threshold", "z_norm_cap"):
         if key in doc:
@@ -167,16 +169,40 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"gamma must be a positive number or 'theory', got {cfg.gamma!r}")
     elif not (isinstance(cfg.gamma, (int, float)) and cfg.gamma > 0):
         raise ConfigError(f"gamma must be a positive number or 'theory', got {cfg.gamma!r}")
-    if cfg.grad_threshold < 0:
-        raise ConfigError("grad_threshold must be >= 0")
+    _check_real("grad_threshold", cfg.grad_threshold, 0.0)
+    _check_real("z_norm_cap", cfg.z_norm_cap)
     if cfg.z_norm_cap <= 0:
-        raise ConfigError("z_norm_cap must be > 0")
+        raise ConfigError(f"z_norm_cap must be > 0, got {cfg.z_norm_cap!r}")
 
+    _check_int("topology n", cfg.topology.n, 2)
+    for name in ("edges", "self_weights"):
+        if not isinstance(getattr(cfg.topology, name), tuple):
+            raise ConfigError(f"topology {name} must be a list")
+    for edge in cfg.topology.edges:
+        if not (isinstance(edge, tuple) and len(edge) == 2):
+            raise ConfigError(f"each topology edge must be a pair [i, j], got {edge!r}")
+        for end in edge:
+            _check_int("topology edge end", end, 0)
+    for weight in cfg.topology.self_weights:
+        _check_real("topology self_weights entry", weight)
     try:
         build_topology(cfg.topology)   # validates structure and connectivity
     except TopologyError as exc:
         raise ConfigError(f"topology: {exc}") from exc
+    _check_int("levels", cfg.compressor.levels, 1)
+    _check_real("keep_prob", cfg.compressor.keep_prob)
+    _check_real("noise_bound", cfg.compressor.noise_bound, 0.0)
     c = build_compressor(cfg.compressor)
+    net = cfg.network
+    for name in ("model_dim", "steps_per_epoch", "degree"):
+        _check_int(name, getattr(net, name), 1)
+    _check_real("compute_s", net.compute_s, 0.0)
+    for name in ("bandwidths", "latencies"):
+        values = getattr(net, name)
+        if not (isinstance(values, tuple) and values):
+            raise ConfigError(f"network {name} must be a nonempty list of numbers, got {values!r}")
+        for value in values:
+            _check_real(f"network {name} entry", value)
     if cfg.problem.kind not in ("quadratic", "logistic"):
         raise ConfigError(f"problem kind must be quadratic or logistic, got {cfg.problem.kind!r}")
     _check_int("problem dim", cfg.problem.dim, 1)

@@ -15,8 +15,10 @@ because their compression terms vanish exactly.
 
 Randomness: every (node, purpose) pair owns an independent counter-based
 stream (Philox) derived from the master seed, so node-parallel evaluation
-could never change results.  Rounds are synchronous by construction; each
-step reads the frozen previous round and writes disjoint columns.
+could never change results.  Compression runs once per round, over the
+whole (dim, n) message matrix, with column i drawing from node i's stream.
+Rounds are synchronous by construction; each step reads the frozen
+previous round and writes disjoint columns.
 """
 
 from __future__ import annotations
@@ -174,7 +176,7 @@ def gossip_step(
         c = compression.identity()
         seen, Q = X, np.zeros_like(X)
     elif algorithm == "naive":
-        seen = _compress_columns(c, X, state.compress_rngs)
+        seen = compress(c, X, state.compress_rngs)
         Q = seen - X
     elif algorithm == "dcd":
         if not math.isfinite(c.alpha_bound(problem.dim)):
@@ -204,7 +206,7 @@ def gossip_step(
         _commit(state, X_new, Q, G, bits)
         state.status = "diverged"
         return state
-    CZ = _compress_columns(c, Z, state.compress_rngs)
+    CZ = compress(c, Z, state.compress_rngs)
     if algorithm == "ecd":
         state.estimate_err = _fold(state.estimate_err, CZ - Z, s)
         return _commit(state, X_new, Q, G, bits)
@@ -300,13 +302,6 @@ def _commit(state: WorldState, X_new, Q, G, bits: int) -> WorldState:
     return state
 
 
-def _compress_columns(c: Compressor, Z: np.ndarray, rngs) -> np.ndarray:
-    out = np.empty_like(Z)
-    for i in range(Z.shape[1]):
-        out[:, i] = compress(c, Z[:, i], rngs[i])
-    return out
-
-
 def _extrapolate(x_prev: np.ndarray, x: np.ndarray, s: int) -> np.ndarray:
     """Extrapolated value z_s = (1 - s/2) x_{s-1} + (s/2) x_s."""
     return (1.0 - 0.5 * s) * x_prev + (0.5 * s) * x
@@ -353,7 +348,7 @@ def run(config) -> RunResult:
                 "proceeding to demonstrate divergence",
                 stacklevel=2,
             )
-    z_norm_cap = config.z_norm_cap if c.kind == "sparsify" else math.inf
+    z_norm_cap = float(config.z_norm_cap) if c.kind == "sparsify" else math.inf
 
     state = init_state(problem, W.n, config.algorithm, state_ss)
     records: list[TraceRecord] = []

@@ -173,12 +173,10 @@ def _logistic_gradients(d, y, reg: float, X: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u, dtype=float)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    e = np.exp(u[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp of a non-positive argument never overflows; for u >= 0 this is
+    # 1 / (1 + exp(-u)) and for u < 0 it is exp(u) / (1 + exp(u))
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0, 1.0, e) / (1.0 + e)
 
 
 def make_quadratic(

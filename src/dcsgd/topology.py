@@ -10,6 +10,7 @@ time rather than allowed to run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,12 +73,16 @@ class MixingMatrix:
         eigenvalues.flags.writeable = False
         return cls(n=n, entries=entries, eigenvalues=eigenvalues, rho=rho, mu=mu)
 
-    @property
+    @cached_property
     def degrees(self) -> np.ndarray:
-        """Neighbor count per node (nonzero off-diagonal weights)."""
-        off = self.entries.copy()
-        np.fill_diagonal(off, 0.0)
-        return np.count_nonzero(off, axis=1)
+        """Neighbor count per node (nonzero off-diagonal weights), read-only.
+
+        Counted on first use and kept, so rounds never recount and builders
+        whose matrix is never asked pay nothing.
+        """
+        degrees = np.count_nonzero(self.entries, axis=1) - (np.diagonal(self.entries) != 0)
+        degrees.flags.writeable = False
+        return degrees
 
     @property
     def num_edges(self) -> int:

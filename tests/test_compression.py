@@ -57,6 +57,57 @@ class TestCompressBasics:
             assert not np.array_equal(bs[0], bs[1])
 
 
+def node_streams(n, seed=7):
+    return [np.random.Generator(np.random.Philox(s)) for s in np.random.SeedSequence(seed).spawn(n)]
+
+
+class TestPerColumnStreams:
+    """compress(c, Z, [rng_0, ..., rng_{n-1}]) is the per-column loop, byte for byte."""
+
+    KINDS = {
+        "identity": identity(),
+        "quantize": stochastic_quantize(7),
+        "sparsify": random_sparsify(0.3),
+        "synthetic": synthetic_noise(2.0),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("shape", [(8, 8), (1, 3), (33, 6)])
+    def test_matches_per_column_loop(self, kind, shape):
+        c = self.KINDS[kind]
+        dim, n = shape
+        Z = np.random.default_rng(5).standard_normal(shape)
+        Z *= np.logspace(-150, 150, n)  # columns of very different magnitudes
+        Z[:, 1] = 0.0
+        batched = compress(c, Z, node_streams(n))
+        rngs = node_streams(n)
+        looped = np.empty_like(Z)
+        for i in range(n):
+            looped[:, i] = compress(c, Z[:, i], rngs[i])
+        assert batched.tobytes() == looped.tobytes()
+        assert batched.flags.c_contiguous
+
+    def test_streams_advance_like_the_loop(self):
+        Z = np.random.default_rng(1).standard_normal((5, 4))
+        a, b = node_streams(4), node_streams(4)
+        compress(stochastic_quantize(3), Z, a)
+        for i in range(4):
+            compress(stochastic_quantize(3), Z[:, i], b[i])
+        assert [g.random() for g in a] == [g.random() for g in b]
+
+    def test_nonfinite_rejected(self):
+        Z = np.ones((4, 3))
+        Z[2, 1] = np.nan
+        with pytest.raises(InputError):
+            compress(stochastic_quantize(4), Z, node_streams(3))
+
+    def test_stream_count_must_match_columns(self):
+        with pytest.raises(InputError):
+            compress(stochastic_quantize(4), np.ones((4, 3)), node_streams(2))
+        with pytest.raises(InputError):
+            compress(stochastic_quantize(4), np.ones(4), node_streams(4))
+
+
 class TestQuantizer:
     def test_two_point_rounding_probabilities(self):
         # value 0.5 on the grid {0, 0.25, ..., 1.0} (s=4, scale 1) sits on a

@@ -30,6 +30,25 @@ BAD_PROBLEM_FIELDS = [
 ]
 
 
+# malformed values elsewhere in the config: (name the message must carry,
+# top-level keys merged into BASE)
+BAD_RUN_FIELDS = [
+    ("grad_threshold", {"grad_threshold": "x"}),
+    ("z_norm_cap", {"z_norm_cap": 10**400}),
+    ("z_norm_cap", {"z_norm_cap": 0}),
+    ("topology n", {"topology": {"kind": "ring", "n": "8"}}),
+    ("topology n", {"topology": {"kind": "complete", "n": 2.0}}),
+    ("edge", {"topology": {"kind": "custom", "n": 4, "edges": [[0, 1], [1]]}}),
+    ("edge", {"topology": {"kind": "custom", "n": 4, "edges": [[0, 1], [1, "2"]]}}),
+    ("edges", {"topology": {"kind": "custom", "n": 4, "edges": 5}}),
+    ("levels", {"compressor": {"kind": "quantize", "levels": 2.5}}),
+    ("keep_prob", {"compressor": {"kind": "sparsify", "keep_prob": "x"}}),
+    ("noise_bound", {"compressor": {"kind": "synthetic", "noise_bound": "x"}}),
+    ("bandwidths", {"network": {"bandwidths": 5}}),
+    ("latencies", {"network": {"latencies": [1e-3, "x"]}}),
+]
+
+
 def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -74,6 +93,9 @@ class TestParseValidate:
         for key, value in BAD_PROBLEM_FIELDS:
             with pytest.raises(ConfigError, match=key):
                 config_from_dict({**BASE, "problem": {**BASE["problem"], key: value}})
+        for name, patch in BAD_RUN_FIELDS:
+            with pytest.raises(ConfigError, match=name):
+                config_from_dict({**BASE, **patch})
 
     def test_defaults_applied(self):
         cfg = config_from_dict({"algorithm": "dpsgd"})
@@ -171,6 +193,12 @@ class TestCliRun:
             assert main(["run", "--config", path]) == 1
             err = capsys.readouterr().err
             assert "configuration error" in err and key in err
+        for name, patch in BAD_RUN_FIELDS:
+            path = write_config(tmp_path, {**BASE, **patch})
+            assert main(["run", "--config", path]) == 1
+            err = capsys.readouterr().err
+            assert "configuration error" in err and name in err
+            assert "Traceback" not in err and err.count("\n") == 1
 
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {**BASE, "T": 20})

@@ -434,6 +434,15 @@ class TestRun:
         })
         assert run(cfg).summary.status == "completed"
 
+    def test_huge_integer_norm_cap_runs_like_its_float(self):
+        # 10**200 squared leaves the float range; the cap is compared as a float
+        doc = {**self.BASE, "algorithm": "ecd", "T": 3,
+               "compressor": {"kind": "sparsify", "keep_prob": 0.5}}
+        as_int = run(config_from_dict({**doc, "z_norm_cap": 10**200}))
+        as_float = run(config_from_dict({**doc, "z_norm_cap": 1e200}))
+        assert as_int.summary == as_float.summary
+        assert as_int.summary.status == "completed"
+
     def test_time_to_threshold_recorded(self):
         cfg = config_from_dict({**self.BASE, "grad_threshold": 1e-4, "trace_every": 1})
         res = run(cfg)

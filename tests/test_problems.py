@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dcsgd import DivergedError, InputError, make_logistic, make_quadratic
-from dcsgd.problems import logistic_from_data
+from dcsgd.problems import _sigmoid, logistic_from_data
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +162,34 @@ class TestLogistic:
             g_mean = grads.mean(axis=1, keepdims=True)
             var = float(np.mean(np.sum((grads - g_mean) ** 2, axis=0)))
             assert var <= logi.zeta2
+
+
+def reference_sigmoid(u):
+    """The masked two-branch sigmoid: 1/(1+e^-u) for u >= 0, e^u/(1+e^u) below."""
+    out = np.empty_like(u, dtype=float)
+    pos = u >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+    e = np.exp(u[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+class TestSigmoid:
+    def test_bitwise_equal_to_reference_on_edge_values(self):
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 5e-324, -5e-324,
+                 36.7, -36.7, 709.78, -709.78, 745.2, -745.2, 800.0, -800.0, 1e300, -1e300]
+        u = np.concatenate([edges, np.random.default_rng(0).uniform(-800, 800, 1000)])
+        with np.errstate(over="raise"):  # exp of a large argument never runs
+            got = _sigmoid(u)
+        want = reference_sigmoid(u)
+        # NaN stays NaN (its sign bit is not part of the contract); every
+        # other value is bit for bit the reference's
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan) and np.count_nonzero(nan) == 1
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+        # one element and a stacked (16, 32) batch, as the oracles call it
+        for shaped in (u[:1], u[19:19 + 512].reshape(16, 32)):
+            assert _sigmoid(shaped).tobytes() == reference_sigmoid(shaped).tobytes()
 
 
 class TestOracles:

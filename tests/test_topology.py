@@ -180,3 +180,22 @@ class TestSpectralStats:
         assert W.num_edges == 8
         K = build_fully_connected(5)
         assert K.num_edges == 10
+
+    @pytest.mark.parametrize("which", ["ring", "complete", "metropolis_ring4"])
+    def test_cached_degrees_match_recount(self, which):
+        if which == "ring":
+            W = build_ring(9)
+        elif which == "complete":
+            W = build_fully_connected(6)
+        else:
+            # Metropolis weights on a 4-cycle leave every diagonal entry zero;
+            # the graph is bipartite, so it does not mix
+            entries = np.array([[0, 0.5, 0, 0.5], [0.5, 0, 0.5, 0],
+                                [0, 0.5, 0, 0.5], [0.5, 0, 0.5, 0]])
+            W = MixingMatrix.from_entries(entries, require_connected=False)
+        off = np.array(W.entries)
+        np.fill_diagonal(off, 0.0)
+        recount = np.count_nonzero(off, axis=1)
+        assert np.array_equal(W.degrees, recount)
+        assert W.num_edges == int(recount.sum()) // 2
+        assert not W.degrees.flags.writeable
