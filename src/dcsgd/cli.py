@@ -18,7 +18,8 @@ import sys
 from . import costmodel, engine, theory
 from .compression import FULL_PRECISION_BITS, bits_transmitted, effective_alpha
 from .config import (
-    RunConfig, build_compressor, build_run, config_to_dict, parse_config, resolve_gamma,
+    RunConfig, build_compressor, build_run, check_gamma, check_int, config_to_dict,
+    parse_config, resolve_gamma,
 )
 from .errors import ConfigError, InfeasibleError, InputError, TopologyError
 
@@ -35,6 +36,10 @@ GRID_FIELDS = ("bandwidth", "latency", "allreduce_s", "decen_full_s", "decen_com
 
 _CONFIG_ERRORS = (ConfigError, InfeasibleError, TopologyError, InputError)
 
+# A seed or gamma sweep runs at most this many state values (trials x dim x
+# n) per trial batch, so a batch's arrays stay a few megabytes at any shape.
+BATCH_VALUES = 2**20
+
 
 # ---------------------------------------------------------------------------
 # sweep
@@ -45,29 +50,54 @@ def sweep(cfg: RunConfig, axis: str, values, seeds=None) -> list[dict]:
     """One summary row per (value, seed), in deterministic order.
 
     Per-entry failures land in the status column instead of aborting the
-    sweep.  The bandwidth / latency axes evaluate the communication model
-    rather than running the simulator.
+    sweep.  The seed and gamma axes only change a trial's seed and step
+    size, so their entries run as trial batches through one ``engine.run``
+    call each, every row bit for bit what a solo run gives; the n and levels
+    axes change shapes and run one entry at a time.  The bandwidth / latency
+    axes evaluate the communication model rather than running the simulator.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     if axis in ("bandwidth", "latency"):
         return _cost_sweep(cfg, axis, values)
-    rows = []
     if axis == "seed":
         entries = [(int(v), int(v)) for v in values]
     else:
         seed_list = [cfg.seed] if not seeds else [int(s) for s in seeds]
         entries = [(v, s) for v in values for s in seed_list]
+    rows, runnable = [], []
     for value, seed in entries:
         row = dict.fromkeys(RUN_ROW_FIELDS, "")
         row.update(axis=axis, value=value, seed=seed)
+        rows.append(row)
         try:
-            derived = _derive_config(cfg, axis, value, seed)
-            result = engine.run(derived)
+            runnable.append((row, _derive_config(cfg, axis, value, seed)))
         except _CONFIG_ERRORS as exc:
             row["status"] = f"config_error: {exc}"
-            rows.append(row)
-            continue
+    size = 1
+    if axis in ("seed", "gamma"):
+        size = max(1, BATCH_VALUES // (cfg.problem.dim * cfg.topology.n))
+    for start in range(0, len(runnable), size):
+        _run_rows(runnable[start:start + size])
+    return rows
+
+
+def _run_rows(entries: list) -> None:
+    """Run (row, config) entries as one trial batch and fill their rows.
+
+    When a trial's set-up fails, the entries run one by one, so only the
+    failing rows get the ``config_error`` status.
+    """
+    try:
+        results = engine.run([derived for _, derived in entries])
+    except _CONFIG_ERRORS as exc:
+        if len(entries) > 1:
+            for entry in entries:
+                _run_rows([entry])
+        else:
+            entries[0][0]["status"] = f"config_error: {exc}"
+        return
+    for (row, _), result in zip(entries, results):
         s = result.summary
         row.update(
             status=s.status, gamma=s.gamma, iterations=s.iterations,
@@ -77,21 +107,22 @@ def sweep(cfg: RunConfig, axis: str, values, seeds=None) -> list[dict]:
             time_to_threshold="" if s.time_to_threshold is None else s.time_to_threshold,
             total_bits=s.total_bits,
         )
-        rows.append(row)
-    return rows
 
 
 def _derive_config(cfg: RunConfig, axis: str, value, seed: int) -> RunConfig:
+    check_int("seed", seed, 0)
     cfg = dataclasses.replace(cfg, seed=seed)
     if axis == "seed":
         return cfg
     if axis == "gamma":
+        check_gamma(value)
         return dataclasses.replace(cfg, gamma=float(value))
     if axis == "levels":
         if cfg.compressor.kind != "quantize":
             raise ConfigError(
                 f"levels sweep needs a quantize compressor, got {cfg.compressor.kind!r}"
             )
+        check_int("levels", value, 1)
         comp = dataclasses.replace(cfg.compressor, levels=int(value))
         return dataclasses.replace(cfg, compressor=comp)
     if axis == "n":
@@ -248,7 +279,9 @@ def _cmd_cost(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     values = _parse_values(args.axis, args.values)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
+    seeds = None
+    if args.seeds:
+        seeds = [_parse_number(int, s, "--seeds") for s in args.seeds.split(",")]
     rows = sweep(cfg, args.axis, values, seeds)
     fields = COST_ROW_FIELDS if args.axis in ("bandwidth", "latency") else RUN_ROW_FIELDS
     write_rows_csv(args.out, cfg, rows, fields)
@@ -259,9 +292,16 @@ def _parse_values(axis: str, text: str) -> list:
     items = [s for s in text.split(",") if s]
     if not items:
         raise ConfigError("--values must be a nonempty comma-separated list")
-    if axis in ("levels", "n", "seed"):
-        return [int(s) for s in items]
-    return [float(s) for s in items]
+    kind = int if axis in ("levels", "n", "seed") else float
+    return [_parse_number(kind, s, "--values") for s in items]
+
+
+def _parse_number(kind, text: str, flag: str):
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{flag} entry {text!r} is not {what}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

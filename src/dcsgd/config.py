@@ -161,20 +161,16 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("missing required key 'algorithm'")
     if cfg.algorithm not in ALGORITHMS:
         raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {cfg.algorithm!r}")
-    _check_int("T", cfg.T, 0)
-    _check_int("seed", cfg.seed, 0)
-    _check_int("trace_every", cfg.trace_every, 1)
-    if isinstance(cfg.gamma, str):
-        if cfg.gamma != "theory":
-            raise ConfigError(f"gamma must be a positive number or 'theory', got {cfg.gamma!r}")
-    elif not (isinstance(cfg.gamma, (int, float)) and cfg.gamma > 0):
-        raise ConfigError(f"gamma must be a positive number or 'theory', got {cfg.gamma!r}")
+    check_int("T", cfg.T, 0)
+    check_int("seed", cfg.seed, 0)
+    check_int("trace_every", cfg.trace_every, 1)
+    check_gamma(cfg.gamma)
     _check_real("grad_threshold", cfg.grad_threshold, 0.0)
     _check_real("z_norm_cap", cfg.z_norm_cap)
     if cfg.z_norm_cap <= 0:
         raise ConfigError(f"z_norm_cap must be > 0, got {cfg.z_norm_cap!r}")
 
-    _check_int("topology n", cfg.topology.n, 2)
+    check_int("topology n", cfg.topology.n, 2)
     for name in ("edges", "self_weights"):
         if not isinstance(getattr(cfg.topology, name), tuple):
             raise ConfigError(f"topology {name} must be a list")
@@ -182,20 +178,20 @@ def validate_config(cfg: RunConfig) -> None:
         if not (isinstance(edge, tuple) and len(edge) == 2):
             raise ConfigError(f"each topology edge must be a pair [i, j], got {edge!r}")
         for end in edge:
-            _check_int("topology edge end", end, 0)
+            check_int("topology edge end", end, 0)
     for weight in cfg.topology.self_weights:
         _check_real("topology self_weights entry", weight)
     try:
         build_topology(cfg.topology)   # validates structure and connectivity
     except TopologyError as exc:
         raise ConfigError(f"topology: {exc}") from exc
-    _check_int("levels", cfg.compressor.levels, 1)
+    check_int("levels", cfg.compressor.levels, 1)
     _check_real("keep_prob", cfg.compressor.keep_prob)
     _check_real("noise_bound", cfg.compressor.noise_bound, 0.0)
     c = build_compressor(cfg.compressor)
     net = cfg.network
     for name in ("model_dim", "steps_per_epoch", "degree"):
-        _check_int(name, getattr(net, name), 1)
+        check_int(name, getattr(net, name), 1)
     _check_real("compute_s", net.compute_s, 0.0)
     for name in ("bandwidths", "latencies"):
         values = getattr(net, name)
@@ -205,8 +201,8 @@ def validate_config(cfg: RunConfig) -> None:
             _check_real(f"network {name} entry", value)
     if cfg.problem.kind not in ("quadratic", "logistic"):
         raise ConfigError(f"problem kind must be quadratic or logistic, got {cfg.problem.kind!r}")
-    _check_int("problem dim", cfg.problem.dim, 1)
-    _check_int("samples_per_node", cfg.problem.samples_per_node, 1)
+    check_int("problem dim", cfg.problem.dim, 1)
+    check_int("samples_per_node", cfg.problem.samples_per_node, 1)
     for name in ("heterogeneity", "noise", "reg"):
         _check_real(name, getattr(cfg.problem, name), 0.0)
     _check_real("separation", cfg.problem.separation)
@@ -217,18 +213,33 @@ def validate_config(cfg: RunConfig) -> None:
         )
 
 
-def _check_int(name: str, value, minimum: int) -> None:
+def check_int(name: str, value, minimum: int) -> None:
+    """Raise ConfigError unless value is an integer >= minimum that fits a float."""
     # bool is an int subclass, but "T": true is a typo, not a count
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    # every count meets float arithmetic somewhere (alpha = sqrt(dim) / levels)
+    if value > sys.float_info.max:
+        raise ConfigError(
+            f"{name} must fit in a float, got an integer of {len(str(value))} digits")
+
+
+def check_gamma(value) -> None:
+    """Raise ConfigError unless gamma is "theory" or a finite number > 0."""
+    if value != "theory" and not (_is_finite(value) and value > 0):
+        raise ConfigError(f"gamma must be a finite number > 0 or 'theory', got {value!r}")
 
 
 def _check_real(name: str, value, minimum: float | None = None) -> None:
-    # NaN, infinities and integers beyond the float range fail the abs test
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max or (minimum is not None and value < minimum)):
+    if not _is_finite(value) or (minimum is not None and value < minimum):
         floor = "" if minimum is None else f" >= {minimum}"
         raise ConfigError(f"{name} must be a finite number{floor}, got {value!r}")
+
+
+def _is_finite(value) -> bool:
+    # NaN, infinities and integers beyond the float range fail the abs test
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and abs(value) <= sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +247,16 @@ def _check_real(name: str, value, minimum: float | None = None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def build_run(cfg: RunConfig):
+def build_run(cfg: RunConfig, W: topology.MixingMatrix | None = None):
     """Topology, problem, compressor and per-node stream seed of one run.
 
     The master seed spawns the problem stream and the simulation seed, so
-    every caller that builds a run here sees the same problem.
+    every caller that builds a run here sees the same problem.  A batch of
+    trials on one topology passes the topology built for its first trial.
     """
-    _check_int("seed", cfg.seed, 0)
+    check_int("seed", cfg.seed, 0)
     problem_ss, state_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    W = build_topology(cfg.topology)
+    W = build_topology(cfg.topology) if W is None else W
     problem = build_problem(cfg.problem, W.n, np.random.Generator(np.random.Philox(problem_ss)))
     c = build_compressor(cfg.compressor)
     return W, problem, c, state_ss

@@ -13,16 +13,31 @@ difference form makes the collapse exact: with the identity compressor
 naive, dcd and ecd reproduce dpsgd bit for bit from identical streams,
 because their compression terms vanish exactly.
 
-Randomness: every (node, purpose) pair owns an independent counter-based
-stream (Philox) derived from the master seed, so node-parallel evaluation
-could never change results.  Compression runs once per round, over the
-whole (dim, n) message matrix, with column i drawing from node i's stream.
-Rounds are synchronous by construction; each step reads the frozen
-previous round and writes disjoint columns.
+Trial axis: :func:`run` takes one config or a batch of configs that differ
+only in ``seed`` and ``gamma``, and runs the batch as one stacked state, X
+of shape (S, dim, n) over a stacked problem (``problems.stack_problems``)
+with one gamma per trial.  Each round is one pass of the same kernel: one
+stacked ``seen @ W`` (the BLAS call a solo run makes, once per trial), one
+oracle call and one ``compress`` call over the (dim, S * n) column view.
+Every reduction is taken per trial, so each trial's records and summary
+are bit for bit those of its solo run; a trial that diverges is summarized
+and dropped, so its streams are never drawn again.  A single config is the
+S = 1 case of the same loop.  ``dcsgd sweep`` runs its seed and gamma axes
+as such batches; its n and levels axes change shapes and run one by one.
+
+Randomness: every (trial, node, purpose) triple owns an independent
+counter-based stream (Philox) derived from the trial's master seed, so
+node- or trial-parallel evaluation could never change results.
+Compression runs once per round, over the whole message matrix, with each
+column drawing from its node's stream.  Rounds are synchronous by
+construction; each step reads the frozen previous round and writes
+disjoint columns.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -32,7 +47,7 @@ import numpy as np
 from . import compression, theory
 from .compression import Compressor, bits_transmitted, compress
 from .errors import ConfigError, DivergedError, InputError
-from .problems import Problem
+from .problems import Problem, _dot, stack_problems
 from .topology import MixingMatrix
 
 LOSS_CAP = 1e12  # a run whose loss passes this is declared diverged
@@ -45,14 +60,23 @@ class StepStats:
     q_norm2 / q_bar describe the effective compression noise Q_t in the
     common update form X_{t+1} = X_t W - gamma G + Q_t; g_norm2 / g_bar
     describe the stochastic gradient matrix.  bits is the total traffic of
-    the round over all links.
+    the round over all links.  For a stacked state each statistic holds one
+    entry per trial.
     """
 
     q_norm2: float
     g_norm2: float
     bits: int
-    q_bar: np.ndarray
-    g_bar: np.ndarray
+    Q: np.ndarray = field(repr=False)
+    G: np.ndarray = field(repr=False)
+
+    @property
+    def q_bar(self) -> np.ndarray:
+        return self.Q.mean(axis=-1)
+
+    @property
+    def g_bar(self) -> np.ndarray:
+        return self.G.mean(axis=-1)
 
 
 @dataclass
@@ -64,7 +88,9 @@ class WorldState:
     the same compressed messages, so they stay exactly equal.  For
     extrapolation compression, estimates are tracked in error form:
     the estimate matrix is X + estimate_err, which keeps the error exactly
-    zero under lossless compression.
+    zero under lossless compression.  A stacked state puts a leading trial
+    axis on X, replicas, estimate_err and ``diverged``, and lists each
+    trial's n streams one trial after another.
     """
 
     algorithm: str
@@ -76,8 +102,12 @@ class WorldState:
     replicas: np.ndarray | None = None
     estimate_err: np.ndarray | None = None
     bits_total: int = 0
-    status: str = "running"
+    diverged: np.ndarray = field(default_factory=lambda: np.array(False))
     last_step: StepStats | None = field(default=None, repr=False)
+
+    @property
+    def status(self) -> str:
+        return "diverged" if np.count_nonzero(self.diverged) else "running"
 
     @property
     def estimates(self) -> np.ndarray | None:
@@ -87,7 +117,7 @@ class WorldState:
         return self.X + self.estimate_err
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     t: int
     loss: float
@@ -114,30 +144,55 @@ class RunSummary:
     total_bits: int
 
 
-@dataclass
 class RunResult:
-    records: list
-    summary: RunSummary
+    """Summary and per-round trace records of one run (one trial of a batch).
+
+    ``records`` is built from the batch's trace on first use, so a caller
+    that reads only summaries, as a sweep does, never builds it.
+    """
+
+    def __init__(self, summary: RunSummary, trace: list, trial: int = 0):
+        self.summary = summary
+        self._trace, self._trial = trace, trial
+
+    @functools.cached_property
+    def records(self) -> list:
+        """TraceRecords of the trial's recorded rounds."""
+        records = []
+        for t, bits, trials, *columns in self._trace:
+            if self._trial in trials:
+                k = trials.index(self._trial)
+                records.append(TraceRecord(t, *(column[k] for column in columns), bits))
+        return records
 
 
 ALGORITHMS = ("dpsgd", "naive", "dcd", "ecd", "centralized")
 
 
 def init_state(problem: Problem, n: int, algorithm: str, seed) -> WorldState:
-    """Fresh state at the common zero initial point with per-node streams."""
+    """Fresh state at the common zero initial point with per-node streams.
+
+    ``seed`` is an int or a SeedSequence; a list of them gives a stacked
+    state for a stacked problem, trial s drawing from the streams of
+    ``seed[s]``.
+    """
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     if n != problem.n:
         raise ConfigError(f"problem has {problem.n} nodes but topology has {n}")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(2 * n)
-    sample_rngs = [np.random.Generator(np.random.Philox(c)) for c in children[:n]]
-    compress_rngs = [np.random.Generator(np.random.Philox(c)) for c in children[n:]]
+    seeds = seed if isinstance(seed, list) else [seed]
+    trials = (len(seeds),) if isinstance(seed, list) else ()
+    sample_rngs, compress_rngs = [], []
+    for s in seeds:
+        ss = s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)
+        children = ss.spawn(2 * n)
+        sample_rngs += [np.random.Generator(np.random.Philox(c)) for c in children[:n]]
+        compress_rngs += [np.random.Generator(np.random.Philox(c)) for c in children[n:]]
     cols = 1 if algorithm == "centralized" else n
-    X = np.zeros((problem.dim, cols))
+    X = np.zeros(trials + (problem.dim, cols))
     state = WorldState(
         algorithm=algorithm, n=n, t=1, X=X,
-        sample_rngs=sample_rngs, compress_rngs=compress_rngs,
+        sample_rngs=sample_rngs, compress_rngs=compress_rngs, diverged=np.zeros(trials, bool),
     )
     if algorithm == "dcd":
         state.replicas = X.copy()
@@ -161,13 +216,14 @@ def gossip_step(
     record: dpsgd sees X and sends full precision whatever ``c`` is; naive
     sees C(X); dcd sees the replicas and advances models and replicas by
     C(delta); ecd sees X + E and folds the compressed extrapolated model
-    into E with weight 2/s.  A round whose broadcast is non-finite, or for
-    ecd exceeds ``z_norm_cap`` in norm, commits X + delta and marks the
-    state diverged.
+    into E with weight 2/s.  A trial whose broadcast is non-finite, or for
+    ecd exceeds ``z_norm_cap`` in norm, commits X + delta, draws nothing
+    for the exchange and is marked diverged.  On a stacked state, ``gamma``
+    broadcasts against X (one value per trial).
     """
     if W.n != state.n:
         raise ConfigError(f"topology has {W.n} nodes but state has {state.n}")
-    if gamma < 0.0:
+    if np.count_nonzero(np.asarray(gamma) < 0.0):
         raise InputError(f"gamma must be >= 0, got {gamma}")
     if state.status == "diverged":
         raise DivergedError("state has already diverged")
@@ -176,7 +232,7 @@ def gossip_step(
         c = compression.identity()
         seen, Q = X, np.zeros_like(X)
     elif algorithm == "naive":
-        seen = compress(c, X, state.compress_rngs)
+        seen = _compress(c, X, state.compress_rngs)
         Q = seen - X
     elif algorithm == "dcd":
         if not math.isfinite(c.alpha_bound(problem.dim)):
@@ -184,7 +240,7 @@ def gossip_step(
                 f"difference compression needs a finite noise-to-signal bound; "
                 f"{c.kind!r} has none"
             )
-        # Q stays zero only if the round diverges before the exchange
+        # Q stays zero for a trial that diverges before the exchange
         seen, Q = state.replicas, np.zeros_like(X)
     elif algorithm == "ecd":
         seen, Q = X + state.estimate_err, state.estimate_err @ W.entries
@@ -199,21 +255,30 @@ def gossip_step(
 
     s = state.t + 1
     Z = delta if algorithm == "dcd" else _extrapolate(X, X_new, s)
-    if not np.all(np.isfinite(Z)) or (
-        algorithm == "ecd" and np.max(np.sum(Z * Z, axis=0)) > z_norm_cap * z_norm_cap
-    ):
-        # nothing sane to broadcast: overflowed or past the input-norm guard
-        _commit(state, X_new, Q, G, bits)
-        state.status = "diverged"
-        return state
-    CZ = compress(c, Z, state.compress_rngs)
+    # nothing sane to broadcast: overflowed or past the input-norm guard
+    bad = ~_per_trial(np.isfinite(Z)).all(axis=-1)
+    if algorithm == "ecd":
+        bad |= np.sum(Z * Z, axis=-2).max(axis=-1) > z_norm_cap * z_norm_cap
+    n_bad = np.count_nonzero(bad)
+    if n_bad == bad.size:
+        return _commit(state, X_new, Q, G, bits, bad)
+    if n_bad:
+        # the other trials exchange; Z stands in for a bad trial's message,
+        # so dcd commits it X + delta like the path above
+        CZ = Z.copy()
+        CZ[~bad] = _compress(c, Z[~bad], _trial_streams(state.compress_rngs, ~bad))
+    else:
+        CZ = _compress(c, Z, state.compress_rngs)
     if algorithm == "ecd":
         state.estimate_err = _fold(state.estimate_err, CZ - Z, s)
-        return _commit(state, X_new, Q, G, bits)
+        return _commit(state, X_new, Q, G, bits, bad)
     state.replicas = state.replicas + CZ
-    _commit(state, X + CZ, CZ - Z, G, bits)
-    if state.status != "diverged":
-        drift = np.max(np.abs(state.replicas - state.X))
+    Q = CZ - Z
+    Q[bad] = 0.0
+    _commit(state, X + CZ, Q, G, bits, bad)
+    live = ~state.diverged
+    if np.count_nonzero(live):
+        drift = np.abs(state.replicas - state.X)[live].max()
         if drift != 0.0:
             raise AssertionError(f"replica drifted from its owner by {drift}")
     return state
@@ -275,31 +340,45 @@ def ecd_step(
 
 def centralized_step(state: WorldState, problem: Problem, gamma: float) -> WorldState:
     """Fully synchronized baseline: one shared model, allreduce-averaged gradients."""
-    if gamma < 0.0:
+    if np.count_nonzero(np.asarray(gamma) < 0.0):
         raise InputError(f"gamma must be >= 0, got {gamma}")
-    x = state.X[:, 0]
-    X_rep = np.repeat(x[:, None], state.n, axis=1)
-    G = problem.stochastic_gradients(X_rep, state.sample_rngs)
-    x_new = x - gamma * G.mean(axis=1)
+    X = state.X  # (..., dim, 1)
+    G = problem.stochastic_gradients(np.repeat(X, state.n, axis=-1), state.sample_rngs)
     bits = 2 * (state.n - 1) * compression.FULL_PRECISION_BITS * problem.dim
-    Q = np.zeros((problem.dim, state.n))
-    return _commit(state, x_new[:, None], Q, G, bits)
+    X_new = X - gamma * G.mean(axis=-1, keepdims=True)
+    return _commit(state, X_new, np.zeros_like(G), G, bits)
 
 
-def _commit(state: WorldState, X_new, Q, G, bits: int) -> WorldState:
+def _commit(state: WorldState, X_new, Q, G, bits: int, diverged=False) -> WorldState:
     state.last_step = StepStats(
-        q_norm2=float(np.sum(Q * Q)),
-        g_norm2=float(np.sum(G * G)),
-        bits=bits,
-        q_bar=Q.mean(axis=1),
-        g_bar=G.mean(axis=1),
-    )
+        _per_trial(Q * Q).sum(axis=-1), _per_trial(G * G).sum(axis=-1), bits, Q, G)
     state.X = X_new
     state.t += 1
     state.bits_total += bits
-    if not np.all(np.isfinite(X_new)):
-        state.status = "diverged"
+    state.diverged = diverged | ~_per_trial(np.isfinite(X_new)).all(axis=-1)
     return state
+
+
+def _per_trial(a: np.ndarray) -> np.ndarray:
+    """(..., dim, k) as (..., dim * k): a reduction over the last axis is one
+    per trial, adding in the order a whole-matrix reduction of a solo run does."""
+    return a.reshape(a.shape[:-2] + (-1,))
+
+
+def _compress(c: Compressor, Z: np.ndarray, rngs) -> np.ndarray:
+    """compress() over the (dim, S * n) column view of a (..., dim, n) message.
+
+    Column s * n + i, node i of trial s, draws from rngs[s * n + i].
+    """
+    cols = Z.swapaxes(0, -2)  # (dim, ..., n)
+    CZ = compress(c, cols.reshape(cols.shape[0], -1), rngs)
+    return np.ascontiguousarray(CZ.reshape(cols.shape).swapaxes(0, -2))
+
+
+def _trial_streams(rngs: list, trials: np.ndarray) -> list:
+    """The streams of the trials flagged in a (S,) mask, from S * n listed trial by trial."""
+    n = len(rngs) // trials.size
+    return [g for k in np.flatnonzero(trials) for g in rngs[k * n:(k + 1) * n]]
 
 
 def _extrapolate(x_prev: np.ndarray, x: np.ndarray, s: int) -> np.ndarray:
@@ -318,28 +397,47 @@ def _fold(estimate: np.ndarray, message: np.ndarray, s: int) -> np.ndarray:
 
 
 def metrics(state: WorldState, problem: Problem) -> tuple[float, float, float]:
-    """(loss, squared gradient norm, consensus error) at the current average model."""
-    x_bar = state.X.mean(axis=1)
+    """(loss, squared gradient norm, consensus error) at the current average model.
+
+    For a stacked state and problem each is an array with one entry per trial.
+    """
+    x_bar = state.X.mean(axis=-1)
     loss = problem.loss(x_bar)
     g = problem.grad_mean(x_bar)
-    consensus = float(np.sum((state.X - x_bar[:, None]) ** 2))
-    return loss, float(g @ g), consensus
+    consensus = _per_trial((state.X - x_bar[..., None]) ** 2).sum(axis=-1)
+    return loss, _dot(g, g), consensus
 
 
-def run(config) -> RunResult:
-    """Execute one configured run; deterministic given the master seed.
+def run(config):
+    """Execute one configured run, or a batch of trials in one stacked pass.
 
-    The master seed spawns the problem-construction stream and the per-node
-    simulation streams, so identical configs give bit-identical traces.
-    Divergence (non-finite iterates or loss above 1e12) stops the loop with
-    the partial trace retained.
+    ``config`` is a RunConfig, or a list of RunConfigs that differ only in
+    ``seed`` and ``gamma``; the batch shares the topology, compressor and
+    horizon, and runs as one stacked state (module docstring).  Returns a
+    RunResult, or a list of them in the order of the batch, each trial's
+    records and summary bit for bit those of its solo run.
+
+    Each trial's master seed spawns its problem-construction stream and
+    its per-node simulation streams, so identical configs give
+    bit-identical traces.  Divergence (non-finite iterates or loss above
+    1e12) stops that trial with its partial trace retained.
     """
     from .config import build_run, resolve_gamma
 
-    W, problem, c, state_ss = build_run(config)
-    gamma = resolve_gamma(config, problem, W, c)
+    batch = config if isinstance(config, list) else [config]
+    if not batch:
+        return []
+    cfg = batch[0]
+    if any(dataclasses.replace(b, seed=cfg.seed, gamma=cfg.gamma) != cfg for b in batch):
+        raise ConfigError("the trials of a batch may differ only in seed and gamma")
+    W, problems, seeds, gammas = None, [], [], []
+    for trial in batch:
+        W, problem, c, state_ss = build_run(trial, W)
+        problems.append(problem)
+        seeds.append(state_ss)
+        gammas.append(resolve_gamma(trial, problem, W, c))
 
-    if config.algorithm == "dcd":
+    if cfg.algorithm == "dcd":
         alpha = c.alpha_bound(problem.dim)
         if math.isfinite(alpha) and not theory.dcd_feasible(W.rho, W.mu, alpha):
             warnings.warn(
@@ -348,64 +446,94 @@ def run(config) -> RunResult:
                 "proceeding to demonstrate divergence",
                 stacklevel=2,
             )
-    z_norm_cap = float(config.z_norm_cap) if c.kind == "sparsify" else math.inf
+    z_norm_cap = float(cfg.z_norm_cap) if c.kind == "sparsify" else math.inf
 
-    state = init_state(problem, W.n, config.algorithm, state_ss)
-    records: list[TraceRecord] = []
-    min_grad_norm2 = math.inf
-    time_to_threshold = None
-    status = "completed"
-    iterations = 0
+    # batch indices of the running trials, in state order; bookkeeping by batch index
+    trials = list(range(len(batch)))
+    gamma = np.array(gammas)[:, None, None]
+    problem = stack_problems(problems)
+    state = init_state(problem, W.n, cfg.algorithm, seeds)
+    trace = []  # per recorded round: t, bits, running trials, their metric values
+    min_grad_norm2 = [math.inf] * len(batch)
+    time_to_threshold = [None] * len(batch)
+    summaries = [None] * len(batch)
+
+    def track(grads, t):
+        for i, g in zip(trials, grads):
+            min_grad_norm2[i] = min(min_grad_norm2[i], g)
+            if time_to_threshold[i] is None and g <= cfg.grad_threshold:
+                time_to_threshold[i] = t
+
+    def retire(done, status, iterations, finals=None):
+        """Summarize the running trials flagged in ``done`` and drop them from the state."""
+        nonlocal trials, gamma, problem
+        for k, i in enumerate(trials):
+            if done[k]:
+                summaries[i] = RunSummary(
+                    status, iterations, gammas[i], batch[i].seed,
+                    *(finals[k] if finals else (math.inf,) * 3),
+                    min_grad_norm2=min_grad_norm2[i], time_to_threshold=time_to_threshold[i],
+                    total_bits=state.bits_total,
+                )
+        keep = [not d for d in done]
+        trials = [i for i, k in zip(trials, keep) if k]
+        if trials and not all(keep):
+            problem = stack_problems([problems[i] for i in trials])
+            gamma = gamma[keep]
+            _keep_trials(state, np.array(keep))
 
     # blow-up is detected from the values, so numpy's overflow warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, config.T + 1):
-            loss, grad_norm2, consensus = metrics(state, problem)
-            if not math.isfinite(loss) or loss > LOSS_CAP:
-                status = "diverged"
-                break
-            min_grad_norm2 = min(min_grad_norm2, grad_norm2)
-            if time_to_threshold is None and grad_norm2 <= config.grad_threshold:
-                time_to_threshold = t
-            if config.algorithm == "centralized":
+        for t in range(1, cfg.T + 1):
+            losses, grads, cons = (a.tolist() for a in metrics(state, problem))
+            capped = _over_cap(losses)
+            if any(capped):
+                retire(capped, "diverged", t - 1)
+                if not trials:
+                    break
+                losses, grads, cons = (
+                    [v for v, d in zip(a, capped) if not d] for a in (losses, grads, cons))
+            track(grads, t)
+            if cfg.algorithm == "centralized":
                 centralized_step(state, problem, gamma)
             else:
-                gossip_step(config.algorithm, state, W, c, problem, gamma, z_norm_cap)
-            iterations = t
-            if (t - 1) % config.trace_every == 0 or t == config.T:
-                records.append(TraceRecord(
-                    t=t, loss=loss, grad_norm2=grad_norm2, consensus=consensus,
-                    q_norm2=state.last_step.q_norm2, g_norm2=state.last_step.g_norm2,
-                    bits=state.bits_total,
-                ))
+                gossip_step(cfg.algorithm, state, W, c, problem, gamma, z_norm_cap)
+            if (t - 1) % cfg.trace_every == 0 or t == cfg.T:
+                step = state.last_step
+                trace.append((t, state.bits_total, trials, losses, grads, cons,
+                              step.q_norm2.tolist(), step.g_norm2.tolist()))
             if state.status == "diverged":
-                status = "diverged"
-                break
+                retire(state.diverged.tolist(), "diverged", t)
+                if not trials:
+                    break
 
-        if status == "completed":
-            final_loss, final_grad_norm2, final_consensus = metrics(state, problem)
-            if not math.isfinite(final_loss) or final_loss > LOSS_CAP:
-                status = "diverged"
-            else:
-                min_grad_norm2 = min(min_grad_norm2, final_grad_norm2)
-                if time_to_threshold is None and final_grad_norm2 <= config.grad_threshold:
-                    time_to_threshold = config.T + 1
-    if status == "diverged":
-        final_loss = final_grad_norm2 = final_consensus = math.inf
+        if trials:
+            final = list(zip(*(a.tolist() for a in metrics(state, problem))))
+            capped = _over_cap([f[0] for f in final])
+            track([math.inf if d else f[1] for f, d in zip(final, capped)], cfg.T + 1)
+            retire(capped, "diverged", cfg.T)
+            retire([True] * len(trials), "completed", cfg.T,
+                   [f for f, d in zip(final, capped) if not d])
 
-    summary = RunSummary(
-        status=status,
-        iterations=iterations,
-        gamma=gamma,
-        seed=config.seed,
-        final_loss=final_loss,
-        final_grad_norm2=final_grad_norm2,
-        final_consensus=final_consensus,
-        min_grad_norm2=min_grad_norm2 if math.isfinite(min_grad_norm2) else math.inf,
-        time_to_threshold=time_to_threshold,
-        total_bits=state.bits_total,
-    )
-    return RunResult(records=records, summary=summary)
+    results = [RunResult(s, trace, i) for i, s in enumerate(summaries)]
+    return results if isinstance(config, list) else results[0]
+
+
+def _over_cap(losses: list) -> list:
+    """Per trial: has the loss left the finite range below LOSS_CAP?"""
+    return [not math.isfinite(v) or v > LOSS_CAP for v in losses]
+
+
+def _keep_trials(state: WorldState, keep: np.ndarray) -> None:
+    """Drop the trials not flagged in ``keep`` from a stacked state."""
+    state.X = state.X[keep]
+    if state.replicas is not None:
+        state.replicas = state.replicas[keep]
+    if state.estimate_err is not None:
+        state.estimate_err = state.estimate_err[keep]
+    state.sample_rngs = _trial_streams(state.sample_rngs, keep)
+    state.compress_rngs = _trial_streams(state.compress_rngs, keep)
+    state.diverged = state.diverged[keep]
 
 
 # ---------------------------------------------------------------------------

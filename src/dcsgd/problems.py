@@ -13,11 +13,16 @@ closed form plus a closed-form minimizer; :class:`LogisticProblem` holds
 all nodes' samples in one ``(n, samples, dim)`` array and reports a hard L
 bound and Monte-Carlo estimates for sigma2 / zeta2 (probed at
 standard-normal points).
+
+:func:`stack_problems` turns S problems of one family and shape into one
+whose arrays carry a leading trial axis; its methods then take (S, dim)
+points and (S, dim, n) states and return one value per trial, each bit for
+bit what the trial's own problem returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -33,9 +38,11 @@ class Problem:
     """n-node objective f(x) = (1/n) sum_i f_i(x) with stochastic oracles.
 
     A family implements batched primitives over a slice of nodes,
-    ``_gradients``, ``_samples`` (C-contiguous (dim, k) results) and
+    ``_gradients``, ``_samples`` (C-contiguous (..., dim, k) results) and
     ``_losses``, plus the global ``_loss`` and ``_grad_mean``; each per-node
-    method is the one-node slice of its batched counterpart.
+    method is the one-node slice of its batched counterpart.  The primitives
+    treat any leading axis of the problem's arrays and of their arguments
+    as the trial axis (see :func:`stack_problems`).
     """
 
     dim: int
@@ -46,8 +53,8 @@ class Problem:
     f_star: float | None = field(default=None, init=False)  # known optimal value
 
     def loss(self, x: np.ndarray) -> float:
-        """Global objective f(x)."""
-        return self._loss(np.asarray(x, dtype=float))
+        """Global objective f(x); one value per trial for a stacked problem."""
+        return _scalar(self._loss(np.asarray(x, dtype=float)))
 
     def loss_node(self, i: int, x: np.ndarray) -> float:
         """Per-node objective f_i(x)."""
@@ -60,11 +67,11 @@ class Problem:
         return self._gradients(np.asarray(x, dtype=float)[:, None], slice(i, i + 1))[:, 0]
 
     def gradients(self, X: np.ndarray) -> np.ndarray:
-        """All exact per-node gradients at once; column i is grad f_i(X[:, i])."""
+        """All exact per-node gradients at once; column i is grad f_i(X[..., i])."""
         return self._gradients(np.asarray(X, dtype=float), slice(None))
 
     def grad_mean(self, x: np.ndarray) -> np.ndarray:
-        """Gradient of the global objective at a single point x."""
+        """Gradient of the global objective at a single point x (per trial)."""
         return self._grad_mean(np.asarray(x, dtype=float))
 
     def minimizer(self) -> np.ndarray | None:
@@ -80,7 +87,11 @@ class Problem:
         return self._samples(x[:, None], [rng], slice(i, i + 1))[:, 0]
 
     def stochastic_gradients(self, X: np.ndarray, rngs) -> np.ndarray:
-        """Stacked per-node samples; node i's draw comes from rngs[i]."""
+        """Stacked per-node samples; node i's draw comes from rngs[i].
+
+        For a stacked problem X is (S, dim, n) and rngs holds S * n streams,
+        trial by trial.
+        """
         X = np.asarray(X, dtype=float)
         if not np.all(np.isfinite(X)):
             raise DivergedError("asked for gradients at a non-finite state")
@@ -103,30 +114,36 @@ class QuadraticProblem(Problem):
         object.__setattr__(self, "f_star", self.loss(self.minimizer()))
 
     def minimizer(self) -> np.ndarray:
-        return np.linalg.solve(self.A.T @ self.A, self.A.T @ self.B.mean(axis=1))
+        At = np.swapaxes(self.A, -1, -2)
+        return np.linalg.solve(At @ self.A, _matvec(At, self.B.mean(axis=-1))[..., None])[..., 0]
 
     def _loss(self, x):
-        resid = self.A @ x[:, None] - self.B  # (m, n)
-        return float(0.5 * np.sum(resid * resid) / (self.A.shape[0] * self.n))
+        resid = _matvec(self.A, x)[..., None] - self.B  # (..., m, n)
+        return 0.5 * np.sum(resid * resid, axis=(-2, -1)) / (self.A.shape[-2] * self.n)
 
     def _losses(self, x, nodes):
-        resid = self.A @ x[:, None] - self.B[:, nodes]
-        return 0.5 * np.sum(resid * resid, axis=0) / self.A.shape[0]
+        resid = _matvec(self.A, x)[..., None] - self.B[..., nodes]
+        return 0.5 * np.sum(resid * resid, axis=-2) / self.A.shape[-2]
 
     def _gradients(self, X, nodes):
         # BLAS rounds column i of A @ X differently at other widths of X, so
         # a slice is cut from the full-width product to keep per-node bits.
-        wide = np.zeros((self.dim, self.n))
-        wide[:, nodes] = X
-        return (self.A.T @ (self.A @ wide - self.B) / self.A.shape[0])[:, nodes]
+        wide = np.zeros(X.shape[:-1] + (self.n,))
+        wide[..., nodes] = X
+        At = np.swapaxes(self.A, -1, -2)
+        return (At @ (self.A @ wide - self.B) / self.A.shape[-2])[..., nodes]
 
     def _grad_mean(self, x):
-        return self.A.T @ (self.A @ x - self.B.mean(axis=1)) / self.A.shape[0]
+        At = np.swapaxes(self.A, -1, -2)
+        return _matvec(At, _matvec(self.A, x) - self.B.mean(axis=-1)) / self.A.shape[-2]
 
     def _samples(self, X, rngs, nodes):
         G = self._gradients(X, nodes)
         if self.noise > 0.0:
-            G += self.noise * np.column_stack([rng.standard_normal(self.dim) for rng in rngs])
+            rows = np.empty((len(rngs), self.dim))
+            for row, rng in zip(rows, rngs):
+                rng.standard_normal(out=row)
+            G += self.noise * np.swapaxes(rows.reshape(G.shape[:-2] + (-1, self.dim)), -1, -2)
         return G
 
 
@@ -139,37 +156,84 @@ class LogisticProblem(Problem):
     reg: float = 0.0
 
     def _loss(self, x):
-        fits = sum(self._fits(x, slice(None)).tolist(), 0.0)  # node by node, in order
-        return fits / self.n + 0.5 * self.reg * float(x @ x)
+        fits = _sum_in_order(self._fits(x, slice(None)))  # node by node
+        return fits / self.n + 0.5 * self.reg * _dot(x, x)
 
     def _losses(self, x, nodes):
-        return self._fits(x, nodes) + 0.5 * self.reg * (x @ x)
+        return self._fits(x, nodes) + 0.5 * self.reg * _dot(x, x)[..., None]
 
     def _fits(self, x, nodes):
-        margins = self.labels[nodes] * (self.data[nodes] @ x)
-        return np.mean(np.logaddexp(0.0, -margins), axis=1)
+        products = self.data[..., nodes, :, :] @ x[..., None, :, None]  # (..., k, samples, 1)
+        margins = self.labels[..., nodes, :] * products[..., 0]
+        return np.mean(np.logaddexp(0.0, -margins), axis=-1)
 
     def _gradients(self, X, nodes):
-        return _logistic_gradients(self.data[nodes], self.labels[nodes], self.reg, X)
+        return _logistic_gradients(
+            self.data[..., nodes, :, :], self.labels[..., nodes, :], self.reg, X)
 
     def _grad_mean(self, x):
-        X = np.broadcast_to(x[:, None], (self.dim, self.n))
-        return sum(self._gradients(X, slice(None)).T) / self.n  # columns in order
+        X = np.broadcast_to(x[..., None], x.shape + (self.n,))
+        return _sum_in_order(self._gradients(X, slice(None))) / self.n  # columns in order
 
     def _samples(self, X, rngs, nodes):
-        rows = np.arange(self.n)[nodes]
-        picks = [int(rng.integers(self.labels.shape[1])) for rng in rngs]
-        d, y = self.data[rows, picks], self.labels[rows, picks]  # (k, dim), (k,)
-        s = _sigmoid(-y * (d[:, None, :] @ X.T[:, :, None])[:, 0, 0])
-        return np.ascontiguousarray(((-y * s)[:, None] * d + self.reg * X.T).T)
+        picks = np.array([rng.integers(self.labels.shape[-1]) for rng in rngs])
+        trials = tuple(np.arange(k)[:, None] for k in X.shape[:-2])  # () or the trial axis
+        at = trials + (np.arange(self.n)[nodes], picks.reshape(X.shape[:-2] + (-1,)))
+        d, y = self.data[at], self.labels[at]  # (..., k, dim), (..., k)
+        Xt = np.swapaxes(X, -1, -2)
+        s = _sigmoid(-y * (d[..., None, :] @ Xt[..., None])[..., 0, 0])
+        return np.ascontiguousarray(np.swapaxes((-y * s)[..., None] * d + self.reg * Xt, -1, -2))
+
+
+def stack_problems(problems) -> Problem:
+    """One problem of the same family whose trial s is problems[s].
+
+    The problems must share the family, dim, n and parameters (noise, reg);
+    their arrays and the constants L, sigma2 and zeta2 gain a leading trial
+    axis.
+    """
+    first = problems[0]
+    if any(type(p) is not type(first) for p in problems):
+        raise InputError("stacked problems must be of one family")
+    stacked = {}
+    for f in fields(first):
+        values = [getattr(p, f.name) for p in problems]
+        if isinstance(values[0], np.ndarray) or f.name in ("L", "sigma2", "zeta2"):
+            stacked[f.name] = np.stack(values)
+        elif f.init and any(v != values[0] for v in values):
+            raise InputError(f"stacked problems must share {f.name!r}")
+    return replace(first, **stacked)
 
 
 def _logistic_gradients(d, y, reg: float, X: np.ndarray) -> np.ndarray:
-    """Gradients at X's columns of the nodes holding d (k, samples, dim), y (k, samples)."""
+    """Gradients at X's columns of the nodes holding d (..., k, samples, dim) and
+    y (..., k, samples)."""
     # stacked @ makes the same BLAS call per node as for a single node
-    s = _sigmoid(-y * (d @ X.T[:, :, None])[..., 0])
-    g = -(np.swapaxes(d, 1, 2) @ (y * s)[..., None])[..., 0] / y.shape[1] + reg * X.T
-    return np.ascontiguousarray(g.T)
+    Xt = np.swapaxes(X, -1, -2)
+    s = _sigmoid(-y * (d @ Xt[..., None])[..., 0])
+    g = -(np.swapaxes(d, -1, -2) @ (y * s)[..., None])[..., 0] / y.shape[-1] + reg * Xt
+    return np.ascontiguousarray(np.swapaxes(g, -1, -2))
+
+
+def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M @ v per trial; the same BLAS call as a 2-D M times a 1-D v."""
+    return (M @ v[..., None])[..., 0]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis per trial; the same BLAS call as 1-D a @ b."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _sum_in_order(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis term by term from 0, as Python's sum() adds."""
+    # cumsum adds in order; + 0.0 turns a sum of -0.0 terms into the +0.0 that 0 + ... gives
+    return np.cumsum(a, axis=-1)[..., -1] + 0.0
+
+
+def _scalar(value):
+    """A 0-d result as a Python float; a per-trial result as it is."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:

@@ -37,8 +37,11 @@ def criterion(number, name):
 
 
 def run_quiet(doc):
+    """Run one config document, or a list of them as one trial batch."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        if isinstance(doc, list):
+            return run([config_from_dict(d) for d in doc])
         return run(config_from_dict(doc))
 
 
@@ -68,8 +71,7 @@ def test_c1_naive_compression_failure():
     finals, decay, plateau = {}, {}, {}
     for alg in ("naive", "dcd", "ecd"):
         per_seed_final, per_seed_decay, per_seed_plateau = [], [], []
-        for seed in range(5):
-            res = run_quiet({**base, "algorithm": alg, "seed": seed})
+        for res in run_quiet([{**base, "algorithm": alg, "seed": seed} for seed in range(5)]):
             assert res.summary.status == "completed"
             per_seed_final.append(res.summary.final_grad_norm2)
             cons = np.array([r.consensus for r in res.records])
@@ -290,10 +292,10 @@ def test_c6_linear_speedup_trend():
             medians = []
             for n in (4, 8, 16):
                 finals = [
-                    run_quiet({**base, "algorithm": alg, "seed": seed,
-                               "topology": {"kind": "complete", "n": n}}
-                              ).summary.final_grad_norm2
-                    for seed in range(5)
+                    res.summary.final_grad_norm2
+                    for res in run_quiet([{**base, "algorithm": alg, "seed": seed,
+                                           "topology": {"kind": "complete", "n": n}}
+                                          for seed in range(5)])
                 ]
                 medians.append(float(np.median(finals)))
             assert medians[0] > medians[1] > medians[2], (alg, medians)

@@ -46,6 +46,10 @@ BAD_RUN_FIELDS = [
     ("noise_bound", {"compressor": {"kind": "synthetic", "noise_bound": "x"}}),
     ("bandwidths", {"network": {"bandwidths": 5}}),
     ("latencies", {"network": {"latencies": [1e-3, "x"]}}),
+    ("levels", {"compressor": {"kind": "quantize", "levels": 10**400}}),
+    ("gamma", {"gamma": math.inf}),
+    ("gamma", {"gamma": math.nan}),
+    ("gamma", {"gamma": True}),
 ]
 
 
@@ -352,3 +356,60 @@ class TestSweep:
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert lines[0].startswith("axis,value,seed,status,gamma")
         assert len(lines) == 3
+
+
+class TestBatchedSweep:
+    """Seed and gamma sweeps run as trial batches; every row must be the
+    row the entry gives when it is swept on its own."""
+
+    DOC = {**BASE, "algorithm": "dcd", "T": 30, "trace_every": 1,
+           "problem": {"kind": "quadratic", "dim": 6, "heterogeneity": 0.5, "noise": 0.2},
+           "compressor": {"kind": "quantize", "levels": 127}}
+
+    def sweep_lines(self, tmp_path, *args):
+        path = write_config(tmp_path, self.DOC)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", path, *args, "--out", str(out)]) == 0
+        return out.read_bytes().splitlines(keepends=True)
+
+    def test_seed_sweep_of_32_equals_solo_rows(self, tmp_path):
+        seeds = [str(s) for s in range(32)]
+        batched = self.sweep_lines(tmp_path, "--axis", "seed", "--values", ",".join(seeds))
+        solo = [self.sweep_lines(tmp_path, "--axis", "seed", "--values", s) for s in seeds]
+        assert batched == solo[0][:-1] + [lines[-1] for lines in solo]
+        assert len({line.split(b",")[6] for line in batched[-32:]}) == 32  # final losses differ
+
+    def test_gamma_sweep_with_seeds_equals_solo_rows(self, tmp_path):
+        gammas, seeds = ("0.05", "1.5", "0.1"), ("4", "0", "9")
+        batched = self.sweep_lines(tmp_path, "--axis", "gamma", "--values", ",".join(gammas),
+                                   "--seeds", ",".join(seeds))
+        solo = [self.sweep_lines(tmp_path, "--axis", "gamma", "--values", g, "--seeds", s)
+                for g in gammas for s in seeds]
+        assert batched == solo[0][:-1] + [lines[-1] for lines in solo]
+        statuses = [line.split(b",")[3] for line in batched[-9:]]
+        assert statuses.count(b"diverged") == 3 and statuses.count(b"completed") == 6
+
+    def test_non_numeric_values_and_seeds_are_config_errors(self, tmp_path, capsys):
+        path = write_config(tmp_path, {**BASE, "T": 5})
+        for args in (["--axis", "seed", "--values", "1,x"],
+                     ["--axis", "seed", "--values", "1", "--seeds", "a"],
+                     ["--axis", "gamma", "--values", "0.1,abc"],
+                     ["--axis", "gamma", "--values", "0.1", "--seeds", "0,1.5"]):
+            assert main(["sweep", "--config", path, *args]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: --")
+            assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_bad_gamma_values_become_row_errors(self):
+        cfg = config_from_dict({**BASE, "T": 20})
+        rows = sweep(cfg, "gamma", [math.nan, math.inf, 0.0, -1.0, 0.05], seeds=[0, 1])
+        statuses = [r["status"] for r in rows]
+        assert all(s.startswith("config_error: gamma must be a finite number")
+                   for s in statuses[:8])
+        assert statuses[8:] == ["completed", "completed"]
+
+    def test_huge_levels_value_becomes_a_row_error(self):
+        cfg = config_from_dict({**self.DOC, "T": 10})
+        rows = sweep(cfg, "levels", [10**400, 127])
+        assert rows[0]["status"].startswith("config_error: levels must fit in a float")
+        assert rows[1]["status"] == "completed"

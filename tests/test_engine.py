@@ -1,6 +1,7 @@
 """Simulation engine: step semantics, invariants, driver behavior."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -493,3 +494,102 @@ class TestStateValidation:
         problem = quad_problem(4, 8, seed=21)
         with pytest.raises(ConfigError):
             init_state(problem, 4, "dpsgd", 0)
+
+
+def result_bits(result):
+    """Every record and summary field with its type, floats as exact hex."""
+    def cell(v):
+        return (type(v).__name__, v.hex() if isinstance(v, float) else v)
+
+    rows = [dataclasses.asdict(r) for r in result.records]
+    rows.append(dataclasses.asdict(result.summary))
+    return [{k: cell(v) for k, v in row.items()} for row in rows]
+
+
+TRIAL_PROBLEMS = {
+    "quadratic": {"kind": "quadratic", "dim": 6, "heterogeneity": 0.5, "noise": 0.2},
+    "logistic": {"kind": "logistic", "dim": 5, "samples_per_node": 8},
+}
+TRIAL_COMPRESSORS = {
+    "identity": {"kind": "identity"},
+    "quantize127": {"kind": "quantize", "levels": 127},
+    "sparsify": {"kind": "sparsify", "keep_prob": 0.25},
+    "synthetic": {"kind": "synthetic", "noise_bound": 1.0},
+}
+
+
+class TestTrialBatch:
+    """A batch of configs that differ in seed or gamma runs as one stacked
+    state; every trial must be bit for bit its solo run."""
+
+    BASE = {
+        "topology": {"kind": "ring", "n": 6},
+        "T": 40,
+        "trace_every": 1,
+    }
+
+    @pytest.mark.parametrize("alg,family,comp", [
+        case for case in itertools.product(
+            ("dpsgd", "naive", "dcd", "ecd", "centralized"), TRIAL_PROBLEMS, TRIAL_COMPRESSORS)
+        # dcd needs a compressor with a finite noise-to-signal bound
+        if case[0] != "dcd" or case[2] != "synthetic"
+    ])
+    def test_seed_batch_matches_solo_runs(self, alg, family, comp):
+        doc = {**self.BASE, "algorithm": alg, "problem": TRIAL_PROBLEMS[family],
+               "compressor": TRIAL_COMPRESSORS[comp],
+               "gamma": "theory" if comp in ("identity", "quantize127") else 0.05}
+        configs = [config_from_dict({**doc, "seed": seed}) for seed in (5, 0, 12, 3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            solo = [run(cfg) for cfg in configs]
+            batch = run(configs)
+        assert len(batch) == 4
+        for a, b in zip(solo, batch):
+            assert result_bits(b) == result_bits(a)
+        # the trials really differ, so a mix-up between them would show
+        assert len({r.summary.final_loss for r in solo}) == 4
+
+    @pytest.mark.parametrize("alg", ["dpsgd", "naive", "dcd", "ecd", "centralized"])
+    def test_gamma_batch_with_diverging_trials_matches_solo_runs(self, alg):
+        # one seed, four step sizes: 1e308 overflows in the first round, 1.5
+        # passes the loss cap mid-run, the other two complete
+        doc = {**self.BASE, "algorithm": alg, "T": 120, "seed": 7,
+               "problem": TRIAL_PROBLEMS["quadratic"],
+               "compressor": TRIAL_COMPRESSORS["quantize127"]}
+        configs = [config_from_dict({**doc, "gamma": g}) for g in (0.05, 1e308, 1.5, 0.1)]
+        solo = [run(cfg) for cfg in configs]
+        batch = run(configs)
+        for a, b in zip(solo, batch):
+            assert result_bits(b) == result_bits(a)
+        statuses = [r.summary.status for r in batch]
+        assert statuses == ["completed", "diverged", "diverged", "completed"]
+        assert 0 < batch[2].summary.iterations < 120
+        assert batch[2].records and batch[2].records[-1].t == batch[2].summary.iterations
+
+    def test_norm_cap_trips_one_trial_while_others_exchange(self):
+        # ecd with the sparsifier: a large step pushes one trial's broadcast
+        # past z_norm_cap mid-run while the others keep compressing
+        doc = {**self.BASE, "algorithm": "ecd", "T": 200, "z_norm_cap": 50.0,
+               "problem": TRIAL_PROBLEMS["quadratic"],
+               "compressor": TRIAL_COMPRESSORS["sparsify"]}
+        configs = [config_from_dict({**doc, "gamma": g, "seed": s})
+                   for g, s in ((0.01, 1), (0.05, 1), (0.005, 2), (0.1, 2))]
+        solo = [run(cfg) for cfg in configs]
+        batch = run(configs)
+        for a, b in zip(solo, batch):
+            assert result_bits(b) == result_bits(a)
+        assert [r.summary.status for r in batch] == [
+            "completed", "diverged", "completed", "diverged"]
+        for r in batch[1::2]:
+            # the guard tripped inside a round (that round is recorded),
+            # at a loss far below the loss cap, and at different rounds
+            assert 0 < r.summary.iterations == len(r.records) < 200
+            assert r.records[-1].loss < 1e3
+        assert batch[1].summary.iterations != batch[3].summary.iterations
+
+    def test_batch_may_differ_only_in_seed_and_gamma(self):
+        cfg = config_from_dict({**TestRun.BASE, "T": 5})
+        other = dataclasses.replace(cfg, T=6)
+        with pytest.raises(ConfigError, match="seed and gamma"):
+            run([cfg, other])
+        assert run([]) == []
