@@ -47,7 +47,7 @@ import numpy as np
 from . import compression, theory
 from .compression import Compressor, bits_transmitted, compress
 from .errors import ConfigError, DivergedError, InputError
-from .problems import Problem, _dot, stack_problems
+from .problems import Problem, _dot, _mean, stack_problems, take_trials
 from .topology import MixingMatrix
 
 LOSS_CAP = 1e12  # a run whose loss passes this is declared diverged
@@ -147,23 +147,21 @@ class RunSummary:
 class RunResult:
     """Summary and per-round trace records of one run (one trial of a batch).
 
-    ``records`` is built from the batch's trace on first use, so a caller
+    ``records`` is built from the trace arrays on first use, so a caller
     that reads only summaries, as a sweep does, never builds it.
     """
 
-    def __init__(self, summary: RunSummary, trace: list, trial: int = 0):
+    def __init__(self, summary: RunSummary, rounds: list, bits: list, values: np.ndarray):
         self.summary = summary
-        self._trace, self._trial = trace, trial
+        # the trial's recorded rounds: t and cumulative bits, and a
+        # (rows, 5) array of loss, grad_norm2, consensus, q_norm2, g_norm2
+        self._rounds, self._bits, self._values = rounds, bits, values
 
     @functools.cached_property
     def records(self) -> list:
         """TraceRecords of the trial's recorded rounds."""
-        records = []
-        for t, bits, trials, *columns in self._trace:
-            if self._trial in trials:
-                k = trials.index(self._trial)
-                records.append(TraceRecord(t, *(column[k] for column in columns), bits))
-        return records
+        return [TraceRecord(t, *row, bits)
+                for t, bits, row in zip(self._rounds, self._bits, self._values.tolist())]
 
 
 ALGORITHMS = ("dpsgd", "naive", "dcd", "ecd", "centralized")
@@ -274,13 +272,14 @@ def gossip_step(
         return _commit(state, X_new, Q, G, bits, bad)
     state.replicas = state.replicas + CZ
     Q = CZ - Z
-    Q[bad] = 0.0
+    if n_bad:
+        Q[bad] = 0.0
     _commit(state, X + CZ, Q, G, bits, bad)
-    live = ~state.diverged
-    if np.count_nonzero(live):
-        drift = np.abs(state.replicas - state.X)[live].max()
-        if drift != 0.0:
-            raise AssertionError(f"replica drifted from its owner by {drift}")
+    drift = np.abs(state.replicas - state.X)
+    if state.status == "diverged":
+        drift = drift[~state.diverged]
+    if drift.size and drift.max() != 0.0:
+        raise AssertionError(f"replica drifted from its owner by {drift.max()}")
     return state
 
 
@@ -401,7 +400,7 @@ def metrics(state: WorldState, problem: Problem) -> tuple[float, float, float]:
 
     For a stacked state and problem each is an array with one entry per trial.
     """
-    x_bar = state.X.mean(axis=-1)
+    x_bar = _mean(state.X)
     loss = problem.loss(x_bar)
     g = problem.grad_mean(x_bar)
     consensus = _per_trial((state.X - x_bar[..., None]) ** 2).sum(axis=-1)
@@ -415,7 +414,9 @@ def run(config):
     ``seed`` and ``gamma``; the batch shares the topology, compressor and
     horizon, and runs as one stacked state (module docstring).  Returns a
     RunResult, or a list of them in the order of the batch, each trial's
-    records and summary bit for bit those of its solo run.
+    records and summary bit for bit those of its solo run.  A batch holds
+    S times one trial's arrays (problem, state, trace), so a caller sizes
+    it to fit memory, as ``dcsgd sweep`` does (``cli._batch_size``).
 
     Each trial's master seed spawns its problem-construction stream and
     its per-node simulation streams, so identical configs give
@@ -436,6 +437,8 @@ def run(config):
         problems.append(problem)
         seeds.append(state_ss)
         gammas.append(resolve_gamma(trial, problem, W, c))
+    problem = stack_problems(problems)
+    del problems  # the stacked copy is the only one a batch keeps
 
     if cfg.algorithm == "dcd":
         alpha = c.alpha_bound(problem.dim)
@@ -448,80 +451,97 @@ def run(config):
             )
     z_norm_cap = float(cfg.z_norm_cap) if c.kind == "sparsify" else math.inf
 
-    # batch indices of the running trials, in state order; bookkeeping by batch index
-    trials = list(range(len(batch)))
+    # batch indices of the running trials, in state order, and per running
+    # trial its least gradient norm so far and first round under the threshold
+    S = len(batch)
+    trials = np.arange(S)
     gamma = np.array(gammas)[:, None, None]
-    problem = stack_problems(problems)
     state = init_state(problem, W.n, cfg.algorithm, seeds)
-    trace = []  # per recorded round: t, bits, running trials, their metric values
-    min_grad_norm2 = [math.inf] * len(batch)
-    time_to_threshold = [None] * len(batch)
-    summaries = [None] * len(batch)
+    min_grad_norm2 = np.full(S, math.inf)
+    time_to_threshold = np.full(S, -1)
+    # recorded rounds: t and cumulative bits (shared by the batch), and per
+    # trial one row of loss, grad_norm2, consensus, q_norm2, g_norm2; a
+    # trial records every round from the first until it stops
+    rounds, round_bits = [], []
+    values = np.empty((min(cfg.T, 64), S, 5))
+    rows = np.zeros(S, int)  # recorded rounds per trial, set when it stops
+    summaries = [None] * S
 
     def track(grads, t):
-        for i, g in zip(trials, grads):
-            min_grad_norm2[i] = min(min_grad_norm2[i], g)
-            if time_to_threshold[i] is None and g <= cfg.grad_threshold:
-                time_to_threshold[i] = t
+        np.fmin(min_grad_norm2, grads, out=min_grad_norm2)  # a NaN never counts
+        under = grads <= cfg.grad_threshold
+        if np.count_nonzero(under):
+            np.putmask(time_to_threshold, under & (time_to_threshold < 0), t)
+
+    def record(t, losses, grads, cons):
+        nonlocal values
+        if len(rounds) == len(values):
+            values = np.concatenate([values, np.empty_like(values)])
+        step = state.last_step
+        values[len(rounds), trials] = np.array(
+            [losses, grads, cons, step.q_norm2, step.g_norm2]).T
+        rounds.append(t)
+        round_bits.append(state.bits_total)
 
     def retire(done, status, iterations, finals=None):
         """Summarize the running trials flagged in ``done`` and drop them from the state."""
-        nonlocal trials, gamma, problem
-        for k, i in enumerate(trials):
-            if done[k]:
-                summaries[i] = RunSummary(
-                    status, iterations, gammas[i], batch[i].seed,
-                    *(finals[k] if finals else (math.inf,) * 3),
-                    min_grad_norm2=min_grad_norm2[i], time_to_threshold=time_to_threshold[i],
-                    total_bits=state.bits_total,
-                )
-        keep = [not d for d in done]
-        trials = [i for i, k in zip(trials, keep) if k]
-        if trials and not all(keep):
-            problem = stack_problems([problems[i] for i in trials])
+        nonlocal trials, gamma, problem, min_grad_norm2, time_to_threshold
+        for k in np.flatnonzero(done):
+            i, ttt = trials[k], int(time_to_threshold[k])
+            summaries[i] = RunSummary(
+                status, iterations, gammas[i], batch[i].seed,
+                *((float(f[k]) for f in finals) if finals else (math.inf,) * 3),
+                min_grad_norm2=float(min_grad_norm2[k]),
+                time_to_threshold=None if ttt < 0 else ttt, total_bits=state.bits_total,
+            )
+        rows[trials[done]] = len(rounds)
+        keep = ~done
+        trials = trials[keep]
+        if trials.size and np.count_nonzero(done):
+            problem = take_trials(problem, keep)
             gamma = gamma[keep]
-            _keep_trials(state, np.array(keep))
+            min_grad_norm2, time_to_threshold = min_grad_norm2[keep], time_to_threshold[keep]
+            _keep_trials(state, keep)
 
     # blow-up is detected from the values, so numpy's overflow warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, cfg.T + 1):
-            losses, grads, cons = (a.tolist() for a in metrics(state, problem))
+            losses, grads, cons = metrics(state, problem)
             capped = _over_cap(losses)
-            if any(capped):
+            if np.count_nonzero(capped):
                 retire(capped, "diverged", t - 1)
-                if not trials:
+                if not trials.size:
                     break
-                losses, grads, cons = (
-                    [v for v, d in zip(a, capped) if not d] for a in (losses, grads, cons))
+                live = ~capped
+                losses, grads, cons = losses[live], grads[live], cons[live]
             track(grads, t)
             if cfg.algorithm == "centralized":
                 centralized_step(state, problem, gamma)
             else:
                 gossip_step(cfg.algorithm, state, W, c, problem, gamma, z_norm_cap)
             if (t - 1) % cfg.trace_every == 0 or t == cfg.T:
-                step = state.last_step
-                trace.append((t, state.bits_total, trials, losses, grads, cons,
-                              step.q_norm2.tolist(), step.g_norm2.tolist()))
+                record(t, losses, grads, cons)
             if state.status == "diverged":
-                retire(state.diverged.tolist(), "diverged", t)
-                if not trials:
+                retire(state.diverged, "diverged", t)
+                if not trials.size:
                     break
 
-        if trials:
-            final = list(zip(*(a.tolist() for a in metrics(state, problem))))
-            capped = _over_cap([f[0] for f in final])
-            track([math.inf if d else f[1] for f, d in zip(final, capped)], cfg.T + 1)
+        if trials.size:
+            losses, grads, cons = metrics(state, problem)
+            capped = _over_cap(losses)
+            track(np.where(capped, math.inf, grads), cfg.T + 1)
             retire(capped, "diverged", cfg.T)
-            retire([True] * len(trials), "completed", cfg.T,
-                   [f for f, d in zip(final, capped) if not d])
+            live = ~capped
+            retire(np.ones(trials.size, bool), "completed", cfg.T,
+                   (losses[live], grads[live], cons[live]))
 
-    results = [RunResult(s, trace, i) for i, s in enumerate(summaries)]
+    results = [RunResult(summaries[i], rounds, round_bits, values[:rows[i], i]) for i in range(S)]
     return results if isinstance(config, list) else results[0]
 
 
-def _over_cap(losses: list) -> list:
+def _over_cap(losses: np.ndarray) -> np.ndarray:
     """Per trial: has the loss left the finite range below LOSS_CAP?"""
-    return [not math.isfinite(v) or v > LOSS_CAP for v in losses]
+    return ~np.isfinite(losses) | (losses > LOSS_CAP)
 
 
 def _keep_trials(state: WorldState, keep: np.ndarray) -> None:

@@ -22,7 +22,8 @@ bit what the trial's own problem returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+import copy
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -93,7 +94,7 @@ class Problem:
         trial by trial.
         """
         X = np.asarray(X, dtype=float)
-        if not np.all(np.isfinite(X)):
+        if not np.isfinite(X).all():
             raise DivergedError("asked for gradients at a non-finite state")
         return self._samples(X, rngs, slice(None))
 
@@ -114,8 +115,8 @@ class QuadraticProblem(Problem):
         object.__setattr__(self, "f_star", self.loss(self.minimizer()))
 
     def minimizer(self) -> np.ndarray:
-        At = np.swapaxes(self.A, -1, -2)
-        return np.linalg.solve(At @ self.A, _matvec(At, self.B.mean(axis=-1))[..., None])[..., 0]
+        At = self.A.mT
+        return np.linalg.solve(At @ self.A, _matvec(At, _mean(self.B))[..., None])[..., 0]
 
     def _loss(self, x):
         resid = _matvec(self.A, x)[..., None] - self.B  # (..., m, n)
@@ -130,12 +131,10 @@ class QuadraticProblem(Problem):
         # a slice is cut from the full-width product to keep per-node bits.
         wide = np.zeros(X.shape[:-1] + (self.n,))
         wide[..., nodes] = X
-        At = np.swapaxes(self.A, -1, -2)
-        return (At @ (self.A @ wide - self.B) / self.A.shape[-2])[..., nodes]
+        return (self.A.mT @ (self.A @ wide - self.B) / self.A.shape[-2])[..., nodes]
 
     def _grad_mean(self, x):
-        At = np.swapaxes(self.A, -1, -2)
-        return _matvec(At, _matvec(self.A, x) - self.B.mean(axis=-1)) / self.A.shape[-2]
+        return _matvec(self.A.mT, _matvec(self.A, x) - _mean(self.B)) / self.A.shape[-2]
 
     def _samples(self, X, rngs, nodes):
         G = self._gradients(X, nodes)
@@ -189,20 +188,43 @@ def stack_problems(problems) -> Problem:
     """One problem of the same family whose trial s is problems[s].
 
     The problems must share the family, dim, n and parameters (noise, reg);
-    their arrays and the constants L, sigma2 and zeta2 gain a leading trial
-    axis.
+    their arrays and the constants L, sigma2, zeta2 and f_star gain a
+    leading trial axis.  One problem is stacked as a view of its arrays.
     """
     first = problems[0]
     if any(type(p) is not type(first) for p in problems):
         raise InputError("stacked problems must be of one family")
     stacked = {}
+    for name in _trial_fields(first):
+        values = [getattr(p, name) for p in problems]
+        stacked[name] = np.asarray(values[0])[None] if len(values) == 1 else np.stack(values)
     for f in fields(first):
-        values = [getattr(p, f.name) for p in problems]
-        if isinstance(values[0], np.ndarray) or f.name in ("L", "sigma2", "zeta2"):
-            stacked[f.name] = np.stack(values)
-        elif f.init and any(v != values[0] for v in values):
+        if f.init and f.name not in stacked and any(
+                getattr(p, f.name) != getattr(first, f.name) for p in problems):
             raise InputError(f"stacked problems must share {f.name!r}")
-    return replace(first, **stacked)
+    return _with_fields(first, stacked)
+
+
+def take_trials(problem: Problem, keep: np.ndarray) -> Problem:
+    """The stacked problem of the trials flagged in the (S,) mask ``keep``."""
+    return _with_fields(problem, {
+        name: getattr(problem, name)[keep] for name in _trial_fields(problem)})
+
+
+def _trial_fields(problem: Problem) -> list:
+    """Names of the fields that carry a trial axis once problems are stacked."""
+    return [f.name for f in fields(problem)
+            if isinstance(getattr(problem, f.name), np.ndarray)
+            or (f.name in ("L", "sigma2", "zeta2", "f_star") and getattr(problem, f.name) is not None)]
+
+
+def _with_fields(problem: Problem, values: dict) -> Problem:
+    """A copy of the frozen problem with fields replaced, without re-running
+    its construction (a quadratic would solve for its minimizer again)."""
+    new = copy.copy(problem)
+    for name, value in values.items():
+        object.__setattr__(new, name, value)
+    return new
 
 
 def _logistic_gradients(d, y, reg: float, X: np.ndarray) -> np.ndarray:
@@ -223,6 +245,12 @@ def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a . b over the last axis per trial; the same BLAS call as 1-D a @ b."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _mean(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=-1) bit for bit (the same sum, divided by the count), without
+    the wrapper's overhead."""
+    return np.add.reduce(a, axis=-1) / a.shape[-1]
 
 
 def _sum_in_order(a: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dcsgd import ConfigError, parse_config, serialize_config
+from dcsgd import cli
 from dcsgd.cli import main, sweep
 from dcsgd.config import config_from_dict, resolve_gamma, build_topology, build_problem, build_compressor
 
@@ -407,6 +408,32 @@ class TestBatchedSweep:
         assert all(s.startswith("config_error: gamma must be a finite number")
                    for s in statuses[:8])
         assert statuses[8:] == ["completed", "completed"]
+
+    def test_sweep_split_into_several_batches_equals_solo_rows(self, tmp_path, monkeypatch):
+        # 12 seeds and 9 gamma entries in batches of at most 5 trials; a
+        # diverging trial (gamma 1.5) lands in two different batches
+        seeds = [str(s) for s in range(12)]
+        solo = [self.sweep_lines(tmp_path, "--axis", "seed", "--values", s) for s in seeds]
+        gamma_args = ("--axis", "gamma", "--values", "0.05,1.5,0.1", "--seeds", "4,0,9")
+        whole = self.sweep_lines(tmp_path, *gamma_args)
+        monkeypatch.setattr(cli, "MAX_TRIALS", 5)
+        assert cli._batch_size(config_from_dict(self.DOC)) == 5
+        split = self.sweep_lines(tmp_path, "--axis", "seed", "--values", ",".join(seeds))
+        assert split == solo[0][:-1] + [lines[-1] for lines in solo]
+        assert self.sweep_lines(tmp_path, *gamma_args) == whole
+
+    def test_batch_size_follows_the_trial_footprint(self):
+        def size(**problem):
+            cfg = config_from_dict({**self.DOC, "problem": problem})
+            return cli._batch_size(cfg), cli._trial_bytes(cfg)
+
+        assert size(kind="quadratic", dim=8)[0] == cli.MAX_TRIALS
+        # a dim-1024 design matrix (8 MB) or 512 samples of dim 64 on each
+        # of 8 nodes fill the budget alone: such sweeps run one trial at a time
+        assert size(kind="quadratic", dim=1024)[0] == 1
+        assert size(kind="logistic", dim=64, samples_per_node=512)[0] == 1
+        trials, footprint = size(kind="quadratic", dim=128)
+        assert 1 < trials < cli.MAX_TRIALS and trials * footprint <= cli.BATCH_BYTES
 
     def test_huge_levels_value_becomes_a_row_error(self):
         cfg = config_from_dict({**self.DOC, "T": 10})

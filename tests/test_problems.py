@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dcsgd import DivergedError, InputError, make_logistic, make_quadratic
-from dcsgd.problems import _sigmoid, logistic_from_data
+from dcsgd.problems import _sigmoid, logistic_from_data, stack_problems, take_trials
 
 
 @pytest.fixture(scope="module")
@@ -251,3 +251,43 @@ class TestOracles:
     def test_nonfinite_state_raises(self, quad):
         with pytest.raises(DivergedError):
             quad.stochastic_gradient(0, np.array([np.inf] * 10), np.random.default_rng(0))
+
+
+class TestTrialStacking:
+    """stack_problems gives each array a leading trial axis; take_trials
+    keeps the flagged trials of a stacked problem."""
+
+    @pytest.fixture(params=["quadratic", "logistic"])
+    def family(self, request):
+        if request.param == "quadratic":
+            return [make_quadratic(5, 4, heterogeneity=0.5, noise=0.2,
+                                   rng=np.random.default_rng(s)) for s in range(3)]
+        return [make_logistic(5, 4, 6, rng=np.random.default_rng(s)) for s in range(3)]
+
+    @staticmethod
+    def arrays(p):
+        names = ("A", "B") if hasattr(p, "A") else ("data", "labels")
+        return [getattr(p, name) for name in names] + [np.asarray(p.L), np.asarray(p.sigma2)]
+
+    def test_take_trials_equals_stacking_the_kept_problems(self, family):
+        keep = np.array([True, False, True])
+        taken = take_trials(stack_problems(family), keep)
+        expected = stack_problems([family[0], family[2]])
+        for a, b in zip(self.arrays(taken), self.arrays(expected)):
+            assert a.tobytes() == b.tobytes()
+        # per-trial f_star is carried over, not solved again on the stack
+        if family[0].f_star is not None:
+            assert taken.f_star.tolist() == [family[0].f_star, family[2].f_star]
+        X = np.random.default_rng(1).standard_normal((2, 5, 4))
+        assert taken.gradients(X).tobytes() == expected.gradients(X).tobytes()
+
+    def test_one_problem_stacks_as_a_view(self, family):
+        stacked = stack_problems(family[:1])
+        for a, b in zip(self.arrays(stacked)[:2], self.arrays(family[0])[:2]):
+            assert a.shape == (1,) + b.shape and np.shares_memory(a, b)
+
+    def test_mixed_families_rejected(self):
+        quad = make_quadratic(5, 4, rng=np.random.default_rng(0))
+        logi = make_logistic(5, 4, 6, rng=np.random.default_rng(0))
+        with pytest.raises(InputError, match="one family"):
+            stack_problems([quad, logi])
