@@ -45,7 +45,8 @@ _CONFIG_ERRORS = (ConfigError, InfeasibleError, TopologyError, InputError)
 # dim-1024 quadratic or 512 samples per logistic node gain nothing, while
 # peak RSS grows by the problem's size per trial.  The byte cap gives these
 # shapes 64, about 45, 11 and 1 trial(s): against one run at a time, peak
-# RSS grew by at most 10 MB and no sweep got slower.
+# RSS grew by at most 10 MB, and wall time fell except on the dim-1024
+# sweep (1 trial per batch), whose QR and eigvalsh set-up kept it within 5%.
 MAX_TRIALS = 64
 BATCH_BYTES = 2**23
 
@@ -100,8 +101,8 @@ def _trial_bytes(cfg: RunConfig) -> int:
     Counts the state matrix and its round temporaries (about ten (dim, n)
     arrays), the problem arrays twice (a trial's own problem and its slice
     of the stacked one coexist while the batch is built), the trace rows
-    (five floats per recorded round) and the 2 n random streams (about
-    640 bytes each).
+    (five floats per recorded round, in a buffer that grows by doubling)
+    and the 2 n random streams (about 640 bytes each).
     """
     dim, n = cfg.problem.dim, cfg.topology.n
     if cfg.problem.kind == "logistic":
@@ -109,7 +110,7 @@ def _trial_bytes(cfg: RunConfig) -> int:
     else:
         problem = dim * (dim + n)
     rows = cfg.T // cfg.trace_every + 2
-    return 8 * (10 * dim * n + 2 * problem + 5 * rows) + 2 * n * 640
+    return 8 * (10 * dim * n + 2 * problem + 2 * 5 * rows) + 2 * n * 640
 
 
 def _run_rows(entries: list) -> None:

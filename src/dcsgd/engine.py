@@ -541,7 +541,7 @@ def run(config):
 
 def _over_cap(losses: np.ndarray) -> np.ndarray:
     """Per trial: has the loss left the finite range below LOSS_CAP?"""
-    return ~np.isfinite(losses) | (losses > LOSS_CAP)
+    return ~(losses <= LOSS_CAP)  # NaN compares false; a loss is never negative
 
 
 def _keep_trials(state: WorldState, keep: np.ndarray) -> None:
