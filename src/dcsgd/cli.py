@@ -15,7 +15,7 @@ import json
 import math
 import sys
 
-from . import costmodel, engine, theory
+from . import costmodel, engine, streams, theory
 from .compression import FULL_PRECISION_BITS, bits_transmitted, effective_alpha
 from .config import (
     RunConfig, build_compressor, build_run, check_gamma, check_int, config_to_dict,
@@ -37,18 +37,27 @@ GRID_FIELDS = ("bandwidth", "latency", "allreduce_s", "decen_full_s", "decen_com
 _CONFIG_ERRORS = (ConfigError, InfeasibleError, TopologyError, InputError)
 
 # A seed or gamma sweep runs its entries as trial batches of at most
-# MAX_TRIALS trials and BATCH_BYTES bytes of per-trial data (_trial_bytes).
+# MAX_TRIALS trials and BATCH_BYTES bytes: per-trial data (_trial_bytes) plus
+# the batch's blocks of random draws (DRAW_BYTES).
 # Measured on 2-core x86, one BLAS thread, seed sweeps by batch size: ring 8
 # x dim 8 goes from 6,300 trial-rounds/s at 1 trial to 54,100 at 64 (47,100
 # at 128); dim 64 x ring 16 and logistic dim 16 x ring 16 gain about 1.8x by
 # 8 to 32 trials; ring 256 x dim 16 is fastest at 8 and slower past 32; a
 # dim-1024 quadratic or 512 samples per logistic node gain nothing, while
-# peak RSS grows by the problem's size per trial.  The byte cap gives these
-# shapes 64, about 45, 11 and 1 trial(s): against one run at a time, peak
-# RSS grew by at most 10 MB, and wall time fell except on the dim-1024
-# sweep (1 trial per batch), whose QR and eigvalsh set-up kept it within 5%.
+# peak RSS grows by the problem's size per trial.  The byte cap gave these
+# shapes 64, about 45, 11 and 1 trial(s) (64, about 37, 9 and 1 with the
+# draw blocks counted): against one run at a time, peak RSS grew by at
+# most 10 MB, and wall time fell except on the dim-1024 sweep (1 trial per
+# batch), whose QR and eigvalsh set-up kept it within 5%.
 MAX_TRIALS = 64
 BATCH_BYTES = 2**23
+# A batch buffers at most max(streams.BLOCK_VALUES, one round) draws for each
+# of its two purposes, the oracle and compression; _trial_bytes counts one
+# round, this the block budget.  Measured buffers: a 3-seed ring 8 x dim 8
+# sweep with a noise-free oracle holds one 96 KiB compression block (64
+# rounds), 64 seeds with oracle noise two 512 KiB blocks (16 rounds), and a
+# ring 1024 x dim 64 dpsgd run one 512 KiB oracle block (1 round).
+DRAW_BYTES = 2 * 8 * streams.BLOCK_VALUES
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +101,7 @@ def sweep(cfg: RunConfig, axis: str, values, seeds=None) -> list[dict]:
 
 def _batch_size(cfg: RunConfig) -> int:
     """Trials per batch of a seed or gamma sweep of ``cfg``."""
-    return max(1, min(MAX_TRIALS, BATCH_BYTES // _trial_bytes(cfg)))
+    return max(1, min(MAX_TRIALS, (BATCH_BYTES - DRAW_BYTES) // _trial_bytes(cfg)))
 
 
 def _trial_bytes(cfg: RunConfig) -> int:
@@ -101,8 +110,10 @@ def _trial_bytes(cfg: RunConfig) -> int:
     Counts the state matrix and its round temporaries (about ten (dim, n)
     arrays), the problem arrays twice (a trial's own problem and its slice
     of the stacked one coexist while the batch is built), the trace rows
-    (five floats per recorded round, in a buffer that grows by doubling)
-    and the 2 n random streams (about 640 bytes each).
+    (five floats per recorded round, in a buffer that grows by doubling),
+    one round of draws for each of the two purposes (at most dim values per
+    node; past the block budget a block holds one round) and the 2 n random
+    streams (about 640 bytes each).
     """
     dim, n = cfg.problem.dim, cfg.topology.n
     if cfg.problem.kind == "logistic":
@@ -110,7 +121,7 @@ def _trial_bytes(cfg: RunConfig) -> int:
     else:
         problem = dim * (dim + n)
     rows = cfg.T // cfg.trace_every + 2
-    return 8 * (10 * dim * n + 2 * problem + 2 * 5 * rows) + 2 * n * 640
+    return 8 * (10 * dim * n + 2 * problem + 2 * 5 * rows + 2 * dim * n) + 2 * n * 640
 
 
 def _run_rows(entries: list) -> None:

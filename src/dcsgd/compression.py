@@ -17,7 +17,10 @@ independently.  With one Generator, a matrix's draws come row-major from
 that stream.  With a sequence of Generators, one per column, column i's
 draws come from stream i and are exactly the draws a one-column call on
 stream i makes, so a simulator compresses every node's message in one call
-and gets the same result as compressing node by node.
+and gets the same result as compressing node by node.  A
+:class:`~dcsgd.streams.StreamSet` in place of the sequence gives the same
+draws from a block its streams filled many rounds ahead; a sequence is read
+as a one-round block.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
+from .problems import _dot
+from .streams import StreamSet, as_streams
 
 KINDS = ("identity", "quantize", "sparsify", "synthetic")
 
@@ -93,14 +98,16 @@ def synthetic_noise(noise_bound2: float) -> Compressor:
 
 
 def compress(
-    c: Compressor, z: np.ndarray, rng: np.random.Generator | Sequence[np.random.Generator]
+    c: Compressor, z: np.ndarray,
+    rng: np.random.Generator | Sequence[np.random.Generator] | StreamSet,
 ) -> np.ndarray:
     """Draw one unbiased compressed sample of z.
 
-    ``rng`` is one Generator, or for 2-D input a sequence of Generators, one
-    per column (see the module docstring).  2-D input: every column is an
-    independent vector (per-column scaling and per-column noise).  Empty
-    input is returned unchanged.  Non-finite entries raise InputError.
+    ``rng`` is one Generator, or for 2-D input a sequence of Generators or
+    a StreamSet, one stream per column (see the module docstring).  2-D
+    input: every column is an independent vector (per-column scaling and
+    per-column noise).  Empty input is returned unchanged.  Non-finite
+    entries raise InputError.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim not in (1, 2):
@@ -113,15 +120,14 @@ def compress(
         )
     if z.size == 0:
         return z.copy()
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise InputError("compression input contains non-finite entries")
     if c.kind == "identity":
         return z.copy()
     draw = "standard_normal" if c.kind == "synthetic" else "random"
     if per_column:
-        rows = np.empty(z.shape[::-1])
-        for row, g in zip(rows, rng):
-            getattr(g, draw)(out=row)
+        # one round of the streams: row i holds column i's draws
+        rows = as_streams(rng).take(draw, z.shape[0])
         u = np.ascontiguousarray(rows.T)
     else:
         u = getattr(rng, draw)(z.shape)
@@ -130,9 +136,10 @@ def compress(
     if c.kind == "sparsify":
         return np.where(u < c.keep_prob, z / c.keep_prob, 0.0)
     # synthetic: additive noise uniform on the sphere of radius b, per column;
-    # a column's norm is the 1-D norm of its draws, which axis=0 may round apart
+    # a column's norm is the 1-D norm of its draws (the BLAS dot a 1-D norm
+    # takes), which a reduction over axis=0 may round apart
     if per_column:
-        norms = np.array([np.linalg.norm(row) for row in rows])
+        norms = np.sqrt(_dot(rows, rows))
     elif z.ndim == 2:
         norms = np.linalg.norm(u, axis=0, keepdims=True)
     else:
@@ -148,14 +155,18 @@ def _quantize(z: np.ndarray, levels: int, u: np.ndarray) -> np.ndarray:
     never leave the grid; entries already on the grid pass through with
     probability one.
     """
-    scale = np.max(np.abs(z), axis=0, keepdims=True) if z.ndim == 2 else np.max(np.abs(z))
+    y = np.abs(z)
+    scale = y.max(axis=0, keepdims=True) if z.ndim == 2 else y.max()
     safe_scale = np.where(scale == 0.0, 1.0, scale)
-    y = (np.abs(z) / safe_scale) * levels
-    low = np.floor(y)
-    frac = y - low
-    level = low + (u < frac)
+    y /= safe_scale
+    y *= levels
+    level = np.floor(y)
+    y -= level  # the fractional part
+    level += u < y
     # all-zero columns have sign(z) = 0 everywhere, so safe_scale never leaks
-    return np.sign(z) * level * (safe_scale / levels)
+    level *= np.sign(z)
+    level *= safe_scale / levels
+    return level
 
 
 def effective_alpha(c: Compressor, dim: int) -> float:

@@ -182,7 +182,10 @@ def validate_config(cfg: RunConfig) -> None:
     for weight in cfg.topology.self_weights:
         _check_real("topology self_weights entry", weight)
     try:
-        build_topology(cfg.topology)   # validates structure and connectivity
+        if cfg.topology.kind in ("ring", "complete"):
+            topology.check_nodes(cfg.topology.kind, cfg.topology.n)  # valid by construction
+        else:
+            build_topology(cfg.topology)  # validates structure and connectivity
     except TopologyError as exc:
         raise ConfigError(f"topology: {exc}") from exc
     check_int("levels", cfg.compressor.levels, 1)

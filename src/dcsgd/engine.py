@@ -27,11 +27,20 @@ as such batches; its n and levels axes change shapes and run one by one.
 
 Randomness: every (trial, node, purpose) triple owns an independent
 counter-based stream (Philox) derived from the trial's master seed, so
-node- or trial-parallel evaluation could never change results.
-Compression runs once per round, over the whole message matrix, with each
-column drawing from its node's stream.  Rounds are synchronous by
-construction; each step reads the frozen previous round and writes
-disjoint columns.
+node- or trial-parallel evaluation could never change results.  The
+streams of one purpose, the oracle or compression, form a
+``streams.StreamSet``: each refill draws every stream's next K rounds with
+one call into a (S * n, K, width) block, and each round reads one
+(S * n, width) slab of it.  A Philox stream gives the same values in one
+call of K * width as in K calls of width, so a run's draws are bit for bit
+those of per-round drawing; ``run`` sizes K from its remaining rounds and
+a fixed value budget, while a state from ``init_state`` alone draws one
+round at a time.  A purpose that never draws (identity compression, a
+noise-free quadratic oracle) never builds its streams, and a retiring
+trial's rows are sliced out of the blocks.  Compression runs once per
+round, over the whole message matrix, with each column reading its node's
+row of the slab.  Rounds are synchronous by construction; each step reads
+the frozen previous round and writes disjoint columns.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ from . import compression, theory
 from .compression import Compressor, bits_transmitted, compress
 from .errors import ConfigError, DivergedError, InputError
 from .problems import Problem, _dot, _mean, stack_problems, take_trials
+from .streams import StreamSet
 from .topology import MixingMatrix
 
 LOSS_CAP = 1e12  # a run whose loss passes this is declared diverged
@@ -88,17 +98,19 @@ class WorldState:
     the same compressed messages, so they stay exactly equal.  For
     extrapolation compression, estimates are tracked in error form:
     the estimate matrix is X + estimate_err, which keeps the error exactly
-    zero under lossless compression.  A stacked state puts a leading trial
-    axis on X, replicas, estimate_err and ``diverged``, and lists each
-    trial's n streams one trial after another.
+    zero under lossless compression.  ``sample_streams`` feed the gradient
+    oracle and ``compress_streams`` the compressor, one stream per node.
+    A stacked state puts a leading trial axis on X, replicas, estimate_err
+    and ``diverged``, and its stream sets list each trial's n streams one
+    trial after another.
     """
 
     algorithm: str
     n: int
     t: int
     X: np.ndarray
-    sample_rngs: list
-    compress_rngs: list
+    sample_streams: StreamSet
+    compress_streams: StreamSet
     replicas: np.ndarray | None = None
     estimate_err: np.ndarray | None = None
     bits_total: int = 0
@@ -167,12 +179,16 @@ class RunResult:
 ALGORITHMS = ("dpsgd", "naive", "dcd", "ecd", "centralized")
 
 
-def init_state(problem: Problem, n: int, algorithm: str, seed) -> WorldState:
+def init_state(problem: Problem, n: int, algorithm: str, seed, rounds: int = 1) -> WorldState:
     """Fresh state at the common zero initial point with per-node streams.
 
     ``seed`` is an int or a SeedSequence; a list of them gives a stacked
     state for a stacked problem, trial s drawing from the streams of
-    ``seed[s]``.
+    ``seed[s]``.  Node i's oracle stream is child i of ``seed.spawn(2 * n)``
+    and its compression stream child n + i; a child is built on its first
+    draw, and the seed sequence is not advanced.  ``rounds`` is how many
+    rounds the state is expected to run: the streams draw up to that many
+    rounds ahead in blocks (``dcsgd.streams``), which changes no value drawn.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
@@ -180,17 +196,15 @@ def init_state(problem: Problem, n: int, algorithm: str, seed) -> WorldState:
         raise ConfigError(f"problem has {problem.n} nodes but topology has {n}")
     seeds = seed if isinstance(seed, list) else [seed]
     trials = (len(seeds),) if isinstance(seed, list) else ()
-    sample_rngs, compress_rngs = [], []
-    for s in seeds:
-        ss = s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)
-        children = ss.spawn(2 * n)
-        sample_rngs += [np.random.Generator(np.random.Philox(c)) for c in children[:n]]
-        compress_rngs += [np.random.Generator(np.random.Philox(c)) for c in children[n:]]
+    seqs = [s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)
+            for s in seeds]
+    sample = [(ss, ss.n_children_spawned + i) for ss in seqs for i in range(n)]
+    comp = [(ss, ss.n_children_spawned + n + i) for ss in seqs for i in range(n)]
     cols = 1 if algorithm == "centralized" else n
     X = np.zeros(trials + (problem.dim, cols))
     state = WorldState(
-        algorithm=algorithm, n=n, t=1, X=X,
-        sample_rngs=sample_rngs, compress_rngs=compress_rngs, diverged=np.zeros(trials, bool),
+        algorithm=algorithm, n=n, t=1, X=X, sample_streams=StreamSet(sample, rounds),
+        compress_streams=StreamSet(comp, rounds), diverged=np.zeros(trials, bool),
     )
     if algorithm == "dcd":
         state.replicas = X.copy()
@@ -230,7 +244,7 @@ def gossip_step(
         c = compression.identity()
         seen, Q = X, np.zeros_like(X)
     elif algorithm == "naive":
-        seen = _compress(c, X, state.compress_rngs)
+        seen = _compress(c, X, state.compress_streams)
         Q = seen - X
     elif algorithm == "dcd":
         if not math.isfinite(c.alpha_bound(problem.dim)):
@@ -244,7 +258,7 @@ def gossip_step(
         seen, Q = X + state.estimate_err, state.estimate_err @ W.entries
     else:
         raise ConfigError(f"{algorithm!r} is not a gossip algorithm")
-    G = problem.stochastic_gradients(X, state.sample_rngs)
+    G = problem.stochastic_gradients(X, state.sample_streams)
     delta = seen @ W.entries - gamma * G - X
     X_new = X + delta
     bits = 2 * W.num_edges * bits_transmitted(c, problem.dim)  # one message per edge end
@@ -261,12 +275,13 @@ def gossip_step(
     if n_bad == bad.size:
         return _commit(state, X_new, Q, G, bits, bad)
     if n_bad:
-        # the other trials exchange; Z stands in for a bad trial's message,
-        # so dcd commits it X + delta like the path above
-        CZ = Z.copy()
-        CZ[~bad] = _compress(c, Z[~bad], _trial_streams(state.compress_rngs, ~bad))
+        # the other trials exchange; a bad trial compresses zeros (its draws
+        # are discarded with it) and Z stands in for its message, so dcd
+        # commits it X + delta like the path above
+        CZ = _compress(c, np.where(bad[..., None, None], 0.0, Z), state.compress_streams)
+        CZ[bad] = Z[bad]
     else:
-        CZ = _compress(c, Z, state.compress_rngs)
+        CZ = _compress(c, Z, state.compress_streams)
     if algorithm == "ecd":
         state.estimate_err = _fold(state.estimate_err, CZ - Z, s)
         return _commit(state, X_new, Q, G, bits, bad)
@@ -342,7 +357,7 @@ def centralized_step(state: WorldState, problem: Problem, gamma: float) -> World
     if np.count_nonzero(np.asarray(gamma) < 0.0):
         raise InputError(f"gamma must be >= 0, got {gamma}")
     X = state.X  # (..., dim, 1)
-    G = problem.stochastic_gradients(np.repeat(X, state.n, axis=-1), state.sample_rngs)
+    G = problem.stochastic_gradients(np.repeat(X, state.n, axis=-1), state.sample_streams)
     bits = 2 * (state.n - 1) * compression.FULL_PRECISION_BITS * problem.dim
     X_new = X - gamma * G.mean(axis=-1, keepdims=True)
     return _commit(state, X_new, np.zeros_like(G), G, bits)
@@ -364,20 +379,14 @@ def _per_trial(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[:-2] + (-1,))
 
 
-def _compress(c: Compressor, Z: np.ndarray, rngs) -> np.ndarray:
+def _compress(c: Compressor, Z: np.ndarray, streams: StreamSet) -> np.ndarray:
     """compress() over the (dim, S * n) column view of a (..., dim, n) message.
 
-    Column s * n + i, node i of trial s, draws from rngs[s * n + i].
+    Column s * n + i, node i of trial s, draws from stream s * n + i.
     """
     cols = Z.swapaxes(0, -2)  # (dim, ..., n)
-    CZ = compress(c, cols.reshape(cols.shape[0], -1), rngs)
+    CZ = compress(c, cols.reshape(cols.shape[0], -1), streams)
     return np.ascontiguousarray(CZ.reshape(cols.shape).swapaxes(0, -2))
-
-
-def _trial_streams(rngs: list, trials: np.ndarray) -> list:
-    """The streams of the trials flagged in a (S,) mask, from S * n listed trial by trial."""
-    n = len(rngs) // trials.size
-    return [g for k in np.flatnonzero(trials) for g in rngs[k * n:(k + 1) * n]]
 
 
 def _extrapolate(x_prev: np.ndarray, x: np.ndarray, s: int) -> np.ndarray:
@@ -456,7 +465,7 @@ def run(config):
     S = len(batch)
     trials = np.arange(S)
     gamma = np.array(gammas)[:, None, None]
-    state = init_state(problem, W.n, cfg.algorithm, seeds)
+    state = init_state(problem, W.n, cfg.algorithm, seeds, cfg.T)
     min_grad_norm2 = np.full(S, math.inf)
     time_to_threshold = np.full(S, -1)
     # recorded rounds: t and cumulative bits (shared by the batch), and per
@@ -551,8 +560,8 @@ def _keep_trials(state: WorldState, keep: np.ndarray) -> None:
         state.replicas = state.replicas[keep]
     if state.estimate_err is not None:
         state.estimate_err = state.estimate_err[keep]
-    state.sample_rngs = _trial_streams(state.sample_rngs, keep)
-    state.compress_rngs = _trial_streams(state.compress_rngs, keep)
+    state.sample_streams.keep(keep)
+    state.compress_streams.keep(keep)
     state.diverged = state.diverged[keep]
 
 

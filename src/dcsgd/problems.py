@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DivergedError, InputError
+from .streams import as_streams
 
 # Monte-Carlo estimation knobs for the logistic constants.
 _PROBE_POINTS = 64
@@ -90,6 +91,7 @@ class Problem:
     def stochastic_gradients(self, X: np.ndarray, rngs) -> np.ndarray:
         """Stacked per-node samples; node i's draw comes from rngs[i].
 
+        ``rngs`` is a list of Generators or a StreamSet, one stream per node.
         For a stacked problem X is (S, dim, n) and rngs holds S * n streams,
         trial by trial.
         """
@@ -139,9 +141,7 @@ class QuadraticProblem(Problem):
     def _samples(self, X, rngs, nodes):
         G = self._gradients(X, nodes)
         if self.noise > 0.0:
-            rows = np.empty((len(rngs), self.dim))
-            for row, rng in zip(rows, rngs):
-                rng.standard_normal(out=row)
+            rows = as_streams(rngs).take("standard_normal", self.dim)
             G += self.noise * np.swapaxes(rows.reshape(G.shape[:-2] + (-1, self.dim)), -1, -2)
         return G
 
@@ -175,7 +175,7 @@ class LogisticProblem(Problem):
         return _sum_in_order(self._gradients(X, slice(None))) / self.n  # columns in order
 
     def _samples(self, X, rngs, nodes):
-        picks = np.array([rng.integers(self.labels.shape[-1]) for rng in rngs])
+        picks = as_streams(rngs).take("integers", 1, self.labels.shape[-1])
         trials = tuple(np.arange(k)[:, None] for k in X.shape[:-2])  # () or the trial axis
         at = trials + (np.arange(self.n)[nodes], picks.reshape(X.shape[:-2] + (-1,)))
         d, y = self.data[at], self.labels[at]  # (..., k, dim), (..., k)

@@ -105,13 +105,24 @@ def spectral_stats(entries: np.ndarray) -> tuple[float, float, np.ndarray]:
     return rho, mu, eigenvalues
 
 
+def check_nodes(kind: str, n: int) -> None:
+    """Raise TopologyError unless a ring or complete graph can have n nodes.
+
+    Every ring of n >= 3 nodes and complete graph of n >= 2 nodes is a
+    valid mixing matrix, so this is all their validation needs.
+    """
+    if kind == "ring" and n < 3:
+        raise TopologyError(f"a ring needs n >= 3 nodes, got {n}")
+    if n < 2:
+        raise TopologyError(f"need n >= 2 nodes, got {n}")
+
+
 def build_ring(n: int) -> MixingMatrix:
     """Ring of n nodes, uniform weight 1/3 on self and both neighbors.
 
     For n = 3 the ring coincides with the fully connected graph.
     """
-    if n < 3:
-        raise TopologyError(f"a ring needs n >= 3 nodes, got {n}")
+    check_nodes("ring", n)
     entries = np.zeros((n, n))
     for i in range(n):
         entries[i, i] += 1.0 / 3.0
@@ -122,8 +133,7 @@ def build_ring(n: int) -> MixingMatrix:
 
 def build_fully_connected(n: int) -> MixingMatrix:
     """Complete graph with all weights 1/n; consensus in a single round."""
-    if n < 2:
-        raise TopologyError(f"need n >= 2 nodes, got {n}")
+    check_nodes("complete", n)
     entries = np.full((n, n), 1.0 / n)
     return MixingMatrix.from_entries(entries)
 

@@ -13,7 +13,8 @@ from dcsgd import (
     estimate_error_trace, identity, init_state, make_quadratic, metrics,
     naive_step, run, stochastic_quantize, synthetic_noise,
 )
-from dcsgd.config import config_from_dict
+from dcsgd import streams
+from dcsgd.config import build_run, config_from_dict, resolve_gamma
 from dcsgd.engine import LOSS_CAP
 from dcsgd.topology import build_fully_connected, build_ring
 
@@ -593,3 +594,101 @@ class TestTrialBatch:
         with pytest.raises(ConfigError, match="seed and gamma"):
             run([cfg, other])
         assert run([]) == []
+
+
+def float_bits(value):
+    return float(value).hex()
+
+
+class TestBlockDraws:
+    """run() draws each stream many rounds ahead; the public step functions on
+    a fresh init_state draw one round at a time.  Both must give the same bits."""
+
+    PROBLEMS = {
+        "quadratic": {"kind": "quadratic", "dim": 8, "heterogeneity": 0.5, "noise": 0.2},
+        "logistic": {"kind": "logistic", "dim": 6, "samples_per_node": 8},
+    }
+    COMPRESSORS = {
+        "quantize7": {"kind": "quantize", "levels": 7},
+        "sparsify": {"kind": "sparsify", "keep_prob": 0.25},
+        "synthetic": {"kind": "synthetic", "noise_bound": 1.0},
+    }
+    BLOCK = 16  # rounds per block, small enough that runs diverging near round 50 cross refills
+    T = 60
+
+    @staticmethod
+    def step(state, cfg, W, c, problem, gamma):
+        alg = cfg.algorithm
+        if alg == "dpsgd":
+            dpsgd_step(state, W, problem, gamma)
+        elif alg == "naive":
+            naive_step(state, W, c, problem, gamma)
+        elif alg == "dcd":
+            dcd_step(state, W, c, problem, gamma)
+        elif alg == "ecd":
+            z_norm_cap = cfg.z_norm_cap if c.kind == "sparsify" else math.inf
+            ecd_step(state, W, c, problem, gamma, z_norm_cap)
+        else:
+            centralized_step(state, problem, gamma)
+
+    @pytest.mark.parametrize("alg,family,comp", [
+        case for case in itertools.product(
+            ("dpsgd", "naive", "dcd", "ecd", "centralized"), PROBLEMS, COMPRESSORS)
+        if case[0] != "dcd" or case[2] != "synthetic"
+    ])
+    def test_run_equals_per_round_step_loop(self, alg, family, comp, monkeypatch):
+        monkeypatch.setattr(streams, "MAX_BLOCK_ROUNDS", self.BLOCK)
+        cfg = config_from_dict({
+            "algorithm": alg, "topology": {"kind": "ring", "n": 8},
+            "problem": self.PROBLEMS[family], "compressor": self.COMPRESSORS[comp],
+            "gamma": 0.05, "T": self.T, "trace_every": 1, "seed": 11,
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = run(cfg)
+        records = result.records
+        # every run reads at least three blocks of each purpose that draws
+        # (dcd with the sparsifier diverges near round 50)
+        assert len(records) > 2 * self.BLOCK
+
+        W, problem, c, state_ss = build_run(cfg)
+        gamma = resolve_gamma(cfg, problem, W, c)
+        state = init_state(problem, W.n, alg, state_ss)  # one round per draw
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in records:
+                before = metrics(state, problem)
+                self.step(state, cfg, W, c, problem, gamma)
+                step = state.last_step
+                got = (state.t - 1, *before, step.q_norm2, step.g_norm2, state.bits_total)
+                want = (r.t, r.loss, r.grad_norm2, r.consensus, r.q_norm2, r.g_norm2, r.bits)
+                assert [float_bits(v) for v in got] == [float_bits(v) for v in want]
+                if state.status == "diverged":
+                    break
+            if result.summary.status == "completed":
+                final = metrics(state, problem)
+                summary = result.summary
+                assert [float_bits(v) for v in final] == [float_bits(v) for v in (
+                    summary.final_loss, summary.final_grad_norm2, summary.final_consensus)]
+
+    @pytest.mark.parametrize("alg", ["naive", "dcd", "ecd"])
+    def test_trial_retiring_mid_block_leaves_the_others_unchanged(self, alg):
+        # step size 0.45 diverges near round 90, inside the second 64-round
+        # block; the other two trials read the sliced blocks for the rest of
+        # it and refill at round 129.  Each trial has its own seed, so rows
+        # sliced from the wrong trial would show.
+        doc = {"algorithm": alg, "topology": {"kind": "ring", "n": 8},
+               "problem": self.PROBLEMS["quadratic"], "compressor": self.COMPRESSORS["quantize7"],
+               "T": 150, "trace_every": 1}
+        configs = [config_from_dict({**doc, "gamma": g, "seed": s})
+                   for g, s in ((0.05, 11), (0.45, 12), (0.02, 13))]
+        assert streams.block_rounds(3 * 8, 8, 150) == 64
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            solo = [run(cfg) for cfg in configs]
+            batch = run(configs)
+        stopped = batch[1].summary
+        assert stopped.status == "diverged"
+        assert 64 < stopped.iterations < 128 and stopped.iterations % 64 != 0
+        assert [r.summary.status for r in batch[::2]] == ["completed", "completed"]
+        for a, b in zip(solo, batch):
+            assert result_bits(b) == result_bits(a)
