@@ -11,9 +11,8 @@ import pytest
 from dcsgd import (
     ConfigError, centralized_step, dcd_step, dpsgd_step, ecd_step,
     estimate_error_trace, identity, init_state, make_quadratic, metrics,
-    naive_step, run, stochastic_quantize, synthetic_noise,
+    naive_step, run, stochastic_quantize, streams, synthetic_noise,
 )
-from dcsgd import streams
 from dcsgd.config import build_run, config_from_dict, resolve_gamma
 from dcsgd.engine import LOSS_CAP
 from dcsgd.topology import build_fully_connected, build_ring
