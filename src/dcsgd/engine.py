@@ -36,7 +36,7 @@ call of K * width as in K calls of width, so a run's draws are bit for bit
 those of per-round drawing; ``run`` sizes K from its remaining rounds and
 a fixed value budget, while a state from ``init_state`` alone draws one
 round at a time.  A purpose that never draws (identity compression, a
-noise-free quadratic oracle) never builds its streams, and a retiring
+noise-free quadratic oracle) never builds its Generators, and a retiring
 trial's rows are sliced out of the blocks.  Compression runs once per
 round, over the whole message matrix, with each column reading its node's
 row of the slab.  Rounds are synchronous by construction; each step reads
@@ -185,8 +185,9 @@ def init_state(problem: Problem, n: int, algorithm: str, seed, rounds: int = 1) 
     ``seed`` is an int or a SeedSequence; a list of them gives a stacked
     state for a stacked problem, trial s drawing from the streams of
     ``seed[s]``.  Node i's oracle stream is child i of ``seed.spawn(2 * n)``
-    and its compression stream child n + i; a child is built on its first
-    draw, and the seed sequence is not advanced.  ``rounds`` is how many
+    and its compression stream child n + i, so a SeedSequence passed in is
+    advanced by 2 * n children; a child's Generator is built on its first
+    draw.  ``rounds`` is how many
     rounds the state is expected to run: the streams draw up to that many
     rounds ahead in blocks (``dcsgd.streams``), which changes no value drawn.
     """
@@ -198,8 +199,9 @@ def init_state(problem: Problem, n: int, algorithm: str, seed, rounds: int = 1) 
     trials = (len(seeds),) if isinstance(seed, list) else ()
     seqs = [s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)
             for s in seeds]
-    sample = [(ss, ss.n_children_spawned + i) for ss in seqs for i in range(n)]
-    comp = [(ss, ss.n_children_spawned + n + i) for ss in seqs for i in range(n)]
+    children = [ss.spawn(2 * n) for ss in seqs]
+    sample = [c for cs in children for c in cs[:n]]
+    comp = [c for cs in children for c in cs[n:]]
     cols = 1 if algorithm == "centralized" else n
     X = np.zeros(trials + (problem.dim, cols))
     state = WorldState(

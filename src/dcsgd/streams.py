@@ -45,9 +45,9 @@ def block_rounds(streams: int, width: int, rounds_left: int) -> int:
 class StreamSet:
     """Independent streams of one purpose, one per (trial, node), read a round at a time.
 
-    ``sources`` holds Generators, or ``(SeedSequence, i)`` pairs naming the
-    i-th child of a seed sequence; a child is built into a Philox Generator
-    on the first draw, so a purpose that never draws builds nothing.
+    ``sources`` holds Generators or SeedSequences; a SeedSequence is built
+    into a Philox Generator on the first draw, so a purpose that never draws
+    builds no Generator.
     ``rounds`` is how many rounds the holder expects to read; blocks never
     run past it, and one round is drawn at a time after it.
     """
@@ -85,7 +85,8 @@ class StreamSet:
     def _fill(self, kind) -> None:
         draw, width, args = kind
         if not self._built:
-            self._sources = [s if isinstance(s, np.random.Generator) else _child(*s)
+            self._sources = [s if isinstance(s, np.random.Generator)
+                             else np.random.Generator(np.random.Philox(s))
                              for s in self._sources]
             self._built = True
         K = block_rounds(len(self._sources), width, self._rounds_left)
@@ -94,17 +95,8 @@ class StreamSet:
             self._block = np.empty((len(self._sources), K, width))
             for row, g in zip(self._block, self._sources):
                 getattr(g, draw)(out=row)
-        elif K * width == 1:  # the same value as a sized call, about 5 us sooner
-            self._block = np.array([g.integers(*args) for g in self._sources], np.int64)
-            self._block.shape = (-1, 1, 1)
         else:
             self._block = np.array(
                 [g.integers(*args, size=(K, width)) for g in self._sources], np.int64)
         self._kind, self._next, self._end = kind, 0, K
 
-
-def _child(ss: np.random.SeedSequence, i: int) -> np.random.Generator:
-    """A Philox Generator on the i-th child of ss, the child ss.spawn would make."""
-    child = np.random.SeedSequence(
-        ss.entropy, spawn_key=ss.spawn_key + (i,), pool_size=ss.pool_size)
-    return np.random.Generator(np.random.Philox(child))

@@ -26,16 +26,29 @@ def test_blocks_equal_per_round_draws(draw, width, args):
 
 
 def test_seed_children_are_the_spawned_ones_and_built_on_first_draw():
-    ss = np.random.SeedSequence(11)
-    lazy = StreamSet([(ss, i) for i in range(5)], rounds=10)
+    lazy = StreamSet(np.random.SeedSequence(11).spawn(5), rounds=10)
     assert lazy.take("random", 4).tobytes() == np.array(
         [g.random(4) for g in children(11, 5)]).tobytes()
-    # init_state names the children; a purpose that never draws builds none
+    # init_state spawns the children; a purpose that never draws builds no Generator
     problem = make_quadratic(4, 5, rng=np.random.default_rng(0))
     state = init_state(problem, 5, "dpsgd", 11, rounds=10)
     state.sample_streams.take("random", 4)
     assert all(isinstance(s, np.random.Generator) for s in state.sample_streams._sources)
-    assert all(isinstance(s, tuple) for s in state.compress_streams._sources)
+    assert all(isinstance(s, np.random.SeedSequence) for s in state.compress_streams._sources)
+
+
+def test_init_state_advances_a_seed_sequence():
+    # two states from one SeedSequence get independent streams, and a later
+    # spawn does not hand out children the states already draw from
+    problem = make_quadratic(4, 3, rng=np.random.default_rng(0))
+    ss = np.random.SeedSequence(9)
+    first = init_state(problem, 3, "dcd", ss).sample_streams.take("random", 4)
+    second = init_state(problem, 3, "dcd", ss).sample_streams.take("random", 4)
+    assert ss.n_children_spawned == 12
+    want = [np.random.Generator(np.random.Philox(c)) for c in np.random.SeedSequence(9).spawn(12)]
+    assert first.tobytes() == np.array([g.random(4) for g in want[:3]]).tobytes()
+    assert second.tobytes() == np.array([g.random(4) for g in want[6:9]]).tobytes()
+    assert ss.spawn(1)[0].spawn_key == (12,)
 
 
 def test_keep_slices_the_block_mid_way():
