@@ -45,19 +45,21 @@ _CONFIG_ERRORS = (ConfigError, InfeasibleError, TopologyError, InputError)
 # 8 to 32 trials; ring 256 x dim 16 is fastest at 8 and slower past 32; a
 # dim-1024 quadratic or 512 samples per logistic node gain nothing, while
 # peak RSS grows by the problem's size per trial.  The byte cap gave these
-# shapes 64, about 45, 11 and 1 trial(s) (64, about 37, 9 and 1 with the
-# draw blocks counted): against one run at a time, peak RSS grew by at
-# most 10 MB, and wall time fell except on the dim-1024 sweep (1 trial per
-# batch), whose QR and eigvalsh set-up kept it within 5%.
+# shapes 64, about 45, 11 and 1 trial(s) before the draw blocks were
+# counted; with them, 64, 36, 9 and 1 at T 200 and trace_every 10: against
+# one run at a time, peak RSS grew by at most 10 MB, and wall time fell
+# except on the dim-1024 sweep (1 trial per batch), whose QR and eigvalsh
+# set-up kept it within 5%.
 MAX_TRIALS = 64
-BATCH_BYTES = 2**23
 # A batch buffers at most max(streams.BLOCK_VALUES, one round) draws for each
 # of its two purposes, the oracle and compression; _trial_bytes counts one
 # round, this the block budget.  Measured buffers: a 3-seed ring 8 x dim 8
 # sweep with a noise-free oracle holds one 96 KiB compression block (64
-# rounds), 64 seeds with oracle noise two 512 KiB blocks (16 rounds), and a
-# ring 1024 x dim 64 dpsgd run one 512 KiB oracle block (1 round).
+# rounds), 64 seeds with oracle noise two 2 MiB blocks (64 rounds), and a
+# ring 1024 x dim 64 dpsgd run one 2 MiB oracle block (4 rounds).
 DRAW_BYTES = 2 * 8 * streams.BLOCK_VALUES
+# 7 MiB of per-trial data plus the draw blocks
+BATCH_BYTES = 7 * 2**20 + DRAW_BYTES
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,11 @@ independently.  With one Generator, a matrix's draws come row-major from
 that stream.  With a sequence of Generators, one per column, column i's
 draws come from stream i and are exactly the draws a one-column call on
 stream i makes, so a simulator compresses every node's message in one call
-and gets the same result as compressing node by node.  A
+and gets the same result as compressing node by node.  The per-column form
+also takes a stack of matrices, shape (..., dim, n), with one stream per
+column listed matrix by matrix (column i of matrix s reads stream s * n + i),
+so a stacked state of S trials is compressed in one call, in place, without
+first being laid out as one wide matrix.  A
 :class:`~dcsgd.streams.StreamSet` in place of the sequence gives the same
 draws from a block its streams filled many rounds ahead; a sequence is read
 as a one-round block.
@@ -103,17 +107,18 @@ def compress(
 ) -> np.ndarray:
     """Draw one unbiased compressed sample of z.
 
-    ``rng`` is one Generator, or for 2-D input a sequence of Generators or
-    a StreamSet, one stream per column (see the module docstring).  2-D
-    input: every column is an independent vector (per-column scaling and
-    per-column noise).  Empty input is returned unchanged.  Non-finite
-    entries raise InputError.
+    ``rng`` is one Generator, or for input of two or more axes a sequence
+    of Generators or a StreamSet, one stream per column (see the module
+    docstring).  2-D input: every column is an independent vector
+    (per-column scaling and per-column noise); a (..., dim, n) stack is
+    compressed matrix by matrix.  Empty input is returned unchanged.
+    Non-finite entries raise InputError.
     """
     z = np.asarray(z, dtype=float)
-    if z.ndim not in (1, 2):
-        raise InputError(f"expected a vector or a matrix of columns, got ndim={z.ndim}")
     per_column = not isinstance(rng, np.random.Generator)
-    if per_column and (z.ndim != 2 or len(rng) != z.shape[1]):
+    if z.ndim not in (1, 2) and not (per_column and z.ndim > 2):
+        raise InputError(f"expected a vector or a matrix of columns, got ndim={z.ndim}")
+    if per_column and (z.ndim < 2 or len(rng) != math.prod(z.shape[:-2]) * z.shape[-1]):
         raise InputError(
             f"per-column streams need a matrix with one column per stream, "
             f"got shape {z.shape} and {len(rng)} streams"
@@ -126,9 +131,10 @@ def compress(
         return z.copy()
     draw = "standard_normal" if c.kind == "synthetic" else "random"
     if per_column:
-        # one round of the streams: row i holds column i's draws
-        rows = as_streams(rng).take(draw, z.shape[0])
-        u = np.ascontiguousarray(rows.T)
+        # one round of the streams: row s * n + i holds column i of matrix s,
+        # read in place as the (..., dim, n) stack
+        rows = as_streams(rng).take(draw, z.shape[-2])
+        u = rows.reshape(z.shape[:-2] + (-1, z.shape[-2])).swapaxes(-1, -2)
     else:
         u = getattr(rng, draw)(z.shape)
     if c.kind == "quantize":
@@ -137,9 +143,9 @@ def compress(
         return np.where(u < c.keep_prob, z / c.keep_prob, 0.0)
     # synthetic: additive noise uniform on the sphere of radius b, per column;
     # a column's norm is the 1-D norm of its draws (the BLAS dot a 1-D norm
-    # takes), which a reduction over axis=0 may round apart
+    # takes), which a reduction over axis=-2 may round apart
     if per_column:
-        norms = np.sqrt(_dot(rows, rows))
+        norms = np.sqrt(_dot(rows, rows)).reshape(z.shape[:-2] + (1, -1))
     elif z.ndim == 2:
         norms = np.linalg.norm(u, axis=0, keepdims=True)
     else:
@@ -156,7 +162,7 @@ def _quantize(z: np.ndarray, levels: int, u: np.ndarray) -> np.ndarray:
     probability one.
     """
     y = np.abs(z)
-    scale = y.max(axis=0, keepdims=True) if z.ndim == 2 else y.max()
+    scale = y.max(axis=-2, keepdims=True) if z.ndim >= 2 else y.max()
     safe_scale = np.where(scale == 0.0, 1.0, scale)
     y /= safe_scale
     y *= levels

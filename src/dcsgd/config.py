@@ -278,15 +278,34 @@ def build_topology(spec: TopologySpec) -> topology.MixingMatrix:
     raise ConfigError(f"topology kind must be ring, complete or custom, got {spec.kind!r}")
 
 
+# The config fields that can push each family's constants out of the float
+# range (a quadratic's L is at most 2 by construction).
+_CONSTANT_FIELDS = {
+    "quadratic": {"sigma2": "noise", "zeta2": "heterogeneity", "f_star": "heterogeneity"},
+    "logistic": dict.fromkeys(("L", "sigma2", "zeta2"), "separation or reg"),
+}
+
+
 def build_problem(spec: ProblemSpec, n: int, rng: np.random.Generator) -> problems.Problem:
-    if spec.kind == "quadratic":
-        return problems.make_quadratic(
-            spec.dim, n, heterogeneity=spec.heterogeneity, noise=spec.noise, rng=rng
-        )
-    return problems.make_logistic(
-        spec.dim, n, spec.samples_per_node, separation=spec.separation,
-        rng=rng, reg=spec.reg,
-    )
+    """The configured problem; ConfigError when one of its constants is not finite."""
+    # an overflow shows up as a non-finite constant, checked below
+    with np.errstate(all="ignore"):
+        if spec.kind == "quadratic":
+            problem = problems.make_quadratic(
+                spec.dim, n, heterogeneity=spec.heterogeneity, noise=spec.noise, rng=rng
+            )
+        else:
+            problem = problems.make_logistic(
+                spec.dim, n, spec.samples_per_node, separation=spec.separation,
+                rng=rng, reg=spec.reg,
+            )
+    for name, field_name in _CONSTANT_FIELDS[spec.kind].items():
+        value = getattr(problem, name)
+        if not math.isfinite(value):
+            raise ConfigError(
+                f"problem constant {name} is not finite ({value!r}); "
+                f"the problem's {field_name} is too large")
+    return problem
 
 
 def build_compressor(spec: CompressorSpec) -> Compressor:
@@ -316,14 +335,19 @@ def resolve_gamma(cfg: RunConfig, problem, W, c: Compressor) -> float:
     zeta = math.sqrt(problem.zeta2)
     T = max(cfg.T, 1)
     if cfg.algorithm == "ecd":
-        return theory.gamma_ecd(problem.L, sigma, zeta, W.n, T, C1=1.0 / (1.0 - W.rho) ** 2)
-    if cfg.algorithm == "dcd":
+        gamma = theory.gamma_ecd(problem.L, sigma, zeta, W.n, T, C1=1.0 / (1.0 - W.rho) ** 2)
+    elif cfg.algorithm == "dcd":
         alpha = effective_alpha(c, problem.dim)
         consts = theory.constants(W.rho, W.mu, alpha, problem.L, gamma=0.0)
-        return theory.gamma_dcd(problem.L, sigma, zeta, W.n, T, D1=consts.D1, D2=consts.D2)
-    if cfg.algorithm == "centralized":
-        return theory.gamma_dcd(problem.L, sigma, zeta, W.n, T, D1=1.0, D2=0.0)
-    # dpsgd / naive: uncompressed decentralized value
-    return theory.gamma_dcd(
-        problem.L, sigma, zeta, W.n, T, D1=1.0 / (1.0 - W.rho) ** 2, D2=0.0
-    )
+        gamma = theory.gamma_dcd(problem.L, sigma, zeta, W.n, T, D1=consts.D1, D2=consts.D2)
+    elif cfg.algorithm == "centralized":
+        gamma = theory.gamma_dcd(problem.L, sigma, zeta, W.n, T, D1=1.0, D2=0.0)
+    else:  # dpsgd / naive: uncompressed decentralized value
+        gamma = theory.gamma_dcd(
+            problem.L, sigma, zeta, W.n, T, D1=1.0 / (1.0 - W.rho) ** 2, D2=0.0
+        )
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ConfigError(
+            f"theory step size gamma resolved to {gamma!r}, not a finite number > 0; "
+            "the problem's constants are too large")
+    return gamma

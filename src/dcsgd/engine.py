@@ -18,7 +18,7 @@ only in ``seed`` and ``gamma``, and runs the batch as one stacked state, X
 of shape (S, dim, n) over a stacked problem (``problems.stack_problems``)
 with one gamma per trial.  Each round is one pass of the same kernel: one
 stacked ``seen @ W`` (the BLAS call a solo run makes, once per trial), one
-oracle call and one ``compress`` call over the (dim, S * n) column view.
+oracle call and one ``compress`` call over the (S, dim, n) stack.
 Every reduction is taken per trial, so each trial's records and summary
 are bit for bit those of its solo run; a trial that diverges is summarized
 and dropped, so its streams are never drawn again.  A single config is the
@@ -241,19 +241,22 @@ def gossip_step(
         raise InputError(f"gamma must be >= 0, got {gamma}")
     if state.status == "diverged":
         raise DivergedError("state has already diverged")
+    if algorithm == "dcd" and not math.isfinite(c.alpha_bound(problem.dim)):
+        raise ConfigError(
+            f"difference compression needs a finite noise-to-signal bound; "
+            f"{c.kind!r} has none"
+        )
+    # the previous round's Q and G are two state-sized arrays; free them
+    # before this round allocates its own
+    state.last_step = None
     X = state.X
     if algorithm == "dpsgd":
         c = compression.identity()
         seen, Q = X, np.zeros_like(X)
     elif algorithm == "naive":
-        seen = _compress(c, X, state.compress_streams)
+        seen = compress(c, X, state.compress_streams)
         Q = seen - X
     elif algorithm == "dcd":
-        if not math.isfinite(c.alpha_bound(problem.dim)):
-            raise ConfigError(
-                f"difference compression needs a finite noise-to-signal bound; "
-                f"{c.kind!r} has none"
-            )
         # Q stays zero for a trial that diverges before the exchange
         seen, Q = state.replicas, np.zeros_like(X)
     elif algorithm == "ecd":
@@ -261,7 +264,10 @@ def gossip_step(
     else:
         raise ConfigError(f"{algorithm!r} is not a gossip algorithm")
     G = problem.stochastic_gradients(X, state.sample_streams)
-    delta = seen @ W.entries - gamma * G - X
+    # seen @ W - gamma * G - X, left to right, in one buffer
+    delta = seen @ W.entries
+    delta -= gamma * G
+    delta -= X
     X_new = X + delta
     bits = 2 * W.num_edges * bits_transmitted(c, problem.dim)  # one message per edge end
     if algorithm in ("dpsgd", "naive"):
@@ -280,10 +286,10 @@ def gossip_step(
         # the other trials exchange; a bad trial compresses zeros (its draws
         # are discarded with it) and Z stands in for its message, so dcd
         # commits it X + delta like the path above
-        CZ = _compress(c, np.where(bad[..., None, None], 0.0, Z), state.compress_streams)
+        CZ = compress(c, np.where(bad[..., None, None], 0.0, Z), state.compress_streams)
         CZ[bad] = Z[bad]
     else:
-        CZ = _compress(c, Z, state.compress_streams)
+        CZ = compress(c, Z, state.compress_streams)
     if algorithm == "ecd":
         state.estimate_err = _fold(state.estimate_err, CZ - Z, s)
         return _commit(state, X_new, Q, G, bits, bad)
@@ -358,6 +364,7 @@ def centralized_step(state: WorldState, problem: Problem, gamma: float) -> World
     """Fully synchronized baseline: one shared model, allreduce-averaged gradients."""
     if np.count_nonzero(np.asarray(gamma) < 0.0):
         raise InputError(f"gamma must be >= 0, got {gamma}")
+    state.last_step = None  # free the previous round's G before drawing a new one
     X = state.X  # (..., dim, 1)
     G = problem.stochastic_gradients(np.repeat(X, state.n, axis=-1), state.sample_streams)
     bits = 2 * (state.n - 1) * compression.FULL_PRECISION_BITS * problem.dim
@@ -379,16 +386,6 @@ def _per_trial(a: np.ndarray) -> np.ndarray:
     """(..., dim, k) as (..., dim * k): a reduction over the last axis is one
     per trial, adding in the order a whole-matrix reduction of a solo run does."""
     return a.reshape(a.shape[:-2] + (-1,))
-
-
-def _compress(c: Compressor, Z: np.ndarray, streams: StreamSet) -> np.ndarray:
-    """compress() over the (dim, S * n) column view of a (..., dim, n) message.
-
-    Column s * n + i, node i of trial s, draws from stream s * n + i.
-    """
-    cols = Z.swapaxes(0, -2)  # (dim, ..., n)
-    CZ = compress(c, cols.reshape(cols.shape[0], -1), streams)
-    return np.ascontiguousarray(CZ.reshape(cols.shape).swapaxes(0, -2))
 
 
 def _extrapolate(x_prev: np.ndarray, x: np.ndarray, s: int) -> np.ndarray:
@@ -466,6 +463,7 @@ def run(config):
     # trial its least gradient norm so far and first round under the threshold
     S = len(batch)
     trials = np.arange(S)
+    slots = slice(None)  # trials' columns of the trace buffer: all, until one retires
     gamma = np.array(gammas)[:, None, None]
     state = init_state(problem, W.n, cfg.algorithm, seeds, cfg.T)
     min_grad_norm2 = np.full(S, math.inf)
@@ -489,14 +487,15 @@ def run(config):
         if len(rounds) == len(values):
             values = np.concatenate([values, np.empty_like(values)])
         step = state.last_step
-        values[len(rounds), trials] = np.array(
-            [losses, grads, cons, step.q_norm2, step.g_norm2]).T
+        row = values[len(rounds)].T  # (5, S)
+        for j, v in enumerate((losses, grads, cons, step.q_norm2, step.g_norm2)):
+            row[j, slots] = v
         rounds.append(t)
         round_bits.append(state.bits_total)
 
     def retire(done, status, iterations, finals=None):
         """Summarize the running trials flagged in ``done`` and drop them from the state."""
-        nonlocal trials, gamma, problem, min_grad_norm2, time_to_threshold
+        nonlocal trials, slots, gamma, problem, min_grad_norm2, time_to_threshold
         for k in np.flatnonzero(done):
             i, ttt = trials[k], int(time_to_threshold[k])
             summaries[i] = RunSummary(
@@ -509,6 +508,7 @@ def run(config):
         keep = ~done
         trials = trials[keep]
         if trials.size and np.count_nonzero(done):
+            slots = trials
             problem = take_trials(problem, keep)
             gamma = gamma[keep]
             min_grad_norm2, time_to_threshold = min_grad_norm2[keep], time_to_threshold[keep]

@@ -112,31 +112,45 @@ class QuadraticProblem(Problem):
     A: np.ndarray = field(repr=False)
     B: np.ndarray = field(repr=False)  # (m, n), column i = b_i
     noise: float = 0.0
+    # the mean target (m,), an array field, so stacking and slicing trials
+    # carry it along with B
+    B_mean: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "B_mean", _mean(self.B))
         object.__setattr__(self, "f_star", self.loss(self.minimizer()))
 
     def minimizer(self) -> np.ndarray:
         At = self.A.mT
-        return np.linalg.solve(At @ self.A, _matvec(At, _mean(self.B))[..., None])[..., 0]
+        return np.linalg.solve(At @ self.A, _matvec(At, self.B_mean)[..., None])[..., 0]
 
     def _loss(self, x):
         resid = _matvec(self.A, x)[..., None] - self.B  # (..., m, n)
-        return 0.5 * np.sum(resid * resid, axis=(-2, -1)) / (self.A.shape[-2] * self.n)
+        resid *= resid
+        return 0.5 * np.add.reduce(resid, axis=(-2, -1)) / (self.A.shape[-2] * self.n)
 
     def _losses(self, x, nodes):
         resid = _matvec(self.A, x)[..., None] - self.B[..., nodes]
         return 0.5 * np.sum(resid * resid, axis=-2) / self.A.shape[-2]
 
     def _gradients(self, X, nodes):
+        A = self.A
+        if nodes == slice(None):
+            # all nodes: the full-width product itself (of a C-ordered X, as
+            # the zero-filled buffer below is), its residual in place
+            t = A @ np.ascontiguousarray(X)
+            t -= self.B
+            G = A.mT @ t
+            G /= A.shape[-2]
+            return G
         # BLAS rounds column i of A @ X differently at other widths of X, so
         # a slice is cut from the full-width product to keep per-node bits.
         wide = np.zeros(X.shape[:-1] + (self.n,))
         wide[..., nodes] = X
-        return (self.A.mT @ (self.A @ wide - self.B) / self.A.shape[-2])[..., nodes]
+        return (A.mT @ (A @ wide - self.B) / A.shape[-2])[..., nodes]
 
     def _grad_mean(self, x):
-        return _matvec(self.A.mT, _matvec(self.A, x) - _mean(self.B)) / self.A.shape[-2]
+        return _matvec(self.A.mT, _matvec(self.A, x) - self.B_mean) / self.A.shape[-2]
 
     def _samples(self, X, rngs, nodes):
         G = self._gradients(X, nodes)

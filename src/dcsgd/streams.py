@@ -21,14 +21,15 @@ import numpy as np
 from .errors import InputError
 
 # Values one block of a purpose holds across all its streams, and the most
-# rounds a block covers.  At 2**16 values a purpose's buffer is 512 KiB.
-# Measured with benchmarks/run.py on 2-core x86, one BLAS thread, two 20 s
-# runs each: small_sweep (3 trials of ring 8 x dim 8, 64-round blocks of
-# 12,288 values) ran 14,000-14,200 rounds/s against 10,700-11,400 with
-# one-round blocks; on wide_ring1024 (ring 1024 x dim 64, where one round
-# fills 2**16 values, so K = 1) a budget of 2**19 (K = 8) ran 101-102
-# rounds/s against 84-86 but raised peak RSS from 58.7 to 62.8 MB.
-BLOCK_VALUES = 2**16
+# rounds a block covers.  At 2**18 values a purpose's buffer is 2 MiB.
+# Measured with benchmarks/run.py on 2-core x86, one BLAS thread: small_sweep
+# (3 trials of ring 8 x dim 8, 64-round blocks of 12,288 values) ran
+# 14,000-14,200 rounds/s against 10,700-11,400 with one-round blocks; on
+# wide_ring1024 (ring 1024 x dim 64, 65,536 values a round) a budget of
+# 2**18 (K = 4) ran 84.5 rounds/s against 70.6 at 2**16 (K = 1), with peak
+# RSS unchanged at 58.8-58.9 MB once the round frees its previous StepStats
+# and forms delta and the oracle's residual in place.
+BLOCK_VALUES = 2**18
 MAX_BLOCK_ROUNDS = 64
 
 

@@ -87,6 +87,25 @@ class TestPerColumnStreams:
         assert batched.tobytes() == looped.tobytes()
         assert batched.flags.c_contiguous
 
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_stack_matches_the_wide_matrix(self, kind):
+        # a (S, dim, n) stack reads stream s * n + i for column i of matrix s,
+        # as the (dim, S * n) matrix of its columns does
+        c = self.KINDS[kind]
+        Z = np.random.default_rng(3).standard_normal((3, 5, 4))
+        Z[1, :, 2] = 0.0
+        stacked = compress(c, Z, node_streams(12))
+        wide = compress(c, Z.transpose(1, 0, 2).reshape(5, 12), node_streams(12))
+        assert stacked.tobytes() == wide.reshape(5, 3, 4).transpose(1, 0, 2).tobytes()
+        assert stacked.shape == Z.shape and stacked.flags.c_contiguous
+
+    def test_stack_needs_a_stream_per_column(self):
+        Z = np.ones((2, 4, 3))
+        with pytest.raises(InputError):
+            compress(stochastic_quantize(4), Z, node_streams(3))
+        with pytest.raises(InputError):
+            compress(stochastic_quantize(4), Z, np.random.default_rng(0))
+
     def test_streams_advance_like_the_loop(self):
         Z = np.random.default_rng(1).standard_normal((5, 4))
         a, b = node_streams(4), node_streams(4)

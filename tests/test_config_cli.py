@@ -1,7 +1,9 @@
 """Config parsing/validation, CLI subcommands, sweeps, CSV determinism."""
 
+import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +53,17 @@ BAD_RUN_FIELDS = [
     ("gamma", {"gamma": math.inf}),
     ("gamma", {"gamma": math.nan}),
     ("gamma", {"gamma": True}),
+]
+
+# problem values whose constants leave the float range, found only when the
+# problem is built: (names the message must carry, config merged into BASE)
+BAD_PROBLEM_CONSTANTS = [
+    (("L", "separation"), {"topology": {"kind": "ring", "n": 3}, "problem": {
+        "kind": "logistic", "dim": 3, "samples_per_node": 2, "separation": 1e200}}),
+    (("zeta2", "heterogeneity"), {"topology": {"kind": "ring", "n": 3}, "problem": {
+        "kind": "quadratic", "dim": 3, "heterogeneity": 1e308}}),
+    (("sigma2", "noise"), {"topology": {"kind": "ring", "n": 3}, "problem": {
+        "kind": "quadratic", "dim": 3, "noise": 1e300}}),
 ]
 
 
@@ -204,6 +217,29 @@ class TestCliRun:
             err = capsys.readouterr().err
             assert "configuration error" in err and name in err
             assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_nonfinite_problem_constants_exit_code(self, tmp_path, capsys):
+        for names, patch in BAD_PROBLEM_CONSTANTS:
+            path = write_config(tmp_path, {**BASE, "gamma": "theory", **patch})
+            for command in ("run", "theory"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # a stray numpy warning fails the test
+                    assert main([command, "--config", path]) == 1
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith("configuration error: ")
+                assert all(name in err for name in names)
+                assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_theory_gamma_must_be_positive(self):
+        # a problem built outside build_problem with an infinite sigma2
+        # resolves the theory step size to 0.0
+        cfg = config_from_dict({**BASE, "gamma": "theory"})
+        W = build_topology(cfg.topology)
+        problem = build_problem(cfg.problem, W.n, np.random.default_rng(0))
+        c = build_compressor(cfg.compressor)
+        assert resolve_gamma(cfg, problem, W, c) > 0.0
+        with pytest.raises(ConfigError, match="gamma resolved to 0.0"):
+            resolve_gamma(cfg, dataclasses.replace(problem, sigma2=math.inf), W, c)
 
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {**BASE, "T": 20})
@@ -434,6 +470,16 @@ class TestBatchedSweep:
         assert size(kind="logistic", dim=64, samples_per_node=512)[0] == 1
         trials, footprint = size(kind="quadratic", dim=128)
         assert 1 < trials < cli.MAX_TRIALS and trials * footprint <= cli.BATCH_BYTES
+
+    def test_batch_size_of_the_measured_shapes(self):
+        # the shapes of the MAX_TRIALS comment keep their batch sizes when the
+        # draw block budget grows: BATCH_BYTES grows by the same bytes
+        sizes = [cli._batch_size(config_from_dict({
+            **BASE, "algorithm": "dcd", "topology": {"kind": "ring", "n": n},
+            "problem": {"kind": "quadratic", "dim": dim},
+            "compressor": {"kind": "quantize", "levels": 127}}))
+            for n, dim in ((8, 8), (16, 64), (256, 16), (8, 1024))]
+        assert sizes == [64, 36, 9, 1]
 
     def test_huge_levels_value_becomes_a_row_error(self):
         cfg = config_from_dict({**self.DOC, "T": 10})

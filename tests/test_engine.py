@@ -642,13 +642,48 @@ class TestBlockDraws:
             "problem": self.PROBLEMS[family], "compressor": self.COMPRESSORS[comp],
             "gamma": 0.05, "T": self.T, "trace_every": 1, "seed": 11,
         })
+        records = self.check_against_step_loop(cfg)
+        # every run reads at least three blocks of each purpose that draws
+        # (dcd with the sparsifier diverges near round 50)
+        assert len(records) > 2 * self.BLOCK
+
+    # (family, block value budget, oracle K, compression K) on ring 16: the
+    # budget, not MAX_BLOCK_ROUNDS, sets the block length.  The logistic
+    # oracle draws one value per node and round, its compression dim 6.
+    BUDGETS = [
+        ("quadratic", 3 * 16 * 8, 3, 3),
+        ("quadratic", 2 * 16 * 8, 2, 2),
+        ("logistic", 3 * 16, 3, 1),
+        ("logistic", 2 * 16 * 6, 12, 2),
+    ]
+
+    @pytest.mark.parametrize("alg", ["naive", "dcd", "ecd"])
+    @pytest.mark.parametrize("family,budget,oracle_K,compress_K", BUDGETS)
+    def test_value_budget_sets_the_block_length(
+            self, alg, family, budget, oracle_K, compress_K, monkeypatch):
+        monkeypatch.setattr(streams, "BLOCK_VALUES", budget)
+        dim = self.PROBLEMS[family]["dim"]
+        oracle_width = 1 if family == "logistic" else dim
+        assert streams.block_rounds(16, oracle_width, self.T) == oracle_K
+        assert streams.block_rounds(16, dim, self.T) == compress_K
+        cfg = config_from_dict({
+            "algorithm": alg, "topology": {"kind": "ring", "n": 16},
+            "problem": self.PROBLEMS[family], "compressor": self.COMPRESSORS["quantize7"],
+            "gamma": 0.05, "T": self.T, "trace_every": 1, "seed": 21,
+        })
+        records = self.check_against_step_loop(cfg)
+        # every run reads at least five blocks of each purpose
+        assert len(records) >= 5 * max(oracle_K, compress_K)
+
+    def check_against_step_loop(self, cfg):
+        """Run cfg, replay it one round per draw with the public step
+        functions, and compare every record and the final metrics as float
+        hex; return the run's records."""
+        alg = cfg.algorithm
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = run(cfg)
         records = result.records
-        # every run reads at least three blocks of each purpose that draws
-        # (dcd with the sparsifier diverges near round 50)
-        assert len(records) > 2 * self.BLOCK
 
         W, problem, c, state_ss = build_run(cfg)
         gamma = resolve_gamma(cfg, problem, W, c)
@@ -668,6 +703,7 @@ class TestBlockDraws:
                 summary = result.summary
                 assert [float_bits(v) for v in final] == [float_bits(v) for v in (
                     summary.final_loss, summary.final_grad_norm2, summary.final_consensus)]
+        return records
 
     @pytest.mark.parametrize("alg", ["naive", "dcd", "ecd"])
     def test_trial_retiring_mid_block_leaves_the_others_unchanged(self, alg):

@@ -281,6 +281,16 @@ class TestTrialStacking:
         X = np.random.default_rng(1).standard_normal((2, 5, 4))
         assert taken.gradients(X).tobytes() == expected.gradients(X).tobytes()
 
+    def test_grad_mean_follows_the_kept_trials(self, family):
+        # the quadratic's cached mean target travels with B through stacking
+        # and slicing: each kept trial's grad_mean is its own problem's
+        keep = np.array([False, True, True])
+        taken = take_trials(stack_problems(family), keep)
+        x = np.random.default_rng(2).standard_normal(5)
+        for k, p in enumerate(family[1:]):
+            assert taken.grad_mean(np.stack([x, x]))[k].tobytes() == p.grad_mean(x).tobytes()
+            assert taken.loss(np.stack([x, x]))[k] == p.loss(x)
+
     def test_one_problem_stacks_as_a_view(self, family):
         stacked = stack_problems(family[:1])
         for a, b in zip(self.arrays(stacked)[:2], self.arrays(family[0])[:2]):

@@ -72,5 +72,5 @@ def test_other_draws_within_a_block_rejected():
 def test_block_rounds_budget():
     assert streams.block_rounds(24, 8, 250) == streams.MAX_BLOCK_ROUNDS
     assert streams.block_rounds(24, 8, 10) == 10
-    assert streams.block_rounds(1024, 64, 60) == 1
+    assert streams.block_rounds(1024, 64, 60) == 4
     assert streams.block_rounds(64 * 8, 8, 250) * 64 * 8 * 8 <= streams.BLOCK_VALUES

@@ -7,9 +7,14 @@ x 3 step sizes (T 120, seed 3, trace_every 1, z_norm_cap 50) through
     <index> <exit code> <sha256 of the trace CSV followed by stdout>
 
 With ``--theory`` it runs ``dcsgd theory`` on the logistic configs instead
-and prints the sha256 of its JSON.  A change that must keep traces
-byte-identical runs this on the parent commit and on the change and diffs
-the two outputs:
+and prints the sha256 of its JSON.  With ``--large`` it runs 12 wide states
+instead: dpsgd, dcd and ecd (quantize 127) x ring 1024 with dim 64 and
+ring 256 with dim 256 x two step sizes, on a noisy quadratic for T 12.  The
+small configs draw their random streams in blocks of up to
+``streams.MAX_BLOCK_ROUNDS`` rounds; the large ones are where the value
+budget ``streams.BLOCK_VALUES`` sets the block length instead.  A change
+that must keep traces byte-identical runs this on the parent commit and on
+the change and diffs the two outputs:
 
     PYTHONPATH=src python tools/trace_matrix.py > after.txt
 
@@ -49,6 +54,8 @@ PROBLEMS = (
     {"kind": "logistic", "dim": 6, "samples_per_node": 8},
 )
 GAMMAS = (0.05, "theory", 3.0)
+LARGE_SHAPES = ((1024, 64), (256, 256))  # (ring n, dim)
+LARGE_GAMMAS = (0.05, 0.2)
 
 
 def configs():
@@ -58,6 +65,18 @@ def configs():
         yield {
             "algorithm": alg, "compressor": comp, "topology": topo, "problem": prob,
             "gamma": gamma, "T": 120, "seed": 3, "trace_every": 1, "z_norm_cap": 50,
+        }
+
+
+def large_configs():
+    for alg, (n, dim), gamma in itertools.product(
+        ("dpsgd", "dcd", "ecd"), LARGE_SHAPES, LARGE_GAMMAS
+    ):
+        yield {
+            "algorithm": alg, "compressor": {"kind": "quantize", "levels": 127},
+            "topology": {"kind": "ring", "n": n},
+            "problem": {"kind": "quadratic", "dim": dim, "heterogeneity": 0.5, "noise": 0.2},
+            "gamma": gamma, "T": 12, "seed": 3, "trace_every": 1,
         }
 
 
@@ -79,12 +98,15 @@ def digest(argv: list[str], csv_path: str | None = None) -> tuple[int, str]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--theory", action="store_true",
-                        help="digest `dcsgd theory` on the logistic configs instead")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--theory", action="store_true",
+                      help="digest `dcsgd theory` on the logistic configs instead")
+    mode.add_argument("--large", action="store_true",
+                      help="digest `dcsgd run` on the 12 wide-state configs instead")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path, csv_path = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "trace.csv")
-        for index, cfg in enumerate(configs()):
+        for index, cfg in enumerate(large_configs() if args.large else configs()):
             if args.theory and cfg["problem"]["kind"] != "logistic":
                 continue
             with open(cfg_path, "w") as fh:
