@@ -20,8 +20,8 @@ stream i makes, so a simulator compresses every node's message in one call
 and gets the same result as compressing node by node.  The per-column form
 also takes a stack of matrices, shape (..., dim, n), with one stream per
 column listed matrix by matrix (column i of matrix s reads stream s * n + i),
-so a stacked state of S trials is compressed in one call, in place, without
-first being laid out as one wide matrix.  A
+so a stacked state of S trials is compressed in one call, its draws read in
+place, without first being laid out as one wide matrix.  A
 :class:`~dcsgd.streams.StreamSet` in place of the sequence gives the same
 draws from a block its streams filled many rounds ahead; a sequence is read
 as a one-round block.

@@ -25,10 +25,11 @@ from .errors import InputError
 # Measured with benchmarks/run.py on 2-core x86, one BLAS thread: small_sweep
 # (3 trials of ring 8 x dim 8, 64-round blocks of 12,288 values) ran
 # 14,000-14,200 rounds/s against 10,700-11,400 with one-round blocks; on
-# wide_ring1024 (ring 1024 x dim 64, 65,536 values a round) a budget of
-# 2**18 (K = 4) ran 84.5 rounds/s against 70.6 at 2**16 (K = 1), with peak
-# RSS unchanged at 58.8-58.9 MB once the round frees its previous StepStats
-# and forms delta and the oracle's residual in place.
+# wide_ring1024 (ring 1024 x dim 64, 65,536 values a round) moving from
+# 2**16 (K = 1) to 2**18 (K = 4) took 75.9 to 90.6 rounds/s, medians of ten
+# 55 s pairs, with peak RSS 58.9 MB on both: the round frees the previous
+# StepStats and forms delta and the oracle's residual in place, which pays
+# for the larger block (BENCH_wide_blocks.json).
 BLOCK_VALUES = 2**18
 MAX_BLOCK_ROUNDS = 64
 
