@@ -4,7 +4,7 @@ Every output file starts with a comment block echoing the resolved
 configuration (including a theory-resolved gamma), so results are
 self-describing and byte-identical across repeated invocations.
 
-Exit codes: 0 completed, 1 configuration error, 2 diverged run.
+Exit codes: 0 completed, 1 configuration or argument error, 2 diverged run.
 """
 
 from __future__ import annotations
@@ -17,10 +17,7 @@ import sys
 
 from . import costmodel, engine, streams, theory
 from .compression import FULL_PRECISION_BITS, bits_transmitted, effective_alpha
-from .config import (
-    RunConfig, build_compressor, build_run, check_gamma, check_int, config_to_dict,
-    parse_config, resolve_gamma,
-)
+from .config import RunConfig, build_compressor, build_run, parse_config, resolve_gamma
 from .errors import ConfigError, InfeasibleError, InputError, TopologyError
 
 SWEEP_AXES = ("gamma", "levels", "n", "seed", "bandwidth", "latency")
@@ -96,8 +93,9 @@ def sweep(cfg: RunConfig, axis: str, values, seeds=None) -> list[dict]:
         except _CONFIG_ERRORS as exc:
             row["status"] = f"config_error: {exc}"
     size = _batch_size(cfg) if axis in ("seed", "gamma") else 1
-    for start in range(0, len(runnable), size):
-        _run_rows(runnable[start:start + size])
+    while runnable:
+        _run_rows(runnable[:size])
+        del runnable[:size]  # filled rows drop their configs and the matrices they keep
     return rows
 
 
@@ -154,27 +152,22 @@ def _run_rows(entries: list) -> None:
 
 
 def _derive_config(cfg: RunConfig, axis: str, value, seed: int) -> RunConfig:
-    check_int("seed", seed, 0)
     cfg = dataclasses.replace(cfg, seed=seed)
     if axis == "seed":
         return cfg
     if axis == "gamma":
-        check_gamma(value)
-        return dataclasses.replace(cfg, gamma=float(value))
+        return dataclasses.replace(cfg, gamma=value)
     if axis == "levels":
         if cfg.compressor.kind != "quantize":
             raise ConfigError(
                 f"levels sweep needs a quantize compressor, got {cfg.compressor.kind!r}"
             )
-        check_int("levels", value, 1)
-        comp = dataclasses.replace(cfg.compressor, levels=int(value))
+        comp = dataclasses.replace(cfg.compressor, levels=value)
         return dataclasses.replace(cfg, compressor=comp)
-    if axis == "n":
-        if cfg.topology.kind == "custom":
-            raise ConfigError("cannot sweep n over a custom edge list")
-        topo = dataclasses.replace(cfg.topology, n=int(value))
-        return dataclasses.replace(cfg, topology=topo)
-    raise ConfigError(f"unsupported run axis {axis!r}")
+    if cfg.topology.kind == "custom":  # the n axis
+        raise ConfigError("cannot sweep n over a custom edge list")
+    topo = dataclasses.replace(cfg.topology, n=int(value))
+    return dataclasses.replace(cfg, topology=topo)
 
 
 def _cost_sweep(cfg: RunConfig, axis: str, values) -> list[dict]:
@@ -216,7 +209,7 @@ def _compression_ratio(cfg: RunConfig) -> float:
 
 
 def _metadata_lines(cfg: RunConfig, extra: dict | None = None) -> list[str]:
-    doc = config_to_dict(cfg)
+    doc = dataclasses.asdict(cfg)
     if extra:
         doc.update(extra)
     return ["# dcsgd output", f"# config: {json.dumps(doc, sort_keys=True)}"]
@@ -348,8 +341,15 @@ def _parse_number(kind, text: str, flag: str):
         raise ConfigError(f"{flag} entry {text!r} is not {what}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ConfigError on a bad argument; subparsers are of the same class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dcsgd",
         description="Desk-scale simulator for communication-compressed decentralized SGD",
     )
@@ -383,14 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (*_CONFIG_ERRORS, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 

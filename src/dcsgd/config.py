@@ -21,6 +21,11 @@ theory for the configured algorithm and is echoed into output metadata.
       "network": {"model_dim": 270000, "steps_per_epoch": 98, "compute_s": 0.15,
                   "degree": 2, "bandwidths": [...], "latencies": [...]}
     }
+
+A ``RunConfig`` is valid by construction: however it was made, it runs
+``validate_config``, the one home of the field rules.  A ``TopologySpec``
+builds its mixing matrix once and keeps it; validation builds a custom
+graph (a disconnected one fails there) and only counts a ring's nodes.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +50,19 @@ class TopologySpec:
     n: int = 8
     edges: tuple = ()
     self_weights: tuple = ()
+
+    @cached_property
+    def matrix(self) -> topology.MixingMatrix:
+        """The spec's mixing matrix, built on first use and kept with the spec."""
+        if self.kind == "ring":
+            return topology.build_ring(self.n)
+        if self.kind == "complete":
+            return topology.build_fully_connected(self.n)
+        if self.kind == "custom":
+            if not self.edges:
+                raise ConfigError("custom topology needs a nonempty 'edges' list")
+            return topology.build_custom(self.n, list(self.edges), self.self_weights or None)
+        raise ConfigError(f"topology kind must be ring, complete or custom, got {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -78,7 +97,7 @@ class NetworkConfig:
 @dataclass(frozen=True)
 class RunConfig:
     algorithm: str
-    topology: TopologySpec = TopologySpec()
+    topology: TopologySpec = field(default_factory=TopologySpec)  # keeps its matrix: not shared
     problem: ProblemSpec = ProblemSpec()
     compressor: CompressorSpec = CompressorSpec()
     gamma: float | str = "theory"
@@ -88,6 +107,9 @@ class RunConfig:
     grad_threshold: float = 1e-6
     z_norm_cap: float = 1e9
     network: NetworkConfig = NetworkConfig()
+
+    def __post_init__(self) -> None:
+        validate_config(self)
 
 
 _SECTION_TYPES = {
@@ -127,9 +149,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         if key in doc:
             kwargs[key] = doc[key]
     kwargs["algorithm"] = doc.get("algorithm", "")
-    cfg = RunConfig(**kwargs)
-    validate_config(cfg)
-    return cfg
+    return RunConfig(**kwargs)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -141,36 +161,26 @@ def parse_config(text: str) -> RunConfig:
     return config_from_dict(doc)
 
 
-def config_to_dict(cfg: RunConfig) -> dict:
-    doc = asdict(cfg)
-    doc["topology"]["edges"] = [list(e) for e in cfg.topology.edges]
-    doc["topology"]["self_weights"] = list(cfg.topology.self_weights)
-    doc["network"]["bandwidths"] = list(cfg.network.bandwidths)
-    doc["network"]["latencies"] = list(cfg.network.latencies)
-    return doc
-
-
 def serialize_config(cfg: RunConfig) -> str:
-    """Canonical JSON form; parse(serialize(cfg)) == cfg."""
-    return json.dumps(config_to_dict(cfg), indent=2, sort_keys=True)
+    """Canonical JSON form (tuples become lists); parse(serialize(cfg)) == cfg."""
+    return json.dumps(asdict(cfg), indent=2, sort_keys=True)
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Raise ConfigError on anything a run could not execute."""
+    """Raise ConfigError on anything a run could not execute; every RunConfig runs it."""
     if not cfg.algorithm:
         raise ConfigError("missing required key 'algorithm'")
     if cfg.algorithm not in ALGORITHMS:
         raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {cfg.algorithm!r}")
-    check_int("T", cfg.T, 0)
-    check_int("seed", cfg.seed, 0)
-    check_int("trace_every", cfg.trace_every, 1)
-    check_gamma(cfg.gamma)
+    _check_int("T", cfg.T, 0)
+    _check_int("seed", cfg.seed, 0)
+    _check_int("trace_every", cfg.trace_every, 1)
+    if cfg.gamma != "theory" and not (_is_finite(cfg.gamma) and cfg.gamma > 0):
+        raise ConfigError(f"gamma must be a finite number > 0 or 'theory', got {cfg.gamma!r}")
     _check_real("grad_threshold", cfg.grad_threshold, 0.0)
-    _check_real("z_norm_cap", cfg.z_norm_cap)
-    if cfg.z_norm_cap <= 0:
-        raise ConfigError(f"z_norm_cap must be > 0, got {cfg.z_norm_cap!r}")
+    _check_positive("z_norm_cap", cfg.z_norm_cap)
 
-    check_int("topology n", cfg.topology.n, 2)
+    _check_int("topology n", cfg.topology.n, 2)
     for name in ("edges", "self_weights"):
         if not isinstance(getattr(cfg.topology, name), tuple):
             raise ConfigError(f"topology {name} must be a list")
@@ -178,7 +188,7 @@ def validate_config(cfg: RunConfig) -> None:
         if not (isinstance(edge, tuple) and len(edge) == 2):
             raise ConfigError(f"each topology edge must be a pair [i, j], got {edge!r}")
         for end in edge:
-            check_int("topology edge end", end, 0)
+            _check_int("topology edge end", end, 0)
     for weight in cfg.topology.self_weights:
         _check_real("topology self_weights entry", weight)
     try:
@@ -188,24 +198,26 @@ def validate_config(cfg: RunConfig) -> None:
             build_topology(cfg.topology)  # validates structure and connectivity
     except TopologyError as exc:
         raise ConfigError(f"topology: {exc}") from exc
-    check_int("levels", cfg.compressor.levels, 1)
+    _check_int("levels", cfg.compressor.levels, 1)
     _check_real("keep_prob", cfg.compressor.keep_prob)
     _check_real("noise_bound", cfg.compressor.noise_bound, 0.0)
     c = build_compressor(cfg.compressor)
     net = cfg.network
     for name in ("model_dim", "steps_per_epoch", "degree"):
-        check_int(name, getattr(net, name), 1)
+        _check_int(name, getattr(net, name), 1)
     _check_real("compute_s", net.compute_s, 0.0)
     for name in ("bandwidths", "latencies"):
         values = getattr(net, name)
         if not (isinstance(values, tuple) and values):
             raise ConfigError(f"network {name} must be a nonempty list of numbers, got {values!r}")
-        for value in values:
-            _check_real(f"network {name} entry", value)
+    for value in net.bandwidths:
+        _check_positive("network bandwidths entry", value)
+    for value in net.latencies:
+        _check_real("network latencies entry", value, 0.0)
     if cfg.problem.kind not in ("quadratic", "logistic"):
         raise ConfigError(f"problem kind must be quadratic or logistic, got {cfg.problem.kind!r}")
-    check_int("problem dim", cfg.problem.dim, 1)
-    check_int("samples_per_node", cfg.problem.samples_per_node, 1)
+    _check_int("problem dim", cfg.problem.dim, 1)
+    _check_int("samples_per_node", cfg.problem.samples_per_node, 1)
     for name in ("heterogeneity", "noise", "reg"):
         _check_real(name, getattr(cfg.problem, name), 0.0)
     _check_real("separation", cfg.problem.separation)
@@ -216,7 +228,7 @@ def validate_config(cfg: RunConfig) -> None:
         )
 
 
-def check_int(name: str, value, minimum: int) -> None:
+def _check_int(name: str, value, minimum: int) -> None:
     """Raise ConfigError unless value is an integer >= minimum that fits a float."""
     # bool is an int subclass, but "T": true is a typo, not a count
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
@@ -227,10 +239,9 @@ def check_int(name: str, value, minimum: int) -> None:
             f"{name} must fit in a float, got an integer of {len(str(value))} digits")
 
 
-def check_gamma(value) -> None:
-    """Raise ConfigError unless gamma is "theory" or a finite number > 0."""
-    if value != "theory" and not (_is_finite(value) and value > 0):
-        raise ConfigError(f"gamma must be a finite number > 0 or 'theory', got {value!r}")
+def _check_positive(name: str, value) -> None:
+    if not (_is_finite(value) and value > 0):
+        raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 def _check_real(name: str, value, minimum: float | None = None) -> None:
@@ -257,7 +268,6 @@ def build_run(cfg: RunConfig, W: topology.MixingMatrix | None = None):
     every caller that builds a run here sees the same problem.  A batch of
     trials on one topology passes the topology built for its first trial.
     """
-    check_int("seed", cfg.seed, 0)
     problem_ss, state_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     W = build_topology(cfg.topology) if W is None else W
     problem = build_problem(cfg.problem, W.n, np.random.Generator(np.random.Philox(problem_ss)))
@@ -266,16 +276,8 @@ def build_run(cfg: RunConfig, W: topology.MixingMatrix | None = None):
 
 
 def build_topology(spec: TopologySpec) -> topology.MixingMatrix:
-    if spec.kind == "ring":
-        return topology.build_ring(spec.n)
-    if spec.kind == "complete":
-        return topology.build_fully_connected(spec.n)
-    if spec.kind == "custom":
-        if not spec.edges:
-            raise ConfigError("custom topology needs a nonempty 'edges' list")
-        self_weights = spec.self_weights or None
-        return topology.build_custom(spec.n, list(spec.edges), self_weights)
-    raise ConfigError(f"topology kind must be ring, complete or custom, got {spec.kind!r}")
+    """The spec's mixing matrix: built on the first call, the same object after."""
+    return spec.matrix
 
 
 # The config fields that can push each family's constants out of the float

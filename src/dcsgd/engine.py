@@ -71,18 +71,18 @@ class StepStats:
     common update form X_{t+1} = X_t W - gamma G + Q_t; g_norm2 / g_bar
     describe the stochastic gradient matrix.  bits is the total traffic of
     the round over all links.  For a stacked state each statistic holds one
-    entry per trial.
+    entry per trial.  Q is None when Q_t = 0.
     """
 
     q_norm2: float
     g_norm2: float
     bits: int
-    Q: np.ndarray = field(repr=False)
+    Q: np.ndarray | None = field(repr=False)
     G: np.ndarray = field(repr=False)
 
     @property
     def q_bar(self) -> np.ndarray:
-        return self.Q.mean(axis=-1)
+        return np.zeros(self.G.shape[:-1]) if self.Q is None else self.Q.mean(axis=-1)
 
     @property
     def g_bar(self) -> np.ndarray:
@@ -252,13 +252,13 @@ def gossip_step(
     X = state.X
     if algorithm == "dpsgd":
         c = compression.identity()
-        seen, Q = X, np.zeros_like(X)
+        seen, Q = X, None
     elif algorithm == "naive":
         seen = compress(c, X, state.compress_streams)
         Q = seen - X
     elif algorithm == "dcd":
-        # Q stays zero for a trial that diverges before the exchange
-        seen, Q = state.replicas, np.zeros_like(X)
+        # Q_t is zero for a trial that diverges before the exchange
+        seen, Q = state.replicas, None
     elif algorithm == "ecd":
         seen, Q = X + state.estimate_err, state.estimate_err @ W.entries
     else:
@@ -369,12 +369,13 @@ def centralized_step(state: WorldState, problem: Problem, gamma: float) -> World
     G = problem.stochastic_gradients(np.repeat(X, state.n, axis=-1), state.sample_streams)
     bits = 2 * (state.n - 1) * compression.FULL_PRECISION_BITS * problem.dim
     X_new = X - gamma * G.mean(axis=-1, keepdims=True)
-    return _commit(state, X_new, np.zeros_like(G), G, bits)
+    return _commit(state, X_new, None, G, bits)
 
 
 def _commit(state: WorldState, X_new, Q, G, bits: int, diverged=False) -> WorldState:
-    state.last_step = StepStats(
-        _per_trial(Q * Q).sum(axis=-1), _per_trial(G * G).sum(axis=-1), bits, Q, G)
+    # Q None is Q_t = 0: q_norm2 is +0.0 per trial (a scalar for a solo state)
+    q_norm2 = np.zeros(G.shape[:-2])[()] if Q is None else _per_trial(Q * Q).sum(axis=-1)
+    state.last_step = StepStats(q_norm2, _per_trial(G * G).sum(axis=-1), bits, Q, G)
     state.X = X_new
     state.t += 1
     state.bits_total += bits

@@ -134,20 +134,19 @@ class QuadraticProblem(Problem):
         return 0.5 * np.sum(resid * resid, axis=-2) / self.A.shape[-2]
 
     def _gradients(self, X, nodes):
+        if nodes != slice(None):
+            # BLAS rounds column i of A @ X differently at other widths of X,
+            # so a slice is cut from the full-width product to keep per-node bits
+            wide = np.zeros(X.shape[:-1] + (self.n,))
+            wide[..., nodes] = X
+            return self._gradients(wide, slice(None))[..., nodes]
+        # the full-width product of a C-ordered X, its residual in place
         A = self.A
-        if nodes == slice(None):
-            # all nodes: the full-width product itself (of a C-ordered X, as
-            # the zero-filled buffer below is), its residual in place
-            t = A @ np.ascontiguousarray(X)
-            t -= self.B
-            G = A.mT @ t
-            G /= A.shape[-2]
-            return G
-        # BLAS rounds column i of A @ X differently at other widths of X, so
-        # a slice is cut from the full-width product to keep per-node bits.
-        wide = np.zeros(X.shape[:-1] + (self.n,))
-        wide[..., nodes] = X
-        return (A.mT @ (A @ wide - self.B) / A.shape[-2])[..., nodes]
+        t = A @ np.ascontiguousarray(X)
+        t -= self.B
+        G = A.mT @ t
+        G /= A.shape[-2]
+        return G
 
     def _grad_mean(self, x):
         return _matvec(self.A.mT, _matvec(self.A, x) - self.B_mean) / self.A.shape[-2]

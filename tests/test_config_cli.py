@@ -1,15 +1,17 @@
 """Config parsing/validation, CLI subcommands, sweeps, CSV determinism."""
 
 import dataclasses
+import gc
 import json
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from dcsgd import ConfigError, parse_config, serialize_config
-from dcsgd import cli
+from dcsgd import ConfigError, RunConfig, parse_config, serialize_config
+from dcsgd import cli, engine, topology
 from dcsgd.cli import main, sweep
 from dcsgd.config import config_from_dict, resolve_gamma, build_topology, build_problem, build_compressor
 
@@ -49,6 +51,8 @@ BAD_RUN_FIELDS = [
     ("noise_bound", {"compressor": {"kind": "synthetic", "noise_bound": "x"}}),
     ("bandwidths", {"network": {"bandwidths": 5}}),
     ("latencies", {"network": {"latencies": [1e-3, "x"]}}),
+    ("bandwidths", {"network": {"bandwidths": [0]}}),
+    ("latencies", {"network": {"latencies": [-1e-3]}}),
     ("levels", {"compressor": {"kind": "quantize", "levels": 10**400}}),
     ("gamma", {"gamma": math.inf}),
     ("gamma", {"gamma": math.nan}),
@@ -65,6 +69,16 @@ BAD_PROBLEM_CONSTANTS = [
     (("sigma2", "noise"), {"topology": {"kind": "ring", "n": 3}, "problem": {
         "kind": "quadratic", "dim": 3, "noise": 1e300}}),
 ]
+
+
+# the custom graph of tools/trace_matrix.py
+CUSTOM = {"kind": "custom", "n": 6,
+          "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0], [0, 3]]}
+
+
+def _tuples(value):
+    """Lists as tuples, at every depth, as a parsed config holds them."""
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -114,6 +128,26 @@ class TestParseValidate:
         for name, patch in BAD_RUN_FIELDS:
             with pytest.raises(ConfigError, match=name):
                 config_from_dict({**BASE, **patch})
+
+    def test_run_config_validates_itself(self):
+        # built in code or derived with replace, a RunConfig raises the
+        # ConfigError that parsing the same values raises
+        base = config_from_dict(BASE)
+        patches = [{"T": -5}, {"trace_every": 0}, {"gamma": "auto"}]
+        patches += [{"problem": {**BASE["problem"], key: value}}
+                    for key, value in BAD_PROBLEM_FIELDS]
+        patches += [patch for _, patch in BAD_RUN_FIELDS]
+        for patch in patches:
+            with pytest.raises(ConfigError) as parsed:
+                config_from_dict({**BASE, **patch})
+            fields = {key: type(getattr(base, key))(**{k: _tuples(v) for k, v in value.items()})
+                      if isinstance(value, dict) else value for key, value in patch.items()}
+            kwargs = {f.name: getattr(base, f.name) for f in dataclasses.fields(base)}
+            with pytest.raises(ConfigError) as built:
+                RunConfig(**{**kwargs, **fields})
+            with pytest.raises(ConfigError) as replaced:
+                dataclasses.replace(base, **fields)
+            assert str(built.value) == str(replaced.value) == str(parsed.value)
 
     def test_defaults_applied(self):
         cfg = config_from_dict({"algorithm": "dpsgd"})
@@ -254,6 +288,30 @@ class TestCliRun:
         assert rows[0].startswith("seed,-1,-1,config_error: seed")
         assert ",completed," in rows[1]
 
+    def test_argument_errors_exit_1_in_one_line(self, tmp_path, capsys):
+        path = write_config(tmp_path, BASE)
+        for argv in (["run"],
+                     ["sweep", "--config", path, "--axis", "foo", "--values", "1"],
+                     ["run", "--config", path, "--seed", "x"],
+                     ["sweep", "--config", path, "--axis", "seed", "--values", "-1,2"]):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("configuration error: ")
+            assert err.count("\n") == 1
+
+    def test_custom_topology_built_once_per_command(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        build = topology.build_custom
+        monkeypatch.setattr(topology, "build_custom", lambda *a: calls.append(a) or build(*a))
+        path = write_config(tmp_path, {**BASE, "T": 20, "topology": CUSTOM})
+        seeds = ",".join(str(s) for s in range(12))
+        for argv in (["run", "--config", path],
+                     ["sweep", "--config", path, "--axis", "seed", "--values", seeds],
+                     ["theory", "--config", path]):
+            calls.clear()
+            assert main(argv) == 0
+            assert len(calls) == 1
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -372,6 +430,30 @@ class TestSweep:
             for n in (4, 8, 16)
         ]
         assert medians[0] > medians[1] > medians[2]
+
+    def test_n_sweep_holds_one_matrix_at_a_time(self, monkeypatch):
+        # a derived config keeps its built matrix, so the sweep must drop
+        # each one once its row is filled
+        built, live = [], []
+        ring, run = topology.build_ring, engine.run
+
+        def build_ring(n):
+            W = ring(n)
+            built.append(weakref.ref(W))
+            return W
+
+        def counting_run(configs):
+            gc.collect()
+            live.append(sum(ref() is not None for ref in built))
+            return run(configs)
+
+        monkeypatch.setattr(topology, "build_ring", build_ring)
+        monkeypatch.setattr(engine, "run", counting_run)
+        rows = sweep(config_from_dict({**BASE, "T": 10}), "n", [4, 2, 8, 16])
+        assert [r["status"] for r in rows] == [
+            "completed", "config_error: topology: a ring needs n >= 3 nodes, got 2",
+            "completed", "completed"]
+        assert live == [0, 0, 0] and len(built) == 3
 
     def test_bandwidth_axis_cost_rows(self):
         cfg = config_from_dict({**BASE, "compressor": {"kind": "quantize", "levels": 127}})

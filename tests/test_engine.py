@@ -15,6 +15,7 @@ from dcsgd import (
 )
 from dcsgd.config import build_run, config_from_dict, resolve_gamma
 from dcsgd.engine import LOSS_CAP
+from dcsgd.problems import stack_problems
 from dcsgd.topology import build_fully_connected, build_ring
 
 
@@ -284,6 +285,27 @@ class TestCentralizedStep:
         centralized_step(state, problem, 0.1)
         _, _, consensus = metrics(state, problem)
         assert consensus == 0.0
+
+
+class TestZeroNoise:
+    def test_zero_noise_recorded_without_an_array(self):
+        # dpsgd and centralized have Q_t = 0: q_norm2 is +0.0 per trial and
+        # q_bar zeros, with no state-sized zero array kept for them
+        problem = quad_problem(5, 4, noise=0.3, seed=3)
+        W = build_ring(4)
+        for alg in ("dpsgd", "centralized"):
+            for prob, seed, trials in ((problem, 0, ()),
+                                       (stack_problems([problem, problem]), [0, 1], (2,))):
+                state = init_state(prob, 4, alg, seed)
+                if alg == "dpsgd":
+                    dpsgd_step(state, W, prob, 0.1)
+                else:
+                    centralized_step(state, prob, 0.1)
+                step = state.last_step
+                assert step.Q is None
+                assert np.shape(step.q_norm2) == trials
+                assert np.all(step.q_norm2 == 0.0) and not np.any(np.signbit(step.q_norm2))
+                assert np.array_equal(step.q_bar, np.zeros(step.G.shape[:-1]))
 
 
 class TestConsensusInequality:
