@@ -17,8 +17,12 @@ Trial axis: :func:`run` takes one config or a batch of configs that differ
 only in ``seed`` and ``gamma``, and runs the batch as one stacked state, X
 of shape (S, dim, n) over a stacked problem (``problems.stack_problems``)
 with one gamma per trial.  Each round is one pass of the same kernel: one
-stacked ``seen @ W`` (the BLAS call a solo run makes, once per trial), one
-oracle call and one ``compress`` call over the (S, dim, n) stack.
+``W.mix(seen)`` over the (S, dim, n) stack, one oracle call and one
+``compress`` call.  ``MixingMatrix.mix`` applies a W with few nonzero
+diagonals against n (a ring of n >= 192) as a sum over those diagonals,
+elementwise, and any other W as the stacked dense product ``seen @ W``
+(the BLAS call a solo run makes, once per trial); either way each trial
+gets the bits of its solo run.
 Every reduction is taken per trial, so each trial's records and summary
 are bit for bit those of its solo run; a trial that diverges is summarized
 and dropped, so its streams are never drawn again.  A single config is the
@@ -260,12 +264,12 @@ def gossip_step(
         # Q_t is zero for a trial that diverges before the exchange
         seen, Q = state.replicas, None
     elif algorithm == "ecd":
-        seen, Q = X + state.estimate_err, state.estimate_err @ W.entries
+        seen, Q = X + state.estimate_err, W.mix(state.estimate_err)
     else:
         raise ConfigError(f"{algorithm!r} is not a gossip algorithm")
     G = problem.stochastic_gradients(X, state.sample_streams)
-    # seen @ W - gamma * G - X, left to right, in one buffer
-    delta = seen @ W.entries
+    # seen W - gamma * G - X, left to right, in one buffer
+    delta = W.mix(seen)
     delta -= gamma * G
     delta -= X
     X_new = X + delta

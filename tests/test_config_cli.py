@@ -171,6 +171,15 @@ class TestParseValidate:
             config_from_dict({**BASE, "topology": {
                 "kind": "custom", "n": 4, "edges": [[0, 1], [2, 3]]}})
 
+    def test_custom_with_too_few_edges_for_its_nodes_is_a_config_error(self, tmp_path, capsys):
+        doc = {"algorithm": "dpsgd",
+               "topology": {"kind": "custom", "n": 10_000_000, "edges": [[0, 1]]}}
+        with pytest.raises(ConfigError, match="at least 9999999 edges"):
+            config_from_dict(doc)
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: topology: ") and err.count("\n") == 1
+
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="JSON"):
             parse_config("{algorithm: dpsgd}")

@@ -100,6 +100,27 @@ class TestBuilders:
         assert W.entries[0, 1] == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert W.entries[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
+    def test_custom_metropolis_weights_match_pairwise_formula(self):
+        n = 9
+        edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 3)]
+        lazy = np.random.default_rng(6).uniform(0.0, 0.6, n)
+        W = build_custom(n, edges, self_weights=lazy)
+        deg = np.zeros(n, int)
+        for i, j in edges:
+            deg[i] += 1
+            deg[j] += 1
+        expected = np.zeros((n, n))
+        for i, j in edges:
+            expected[i, j] = expected[j, i] = min((1 - lazy[i]) / deg[i], (1 - lazy[j]) / deg[j])
+        for i in range(n):
+            expected[i, i] = 1.0 - sum(expected[i])
+        assert np.array_equal(W.entries, expected)
+
+    def test_custom_too_few_edges_rejected_before_allocating(self):
+        # an n x n matrix of this n would need 90.9 TiB
+        with pytest.raises(TopologyError, match="needs at least 9999999 edges, got 1"):
+            build_custom(10_000_000, [(0, 1)])
+
     def test_custom_bad_inputs(self):
         with pytest.raises(TopologyError):
             build_custom(3, [(0, 3)])
@@ -199,3 +220,79 @@ class TestSpectralStats:
         assert np.array_equal(W.degrees, recount)
         assert W.num_edges == int(recount.sum()) // 2
         assert not W.degrees.flags.writeable
+
+
+# the custom graph of tools/trace_matrix.py: a 6-cycle with one chord
+TRACE_MATRIX_CUSTOM = (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
+
+
+def lazy_chorded_ring(n):
+    """Ring of n plus a chord (i, i + 5) from every fourth node, with lazy
+    self weights that differ per node: five diagonals whose weights vary
+    along each diagonal."""
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 5) % n) for i in range(0, n, 4)]
+    self_weights = np.random.default_rng(3).uniform(0.0, 0.5, n)
+    return build_custom(n, edges, self_weights=self_weights)
+
+
+MIX_MATRICES = {
+    "ring8": lambda: build_ring(8),
+    "complete5": lambda: build_fully_connected(5),
+    "custom6": lambda: build_custom(*TRACE_MATRIX_CUSTOM),
+    "ring1024": lambda: build_ring(1024),
+    "chorded1024": lambda: lazy_chorded_ring(1024),
+}
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestMix:
+    @pytest.fixture(scope="class", params=list(MIX_MATRICES))
+    def mixing(self, request):
+        return MIX_MATRICES[request.param]()
+
+    @pytest.mark.parametrize("which", ["ring8", "complete5", "custom6"])
+    def test_dense_side_is_the_matrix_product_bit_for_bit(self, which):
+        W = MIX_MATRICES[which]()
+        assert W.bands is None
+        X = np.random.default_rng(1).standard_normal((7, W.n))
+        assert np.array_equal(bits(W.mix(X)), bits(X @ W.entries))
+
+    @pytest.mark.parametrize("which,shifts", [
+        ("ring1024", [0, 1, 1023]),
+        ("chorded1024", [0, 1, 5, 1019, 1023]),
+    ])
+    def test_banded_side_rebuilds_w_and_matches_the_product(self, which, shifts):
+        W = MIX_MATRICES[which]()
+        d, b = W.bands
+        assert d.tolist() == shifts
+        assert not d.flags.writeable and not b.flags.writeable
+        # the diagonals hold every nonzero of W, each at its place
+        cols = np.arange(W.n)
+        rebuilt = np.zeros((W.n, W.n))
+        rebuilt[(cols + d[:, None]) % W.n, cols] = b
+        assert np.array_equal(rebuilt, W.entries)
+        if which == "chorded1024":
+            assert len(np.unique(b[0])) > 100  # per-column weights are exercised
+        X = np.random.default_rng(2).standard_normal((64, W.n))
+        mixed = W.mix(X)
+        # a column sums at most five terms in another order than BLAS does,
+        # so they agree to rounding, relative to the terms' magnitudes (W >= 0)
+        scale = np.abs(X) @ W.entries
+        assert np.all(np.abs(mixed - X @ W.entries) <= 1e-14 * scale)
+
+    def test_stacked_trials_mix_as_their_solo_states(self, mixing):
+        X = np.random.default_rng(4).standard_normal((3, 16, mixing.n))
+        stacked = mixing.mix(X)
+        assert stacked.shape == X.shape
+        for s in range(3):
+            assert np.array_equal(bits(stacked[s]), bits(mixing.mix(X[s])))
+
+    def test_mix_returns_a_new_array(self, mixing):
+        X = np.random.default_rng(5).standard_normal((4, mixing.n))
+        before = X.copy()
+        mixed = mixing.mix(X)
+        assert not np.shares_memory(mixed, X)
+        assert np.array_equal(X, before)

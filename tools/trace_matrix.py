@@ -18,6 +18,17 @@ the change and diffs the two outputs:
 
     PYTHONPATH=src python tools/trace_matrix.py > after.txt
 
+A change that alters values on purpose keeps each config's outputs with
+``--keep DIR`` (``<index>.csv`` for the trace, ``<index>.out`` for stdout)
+at both commits, then bounds the change value by value:
+
+    PYTHONPATH=src python tools/trace_matrix.py --compare before/ after/
+
+which prints, for each file whose text differs, the largest relative
+deviation |a - b| / max(|a|, |b|) over its numbers, or ``layout`` when the
+files differ in anything but the digits of their numbers, and the largest
+deviation over all files last.
+
 Uses only the standard library and dcsgd.
 """
 
@@ -29,7 +40,10 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
+import re
+import shutil
 import tempfile
 import warnings
 
@@ -56,6 +70,8 @@ PROBLEMS = (
 GAMMAS = (0.05, "theory", 3.0)
 LARGE_SHAPES = ((1024, 64), (256, 256))  # (ring n, dim)
 LARGE_GAMMAS = (0.05, 0.2)
+# a decimal number as Python's repr and json print it
+NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
 
 
 def configs():
@@ -80,8 +96,13 @@ def large_configs():
         }
 
 
-def digest(argv: list[str], csv_path: str | None = None) -> tuple[int, str]:
-    """Exit code of one dcsgd invocation and sha256 of its CSV plus stdout."""
+def digest(argv: list[str], csv_path: str | None = None,
+           keep: str | None = None) -> tuple[int, str]:
+    """Exit code of one dcsgd invocation and sha256 of its CSV plus stdout.
+
+    With ``keep`` (a path without suffix) the CSV is moved to keep.csv and
+    stdout written to keep.out.
+    """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
@@ -91,9 +112,51 @@ def digest(argv: list[str], csv_path: str | None = None) -> tuple[int, str]:
     if csv_path and os.path.exists(csv_path):
         with open(csv_path, "rb") as fh:
             h.update(fh.read())
-        os.remove(csv_path)
+        if keep:
+            shutil.move(csv_path, keep + ".csv")
+        else:
+            os.remove(csv_path)
     h.update(out.getvalue().encode())
+    if keep:
+        with open(keep + ".out", "w") as fh:
+            fh.write(out.getvalue())
     return code, h.hexdigest()
+
+
+def deviation(a: str, b: str) -> float | None:
+    """Largest relative deviation between the numbers of two texts, or None
+    when they differ in anything else (text, count or position of numbers)."""
+    pa, pb = NUMBER.split(a), NUMBER.split(b)
+    if len(pa) != len(pb) or pa[::2] != pb[::2]:
+        return None
+    worst = 0.0
+    for x, y in zip(map(float, pa[1::2]), map(float, pb[1::2])):
+        if x != y:
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return worst
+
+
+def read(path: str) -> str | None:
+    if not os.path.exists(path):
+        return None
+    with open(path) as fh:
+        return fh.read()
+
+
+def compare(before: str, after: str) -> None:
+    """Print the relative deviation of each kept file that differs, then the largest."""
+    names = sorted(set(os.listdir(before)) | set(os.listdir(after)),
+                   key=lambda name: (int(name.split(".")[0]), name))
+    worst, changed = 0.0, 0
+    for name in names:
+        texts = [read(os.path.join(folder, name)) for folder in (before, after)]
+        if texts[0] == texts[1]:
+            continue
+        changed += 1
+        dev = None if None in texts else deviation(*texts)
+        print(name, "layout" if dev is None else f"{dev:.3e}")
+        worst = math.inf if dev is None else max(worst, dev)
+    print(f"max {worst:.3e} over {changed} of {len(names)} files")
 
 
 def main() -> None:
@@ -103,7 +166,16 @@ def main() -> None:
                       help="digest `dcsgd theory` on the logistic configs instead")
     mode.add_argument("--large", action="store_true",
                       help="digest `dcsgd run` on the 12 wide-state configs instead")
+    mode.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                      help="compare two --keep directories value by value instead")
+    parser.add_argument("--keep", metavar="DIR",
+                        help="keep each config's trace CSV and stdout in DIR")
     args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+        return
+    if args.keep:
+        os.makedirs(args.keep, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path, csv_path = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "trace.csv")
         for index, cfg in enumerate(large_configs() if args.large else configs()):
@@ -111,10 +183,12 @@ def main() -> None:
                 continue
             with open(cfg_path, "w") as fh:
                 json.dump(cfg, fh)
+            keep = os.path.join(args.keep, str(index)) if args.keep else None
             if args.theory:
-                code, sha = digest(["theory", "--config", cfg_path])
+                code, sha = digest(["theory", "--config", cfg_path], keep=keep)
             else:
-                code, sha = digest(["run", "--config", cfg_path, "--out", csv_path], csv_path)
+                code, sha = digest(["run", "--config", cfg_path, "--out", csv_path],
+                                   csv_path, keep)
             print(index, code, sha, flush=True)
 
 
