@@ -7,9 +7,19 @@ connected topologies.  Disconnected graphs are rejected at construction
 time rather than allowed to run.
 
 :meth:`MixingMatrix.mix` is the one place W is applied to a state.  A
-matrix with few nonzero diagonals against its size (a ring, a sparse
-custom graph) is applied as a sum over those diagonals; any other as the
-dense product ``X @ W``.
+matrix with few nonzero diagonals against its size (a ring of 192 nodes or
+more, a sparse custom graph) is applied as a sum over those diagonals; any
+other as the dense product ``X @ W``.
+
+A ring of 192 nodes or more is built from its three diagonals, and its
+spectrum from the circulant closed form 1/3 + (2/3) cos(2 pi k / n): no
+n x n matrix and no ``eigvalsh`` at set-up.  Its rho and mu can differ
+from ``eigvalsh``'s in the last bits, and the theory step sizes resolved
+from them by more, since they divide by (1 - rho)^2.  Its ``entries`` are
+densified from the diagonals on first access, equal bit for bit to the
+dense ring.  Every other matrix (smaller rings, complete and custom
+graphs, ``from_entries``) is built dense and takes its spectrum from
+``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -46,15 +56,16 @@ class MixingMatrix:
 
     Attributes:
         n: node count.
-        entries: the weight matrix W, read-only.
-        eigenvalues: full real spectrum, sorted descending.
+        eigenvalues: full real spectrum, sorted descending, read-only.
         rho: max(|lambda_2|, |lambda_n|), governs consensus speed.
         mu: max over i >= 2 of |lambda_i - 1|, enters the difference-compression
             feasibility budget.
+
+    The weights are ``entries`` (dense) and ``bands`` (by diagonals); a
+    builder gives one of the two and the other is derived on first use.
     """
 
     n: int
-    entries: np.ndarray
     eigenvalues: np.ndarray
     rho: float
     mu: float
@@ -78,7 +89,21 @@ class MixingMatrix:
         row_err = np.max(np.abs(entries.sum(axis=1) - 1.0))
         if row_err > ROW_SUM_TOL:
             raise TopologyError(f"rows must sum to 1 (max deviation {row_err:.3e})")
-        rho, mu, eigenvalues = spectral_stats(entries)
+        entries = entries.copy()
+        entries.flags.writeable = False
+        return cls._with_spectrum(
+            np.linalg.eigvalsh(entries)[::-1], require_connected, entries=entries)
+
+    @classmethod
+    def _with_spectrum(cls, eigenvalues: np.ndarray, require_connected: bool = True,
+                       **given) -> "MixingMatrix":
+        """The matrix with this descending spectrum and the ``entries`` or
+        ``bands`` in ``given``, which seed that cached property.
+
+        Raises TopologyError unless lambda_1 = 1 and (when require_connected)
+        rho < 1 - 1e-10.
+        """
+        rho, mu, eigenvalues = _snapped_stats(eigenvalues)
         if abs(eigenvalues[0] - 1.0) > LAMBDA1_TOL:
             raise TopologyError(f"largest eigenvalue must be 1, got {eigenvalues[0]!r}")
         if require_connected and rho >= 1.0 - CONNECTED_TOL:
@@ -86,20 +111,32 @@ class MixingMatrix:
                 f"topology does not mix (rho = {rho:.12f} >= 1); the graph is "
                 "disconnected or the weights make it periodic"
             )
-        entries = entries.copy()
-        entries.flags.writeable = False
-        eigenvalues = eigenvalues.copy()
         eigenvalues.flags.writeable = False
-        return cls(n=n, entries=entries, eigenvalues=eigenvalues, rho=rho, mu=mu)
+        W = cls(n=eigenvalues.size, eigenvalues=eigenvalues, rho=rho, mu=mu)
+        vars(W).update(given)
+        return W
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The weight matrix W, read-only; densified from ``bands`` on first use
+        when the builder gave only those."""
+        return _densify(self.n, *self.bands)
 
     @cached_property
     def degrees(self) -> np.ndarray:
         """Neighbor count per node (nonzero off-diagonal weights), read-only.
 
         Counted on first use and kept, so rounds never recount and builders
-        whose matrix is never asked pay nothing.
+        whose matrix is never asked pay nothing.  With ``bands`` the count
+        never touches ``entries``.
         """
-        degrees = np.count_nonzero(self.entries, axis=1) - (np.diagonal(self.entries) != 0)
+        if self.bands is None:
+            degrees = np.count_nonzero(self.entries, axis=1) - (np.diagonal(self.entries) != 0)
+        else:
+            shifts, weights = self.bands
+            rows = (np.arange(self.n) + shifts[:, None]) % self.n
+            degrees = np.bincount(rows[(weights != 0) & (shifts[:, None] != 0)],
+                                  minlength=self.n)
         degrees.flags.writeable = False
         return degrees
 
@@ -120,7 +157,7 @@ class MixingMatrix:
         on_band = np.zeros(n, bool)
         on_band[(rows - cols) % n] = True
         shifts = np.flatnonzero(on_band)
-        if BANDED_NODES_PER_BAND * shifts.size > n:
+        if not _mixes_by_bands(n, shifts.size):
             return None
         cols = np.arange(n)
         weights = self.entries[(cols + shifts[:, None]) % n, cols]
@@ -151,6 +188,33 @@ class MixingMatrix:
         return out
 
 
+def _mixes_by_bands(n: int, num_bands: int) -> bool:
+    """True when a matrix of n nodes and this many nonzero diagonals is
+    applied by its diagonals rather than as a dense product."""
+    return BANDED_NODES_PER_BAND * num_bands <= n
+
+
+def _densify(n: int, shifts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The read-only n x n matrix with W[(j + shifts[k]) % n, j] = weights[k, j]
+    and zeros elsewhere."""
+    cols = np.arange(n)
+    entries = np.zeros((n, n))
+    entries[(cols + shifts[:, None]) % n, cols] = weights
+    entries.flags.writeable = False
+    return entries
+
+
+def _snapped_stats(eigenvalues: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """(rho, mu, eigenvalues) of a descending spectrum, as a new array whose
+    values within 1e-10 of 1 are snapped to exactly 1."""
+    eigenvalues = np.array(eigenvalues, dtype=float)
+    eigenvalues[np.abs(eigenvalues - 1.0) <= LAMBDA1_TOL] = 1.0
+    rest = eigenvalues[1:]
+    rho = float(np.max(np.abs(rest)))
+    mu = float(np.max(np.abs(rest - 1.0)))
+    return rho, mu, eigenvalues
+
+
 def spectral_stats(entries: np.ndarray) -> tuple[float, float, np.ndarray]:
     """Return (rho, mu, eigenvalues sorted descending) of a symmetric W.
 
@@ -159,12 +223,7 @@ def spectral_stats(entries: np.ndarray) -> tuple[float, float, np.ndarray]:
     lambda_1 = 1 check is stable under roundoff.
     """
     entries = np.asarray(getattr(entries, "entries", entries), dtype=float)
-    eigenvalues = np.linalg.eigvalsh(entries)[::-1].copy()
-    eigenvalues[np.abs(eigenvalues - 1.0) <= LAMBDA1_TOL] = 1.0
-    rest = eigenvalues[1:]
-    rho = float(np.max(np.abs(rest)))
-    mu = float(np.max(np.abs(rest - 1.0)))
-    return rho, mu, eigenvalues
+    return _snapped_stats(np.linalg.eigvalsh(entries)[::-1])
 
 
 def check_nodes(kind: str, n: int) -> None:
@@ -182,15 +241,21 @@ def check_nodes(kind: str, n: int) -> None:
 def build_ring(n: int) -> MixingMatrix:
     """Ring of n nodes, uniform weight 1/3 on self and both neighbors.
 
-    For n = 3 the ring coincides with the fully connected graph.
+    The three diagonals (shifts 0, 1 and n - 1) are the whole matrix.  A
+    ring that ``mix`` applies by them (n >= 192) keeps only them and takes
+    the circulant spectrum lambda_k = 1/3 + (2/3) cos(2 pi k / n); a smaller
+    one is densified and validated like any other matrix.  For n = 3 the
+    ring coincides with the fully connected graph.
     """
     check_nodes("ring", n)
-    entries = np.zeros((n, n))
-    for i in range(n):
-        entries[i, i] += 1.0 / 3.0
-        entries[i, (i + 1) % n] += 1.0 / 3.0
-        entries[i, (i - 1) % n] += 1.0 / 3.0
-    return MixingMatrix.from_entries(entries)
+    shifts = np.array([0, 1, n - 1])
+    weights = np.full((3, n), 1.0 / 3.0)
+    if not _mixes_by_bands(n, shifts.size):
+        return MixingMatrix.from_entries(_densify(n, shifts, weights))
+    shifts.flags.writeable = False
+    weights.flags.writeable = False
+    spectrum = 1.0 / 3.0 + (2.0 / 3.0) * np.cos(2.0 * np.pi * np.arange(n) / n)
+    return MixingMatrix._with_spectrum(np.sort(spectrum)[::-1], bands=(shifts, weights))
 
 
 def build_fully_connected(n: int) -> MixingMatrix:

@@ -361,6 +361,20 @@ class TestCliTheory:
         doc = json.loads(capsys.readouterr().out)
         assert doc["dcd_feasible"] is False
 
+    def test_large_ring_uses_the_closed_form_spectrum(self, tmp_path, capsys):
+        # a dense 4096 x 4096 W would be 128 MB
+        path = write_config(tmp_path, {
+            **BASE, "topology": {"kind": "ring", "n": 4096},
+            "problem": {"kind": "quadratic", "dim": 4}, "gamma": "theory", "T": 3,
+        })
+        assert main(["theory", "--config", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        expected = 1.0 / 3.0 + 2.0 / 3.0 * math.cos(2.0 * math.pi / 4096)
+        assert doc["rho"] == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert isinstance(doc["gamma"], float)
+        assert main(["run", "--config", path]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "completed"
+
 
 class TestCliCost:
     def test_grid_csv(self, tmp_path):

@@ -1,5 +1,7 @@
 """Mixing matrix construction and spectral statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,17 @@ def ring_eigenvalues(n):
     """Independent oracle: circulant eigenvalues (1 + 2 cos(2 pi k / n)) / 3."""
     k = np.arange(n)
     return (1.0 + 2.0 * np.cos(2.0 * np.pi * k / n)) / 3.0
+
+
+def ring_by_loop(n):
+    """Reference: the dense ring filled entry by entry, as it was built before
+    its diagonals were."""
+    entries = np.zeros((n, n))
+    for i in range(n):
+        entries[i, i] += 1.0 / 3.0
+        entries[i, (i + 1) % n] += 1.0 / 3.0
+        entries[i, (i - 1) % n] += 1.0 / 3.0
+    return entries
 
 
 def power_iteration_rho(entries, iters=2000, seed=0):
@@ -202,10 +215,15 @@ class TestSpectralStats:
         K = build_fully_connected(5)
         assert K.num_edges == 10
 
-    @pytest.mark.parametrize("which", ["ring", "complete", "metropolis_ring4"])
+    @pytest.mark.parametrize("which", ["ring", "complete", "metropolis_ring4",
+                                       "ring256", "chorded320"])
     def test_cached_degrees_match_recount(self, which):
         if which == "ring":
             W = build_ring(9)
+        elif which == "ring256":
+            W = build_ring(256)
+        elif which == "chorded320":
+            W = lazy_chorded_ring(320)
         elif which == "complete":
             W = build_fully_connected(6)
         else:
@@ -296,3 +314,51 @@ class TestMix:
         mixed = mixing.mix(X)
         assert not np.shares_memory(mixed, X)
         assert np.array_equal(X, before)
+
+
+class TestBandedRing:
+    """Rings of 192 nodes or more are built from their diagonals with the
+    circulant closed-form spectrum, never as an n x n matrix."""
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 16, 191, 192, 1024])
+    def test_entries_equal_the_loop_built_ring(self, n):
+        W = build_ring(n)
+        assert (W.bands is not None) == (n >= 192)
+        assert np.array_equal(W.entries, ring_by_loop(n))
+        assert not W.entries.flags.writeable
+
+    @pytest.fixture(scope="class", params=[192, 193, 256, 1023, 1024, 2048])
+    def ring(self, request):
+        return build_ring(request.param)
+
+    def test_spectrum_matches_eigvalsh(self, ring):
+        rho, mu, lams = spectral_stats(ring.entries)
+        assert ring.rho == pytest.approx(rho, rel=1e-14, abs=0.0)
+        assert ring.mu == pytest.approx(mu, rel=1e-14, abs=0.0)
+        assert np.max(np.abs(ring.eigenvalues - lams)) <= 1e-13
+        assert ring.eigenvalues[0] == 1.0 and not ring.eigenvalues.flags.writeable
+
+    def test_dense_copy_validates_and_mixes_the_same_bits(self, ring):
+        dense = MixingMatrix.from_entries(ring.entries)
+        X = np.random.default_rng(8).standard_normal((3, 64, ring.n))
+        assert np.array_equal(bits(ring.mix(X)), bits(dense.mix(X)))
+        assert np.array_equal(ring.degrees, dense.degrees)
+
+    def test_rounds_never_densify(self):
+        n = 16384  # W would be 2 GiB
+        tracemalloc.start()
+        try:
+            W = build_ring(n)
+            assert W.num_edges == n
+            assert np.all(W.degrees == 2)
+            X = np.random.default_rng(9).standard_normal((3, 4, n))
+            mixed = W.mix(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "entries" not in vars(W)
+        assert peak < n * n  # an n x n float array is 8 n^2 bytes
+        expected = (np.roll(X, 1, axis=-1) + X + np.roll(X, -1, axis=-1)) / 3.0
+        assert np.allclose(mixed, expected, rtol=1e-14, atol=1e-15)
+        assert W.rho == pytest.approx(1.0 / 3.0 + 2.0 / 3.0 * np.cos(2.0 * np.pi / n),
+                                      rel=1e-15, abs=0.0)

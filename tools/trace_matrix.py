@@ -7,14 +7,15 @@ x 3 step sizes (T 120, seed 3, trace_every 1, z_norm_cap 50) through
     <index> <exit code> <sha256 of the trace CSV followed by stdout>
 
 With ``--theory`` it runs ``dcsgd theory`` on the logistic configs instead
-and prints the sha256 of its JSON.  With ``--large`` it runs 12 wide states
+and prints the sha256 of its JSON.  With ``--large`` it runs 13 wide states
 instead: dpsgd, dcd and ecd (quantize 127) x ring 1024 with dim 64 and
-ring 256 with dim 256 x two step sizes, on a noisy quadratic for T 12.  The
-small configs draw their random streams in blocks of up to
-``streams.MAX_BLOCK_ROUNDS`` rounds; the large ones are where the value
-budget ``streams.BLOCK_VALUES`` sets the block length instead.  A change
-that must keep traces byte-identical runs this on the parent commit and on
-the change and diffs the two outputs:
+ring 256 with dim 256 x two step sizes, on a noisy quadratic for T 12, then
+dpsgd on ring 2048 with dim 8 and the theory step size, which resolves from
+the ring's closed-form spectrum.  The small configs draw their random
+streams in blocks of up to ``streams.MAX_BLOCK_ROUNDS`` rounds; the large
+ones are where the value budget ``streams.BLOCK_VALUES`` sets the block
+length instead.  A change that must keep traces byte-identical runs this on
+the parent commit and on the change and diffs the two outputs:
 
     PYTHONPATH=src python tools/trace_matrix.py > after.txt
 
@@ -94,6 +95,12 @@ def large_configs():
             "problem": {"kind": "quadratic", "dim": dim, "heterogeneity": 0.5, "noise": 0.2},
             "gamma": gamma, "T": 12, "seed": 3, "trace_every": 1,
         }
+    yield {
+        "algorithm": "dpsgd", "compressor": {"kind": "identity"},
+        "topology": {"kind": "ring", "n": 2048},
+        "problem": {"kind": "quadratic", "dim": 8, "heterogeneity": 0.5, "noise": 0.2},
+        "gamma": "theory", "T": 12, "seed": 3, "trace_every": 1,
+    }
 
 
 def digest(argv: list[str], csv_path: str | None = None,
@@ -165,7 +172,7 @@ def main() -> None:
     mode.add_argument("--theory", action="store_true",
                       help="digest `dcsgd theory` on the logistic configs instead")
     mode.add_argument("--large", action="store_true",
-                      help="digest `dcsgd run` on the 12 wide-state configs instead")
+                      help="digest `dcsgd run` on the 13 wide-state configs instead")
     mode.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
                       help="compare two --keep directories value by value instead")
     parser.add_argument("--keep", metavar="DIR",
