@@ -261,7 +261,7 @@ def _summary_dict(summary: engine.RunSummary) -> dict:
 
 
 def _load_config(args) -> RunConfig:
-    with open(args.config) as fh:
+    with open(args.config, encoding="utf-8") as fh:
         cfg = parse_config(fh.read())
     if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -386,7 +386,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (*_CONFIG_ERRORS, FileNotFoundError) as exc:
+    except (*_CONFIG_ERRORS, OSError, UnicodeDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,7 +1,8 @@
 """Synthetic per-node objectives with exactly known smoothness and variance constants.
 
 A :class:`Problem` bundles n per-node objectives f_i with stochastic
-gradient oracles and reports the constants the step-size theory needs:
+gradient oracles, each evaluated on all n nodes at once, and reports the
+constants the step-size theory needs:
 
 * ``L``        - Lipschitz constant of every gradient (upper bound),
 * ``sigma2``   - per-node stochastic gradient variance bound,
@@ -23,6 +24,7 @@ bit what the trial's own problem returns.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -39,12 +41,12 @@ _ESTIMATE_MARGIN = 1.2
 class Problem:
     """n-node objective f(x) = (1/n) sum_i f_i(x) with stochastic oracles.
 
-    A family implements batched primitives over a slice of nodes,
-    ``_gradients``, ``_samples`` (C-contiguous (..., dim, k) results) and
-    ``_losses``, plus the global ``_loss`` and ``_grad_mean``; each per-node
-    method is the one-node slice of its batched counterpart.  The primitives
-    treat any leading axis of the problem's arrays and of their arguments
-    as the trial axis (see :func:`stack_problems`).
+    A family implements primitives over all n nodes at once, ``_gradients``,
+    ``_samples`` (C-contiguous (..., dim, n) results) and ``_losses``, plus
+    the global ``_loss`` and ``_grad_mean``; node i's value is column i of
+    an all-node result.  The primitives treat any leading axis of the
+    problem's arrays and of their arguments as the trial axis (see
+    :func:`stack_problems`).
     """
 
     dim: int
@@ -58,19 +60,13 @@ class Problem:
         """Global objective f(x); one value per trial for a stacked problem."""
         return _scalar(self._loss(np.asarray(x, dtype=float)))
 
-    def loss_node(self, i: int, x: np.ndarray) -> float:
-        """Per-node objective f_i(x)."""
-        self._check_node(i)
-        return float(self._losses(np.asarray(x, dtype=float), slice(i, i + 1))[0])
-
-    def gradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        """Exact per-node gradient grad f_i(x)."""
-        self._check_node(i)
-        return self._gradients(np.asarray(x, dtype=float)[:, None], slice(i, i + 1))[:, 0]
+    def losses(self, x: np.ndarray) -> np.ndarray:
+        """Every node's objective at x; entry i is f_i(x)."""
+        return self._losses(np.asarray(x, dtype=float))
 
     def gradients(self, X: np.ndarray) -> np.ndarray:
         """All exact per-node gradients at once; column i is grad f_i(X[..., i])."""
-        return self._gradients(np.asarray(X, dtype=float), slice(None))
+        return self._gradients(np.asarray(X, dtype=float))
 
     def grad_mean(self, x: np.ndarray) -> np.ndarray:
         """Gradient of the global objective at a single point x (per trial)."""
@@ -80,14 +76,6 @@ class Problem:
         """Closed-form global minimizer, when available."""
         return None
 
-    def stochastic_gradient(self, i: int, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One unbiased sample of grad f_i(x)."""
-        self._check_node(i)
-        x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise DivergedError(f"node {i} asked for a gradient at a non-finite point")
-        return self._samples(x[:, None], [rng], slice(i, i + 1))[:, 0]
-
     def stochastic_gradients(self, X: np.ndarray, rngs) -> np.ndarray:
         """Stacked per-node samples; node i's draw comes from rngs[i].
 
@@ -96,13 +84,12 @@ class Problem:
         trial by trial.
         """
         X = np.asarray(X, dtype=float)
+        if X.ndim < 2 or len(rngs) != math.prod(X.shape[:-2]) * X.shape[-1]:
+            raise InputError(f"per-node streams need one stream per column, "
+                             f"got shape {X.shape} and {len(rngs)} streams")
         if not np.isfinite(X).all():
             raise DivergedError("asked for gradients at a non-finite state")
-        return self._samples(X, rngs, slice(None))
-
-    def _check_node(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise InputError(f"node index {i} out of range [0, {self.n})")
+        return self._samples(X, rngs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,17 +116,11 @@ class QuadraticProblem(Problem):
         resid *= resid
         return 0.5 * np.add.reduce(resid, axis=(-2, -1)) / (self.A.shape[-2] * self.n)
 
-    def _losses(self, x, nodes):
-        resid = _matvec(self.A, x)[..., None] - self.B[..., nodes]
+    def _losses(self, x):
+        resid = _matvec(self.A, x)[..., None] - self.B
         return 0.5 * np.sum(resid * resid, axis=-2) / self.A.shape[-2]
 
-    def _gradients(self, X, nodes):
-        if nodes != slice(None):
-            # BLAS rounds column i of A @ X differently at other widths of X,
-            # so a slice is cut from the full-width product to keep per-node bits
-            wide = np.zeros(X.shape[:-1] + (self.n,))
-            wide[..., nodes] = X
-            return self._gradients(wide, slice(None))[..., nodes]
+    def _gradients(self, X):
         # the full-width product of a C-ordered X, its residual in place
         A = self.A
         t = A @ np.ascontiguousarray(X)
@@ -151,8 +132,8 @@ class QuadraticProblem(Problem):
     def _grad_mean(self, x):
         return _matvec(self.A.mT, _matvec(self.A, x) - self.B_mean) / self.A.shape[-2]
 
-    def _samples(self, X, rngs, nodes):
-        G = self._gradients(X, nodes)
+    def _samples(self, X, rngs):
+        G = self._gradients(X)
         if self.noise > 0.0:
             rows = as_streams(rngs).take("standard_normal", self.dim)
             G += self.noise * np.swapaxes(rows.reshape(G.shape[:-2] + (-1, self.dim)), -1, -2)
@@ -168,30 +149,29 @@ class LogisticProblem(Problem):
     reg: float = 0.0
 
     def _loss(self, x):
-        fits = _sum_in_order(self._fits(x, slice(None)))  # node by node
+        fits = _sum_in_order(self._fits(x))  # node by node
         return fits / self.n + 0.5 * self.reg * _dot(x, x)
 
-    def _losses(self, x, nodes):
-        return self._fits(x, nodes) + 0.5 * self.reg * _dot(x, x)[..., None]
+    def _losses(self, x):
+        return self._fits(x) + 0.5 * self.reg * _dot(x, x)[..., None]
 
-    def _fits(self, x, nodes):
-        products = self.data[..., nodes, :, :] @ x[..., None, :, None]  # (..., k, samples, 1)
-        margins = self.labels[..., nodes, :] * products[..., 0]
+    def _fits(self, x):
+        products = self.data @ x[..., None, :, None]  # (..., n, samples, 1)
+        margins = self.labels * products[..., 0]
         return np.mean(np.logaddexp(0.0, -margins), axis=-1)
 
-    def _gradients(self, X, nodes):
-        return _logistic_gradients(
-            self.data[..., nodes, :, :], self.labels[..., nodes, :], self.reg, X)
+    def _gradients(self, X):
+        return _logistic_gradients(self.data, self.labels, self.reg, X)
 
     def _grad_mean(self, x):
         X = np.broadcast_to(x[..., None], x.shape + (self.n,))
-        return _sum_in_order(self._gradients(X, slice(None))) / self.n  # columns in order
+        return _sum_in_order(self._gradients(X)) / self.n  # columns in order
 
-    def _samples(self, X, rngs, nodes):
+    def _samples(self, X, rngs):
         picks = as_streams(rngs).take("integers", 1, self.labels.shape[-1])
         trials = tuple(np.arange(k)[:, None] for k in X.shape[:-2])  # () or the trial axis
-        at = trials + (np.arange(self.n)[nodes], picks.reshape(X.shape[:-2] + (-1,)))
-        d, y = self.data[at], self.labels[at]  # (..., k, dim), (..., k)
+        at = trials + (np.arange(self.n), picks.reshape(X.shape[:-2] + (-1,)))
+        d, y = self.data[at], self.labels[at]  # (..., n, dim), (..., n)
         Xt = np.swapaxes(X, -1, -2)
         s = _sigmoid(-y * (d[..., None, :] @ Xt[..., None])[..., 0, 0])
         return np.ascontiguousarray(np.swapaxes((-y * s)[..., None] * d + self.reg * Xt, -1, -2))
@@ -241,8 +221,8 @@ def _with_fields(problem: Problem, values: dict) -> Problem:
 
 
 def _logistic_gradients(d, y, reg: float, X: np.ndarray) -> np.ndarray:
-    """Gradients at X's columns of the nodes holding d (..., k, samples, dim) and
-    y (..., k, samples)."""
+    """Gradients at X's columns of the nodes holding d (..., n, samples, dim) and
+    y (..., n, samples)."""
     # stacked @ makes the same BLAS call per node as for a single node
     Xt = np.swapaxes(X, -1, -2)
     s = _sigmoid(-y * (d @ Xt[..., None])[..., 0])

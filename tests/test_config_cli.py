@@ -322,7 +322,19 @@ class TestCliRun:
             assert len(calls) == 1
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
-        assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
+        path = write_config(tmp_path, {**BASE, "T": 20})
+        utf16 = tmp_path / "utf16.json"
+        utf16.write_bytes(json.dumps({**BASE, "T": 20}).encode("utf-16"))
+        for argv in (["run", "--config", str(tmp_path / "nope.json")],
+                     ["run", "--config", str(tmp_path)],
+                     ["run", "--config", str(utf16)],
+                     ["run", "--config", path, "--out", str(tmp_path)],
+                     ["sweep", "--config", path, "--axis", "seed", "--values", "0,1",
+                      "--out", str(tmp_path)]):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("configuration error: ")
+            assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_seed_override(self, tmp_path, capsys):
         path = write_config(tmp_path, {**BASE, "problem": {

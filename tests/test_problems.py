@@ -7,6 +7,7 @@ import pytest
 
 from dcsgd import DivergedError, InputError, make_logistic, make_quadratic
 from dcsgd.problems import _sigmoid, logistic_from_data, stack_problems, take_trials
+from dcsgd.streams import StreamSet
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +19,11 @@ def quad():
 def logi():
     return make_logistic(6, 3, samples_per_node=40, separation=2.0,
                          rng=np.random.default_rng(1), reg=0.1)
+
+
+def at_every_node(p, x):
+    """The (dim, n) state with x in every node's column."""
+    return np.repeat(np.asarray(x)[:, None], p.n, axis=1)
 
 
 def finite_difference_gradient(f, x, h=1e-6):
@@ -37,9 +43,9 @@ class TestQuadratic:
     def test_zero_noise_zero_sigma(self):
         p = make_quadratic(8, 4, heterogeneity=1.0, noise=0.0, rng=np.random.default_rng(3))
         assert p.sigma2 == 0.0
-        x = np.random.default_rng(4).standard_normal(8)
-        g = p.stochastic_gradient(1, x, np.random.default_rng(5))
-        assert np.array_equal(g, p.gradient(1, x))
+        X = at_every_node(p, np.random.default_rng(4).standard_normal(8))
+        G = p.stochastic_gradients(X, [np.random.default_rng(5) for _ in range(p.n)])
+        assert np.array_equal(G, p.gradients(X))
 
     def test_sigma2_is_noise2_times_dim(self, quad):
         assert quad.sigma2 == pytest.approx(0.3**2 * 10, rel=1e-12)
@@ -47,9 +53,10 @@ class TestQuadratic:
     def test_gradient_formula(self, quad):
         x = np.random.default_rng(6).standard_normal(10)
         m = quad.A.shape[0]
+        G = quad.gradients(at_every_node(quad, x))
         for i in range(quad.n):
             expected = quad.A.T @ (quad.A @ x - quad.B[:, i]) / m
-            assert np.allclose(quad.gradient(i, x), expected, atol=1e-12)
+            assert np.allclose(G[:, i], expected, atol=1e-12)
 
     def test_zeta2_closed_form_vs_brute_force(self, quad):
         # the across-node gradient variation is constant in x for a shared
@@ -59,7 +66,7 @@ class TestQuadratic:
         worst = 0.0
         for _ in range(100):
             x = rng.standard_normal(10) * rng.uniform(0.1, 5.0)
-            grads = np.column_stack([quad.gradient(i, x) for i in range(quad.n)])
+            grads = quad.gradients(at_every_node(quad, x))
             g_mean = grads.mean(axis=1, keepdims=True)
             worst = max(worst, float(np.mean(np.sum((grads - g_mean) ** 2, axis=0))))
         assert worst == pytest.approx(quad.zeta2, rel=1e-9)
@@ -134,18 +141,17 @@ class TestLogistic:
         assert np.linalg.norm(p.grad_mean(x)) < 1e-8
 
     def test_sigma2_bounds_minibatch_variance(self, logi):
+        # every node's draws at once, one stream per node, drawn in blocks
         rng = np.random.default_rng(13)
         n_draws = 4000
         for _ in range(20):
-            x = rng.standard_normal(6)
-            for i in range(logi.n):
-                full = logi.gradient(i, x)
-                devs = np.empty(n_draws)
-                for k in range(n_draws):
-                    g = logi.stochastic_gradient(i, x, rng)
-                    devs[k] = float(np.sum((g - full) ** 2))
-                se = devs.std(ddof=1) / math.sqrt(n_draws)
-                assert devs.mean() <= logi.sigma2 + 4 * se
+            X = at_every_node(logi, rng.standard_normal(6))
+            full = logi.gradients(X)
+            streams = StreamSet(rng.spawn(logi.n), rounds=n_draws)
+            draws = np.stack([logi.stochastic_gradients(X, streams) for _ in range(n_draws)])
+            devs = np.sum((draws - full) ** 2, axis=1)  # (n_draws, n)
+            se = devs.std(axis=0, ddof=1) / math.sqrt(n_draws)
+            assert np.all(devs.mean(axis=0) <= logi.sigma2 + 4 * se)
 
     def test_ragged_datasets_rejected(self):
         rng = np.random.default_rng(20)
@@ -158,7 +164,7 @@ class TestLogistic:
         rng = np.random.default_rng(14)
         for _ in range(20):
             x = rng.standard_normal(6)
-            grads = np.column_stack([logi.gradient(i, x) for i in range(logi.n)])
+            grads = logi.gradients(at_every_node(logi, x))
             g_mean = grads.mean(axis=1, keepdims=True)
             var = float(np.mean(np.sum((grads - g_mean) ** 2, axis=0)))
             assert var <= logi.zeta2
@@ -200,57 +206,65 @@ class TestOracles:
         for _ in range(5):
             x = rng.standard_normal(p.dim)
             i = int(rng.integers(p.n))
-            g = p.gradient(i, x)
-            fd = finite_difference_gradient(lambda y: p.loss_node(i, y), x)
+            g = p.gradients(at_every_node(p, x))[:, i]
+            fd = finite_difference_gradient(lambda y: p.losses(y)[i], x)
             assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(g))
-
-    @pytest.mark.parametrize("which", ["quad", "logi"])
-    def test_per_node_methods_are_slices_of_batched(self, which, quad, logi):
-        p = quad if which == "quad" else logi
-        X = np.random.default_rng(21).standard_normal((p.dim, p.n))
-        G = p.gradients(X)
-        batched = p.stochastic_gradients(X, [np.random.default_rng(200 + i) for i in range(p.n)])
-        for i in range(p.n):
-            assert np.array_equal(G[:, i], p.gradient(i, X[:, i]))
-            g = p.stochastic_gradient(i, X[:, i], np.random.default_rng(200 + i))
-            assert np.array_equal(batched[:, i], g)
 
     def test_loss_is_mean_of_node_losses(self, quad):
         x = np.random.default_rng(16).standard_normal(10)
-        per_node = np.mean([quad.loss_node(i, x) for i in range(quad.n)])
+        per_node = np.mean(quad.losses(x))
         assert quad.loss(x) == pytest.approx(per_node, rel=1e-12)
 
     def test_stochastic_gradient_unbiased_monte_carlo(self, quad):
         rng = np.random.default_rng(17)
-        x = rng.standard_normal(10)
-        full = quad.gradient(2, x)
+        X = at_every_node(quad, rng.standard_normal(10))
+        full = quad.gradients(X)[:, 2]
         n_draws = 10_000
+        streams = StreamSet(rng.spawn(quad.n), rounds=n_draws)
         draws = np.column_stack(
-            [quad.stochastic_gradient(2, x, rng) for _ in range(n_draws)]
+            [quad.stochastic_gradients(X, streams)[:, 2] for _ in range(n_draws)]
         )
         se = draws.std(axis=1, ddof=1) / math.sqrt(n_draws)
         assert np.all(np.abs(draws.mean(axis=1) - full) <= 4 * se)
 
     def test_gradient_at_minimizer_with_identical_nodes(self):
         p = make_quadratic(6, 3, heterogeneity=0.0, noise=0.0, rng=np.random.default_rng(18))
-        x_star = p.minimizer()
-        for i in range(p.n):
-            g = p.stochastic_gradient(i, x_star, np.random.default_rng(0))
-            assert np.linalg.norm(g) <= 1e-10
+        G = p.stochastic_gradients(at_every_node(p, p.minimizer()),
+                                   [np.random.default_rng(0) for _ in range(p.n)])
+        assert np.all(np.linalg.norm(G, axis=0) <= 1e-10)
 
-    def test_batched_matches_per_node_draws(self, quad):
-        X = np.random.default_rng(19).standard_normal((10, 4))
-        rngs_a = [np.random.default_rng(100 + i) for i in range(4)]
-        rngs_b = [np.random.default_rng(100 + i) for i in range(4)]
-        batched = quad.stochastic_gradients(X, rngs_a)
-        noise = quad.noise
-        for i in range(4):
-            expected = quad.gradients(X)[:, i] + noise * rngs_b[i].standard_normal(10)
-            assert np.allclose(batched[:, i], expected, atol=1e-12)
+    @pytest.mark.parametrize("which", ["quad", "logi"])
+    def test_batched_matches_per_node_draws(self, which, quad, logi):
+        # node i's draw comes from stream i
+        p = quad if which == "quad" else logi
+        X = np.random.default_rng(19).standard_normal((p.dim, p.n))
+        rngs_a = [np.random.default_rng(100 + i) for i in range(p.n)]
+        rngs_b = [np.random.default_rng(100 + i) for i in range(p.n)]
+        batched = p.stochastic_gradients(X, rngs_a)
+        for i in range(p.n):
+            if which == "quad":
+                expected = p.gradients(X)[:, i] + p.noise * rngs_b[i].standard_normal(p.dim)
+                assert np.allclose(batched[:, i], expected, atol=1e-12)
+            else:
+                # the one-sample gradient -y s(-y d.x) d + reg x at the drawn row
+                k = rngs_b[i].integers(0, p.labels.shape[1], size=(1, 1))[0, 0]
+                d, y, x = p.data[i, k], p.labels[i, k], X[:, i]
+                expected = -y * _sigmoid(-y * (d @ x)) * d + p.reg * x
+                assert np.array_equal(batched[:, i], expected)
+
+    @pytest.mark.parametrize("which", ["quad", "logi", "noise-free"])
+    def test_wrong_stream_count_rejected(self, which, quad, logi):
+        p = {"quad": quad, "logi": logi, "noise-free": make_quadratic(
+            10, 4, rng=np.random.default_rng(0))}[which]
+        X = np.zeros((p.dim, p.n))
+        for count in (1, p.n - 1, p.n + 1, 2 * p.n):
+            with pytest.raises(InputError, match=f"{count} streams"):
+                p.stochastic_gradients(X, [np.random.default_rng(i) for i in range(count)])
 
     def test_nonfinite_state_raises(self, quad):
         with pytest.raises(DivergedError):
-            quad.stochastic_gradient(0, np.array([np.inf] * 10), np.random.default_rng(0))
+            quad.stochastic_gradients(np.full((10, quad.n), np.inf),
+                                      [np.random.default_rng(0) for _ in range(quad.n)])
 
 
 class TestTrialStacking:
