@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
+import os
 import sys
 
 from . import costmodel, engine, streams, theory
@@ -49,12 +51,15 @@ _CONFIG_ERRORS = (ConfigError, InfeasibleError, TopologyError, InputError)
 # set-up kept it within 5%.
 MAX_TRIALS = 64
 # A batch buffers at most max(streams.BLOCK_VALUES, one round) draws for each
-# of its two purposes, the oracle and compression; _trial_bytes counts one
-# round, this the block budget.  Measured buffers: a 3-seed ring 8 x dim 8
-# sweep with a noise-free oracle holds one 96 KiB compression block (64
-# rounds), 64 seeds with oracle noise two 2 MiB blocks (64 rounds), and a
-# ring 1024 x dim 64 dpsgd run one 2 MiB oracle block (4 rounds).
-DRAW_BYTES = 2 * 8 * streams.BLOCK_VALUES
+# of its two purposes, the oracle and compression, and a purpose that draws
+# ahead holds a second such block, the next one, drawn in the background;
+# _trial_bytes counts one round, this the block budget of both purposes
+# drawing ahead.  Measured buffers: a 3-seed ring 8 x dim 8 sweep with a
+# noise-free oracle holds one 96 KiB compression block (64 rounds), 64 seeds
+# with oracle noise two 2 MiB blocks (64 rounds, too narrow to draw ahead),
+# and a ring 1024 x dim 64 dpsgd run two 2 MiB oracle blocks (4 rounds each,
+# the current and the next).
+DRAW_BYTES = 2 * 2 * 8 * streams.BLOCK_VALUES
 # 7 MiB of per-trial data plus the draw blocks
 BATCH_BYTES = 7 * 2**20 + DRAW_BYTES
 
@@ -238,6 +243,23 @@ def write_rows_csv(path: str, cfg: RunConfig, rows: list[dict], fields) -> None:
     _write_lines(path, lines)
 
 
+def _check_out(path: str | None) -> None:
+    """Raise the OSError that writing ``path`` would raise, before any work
+    is done, without creating or truncating the file."""
+    if path in (None, "-"):
+        return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _write_lines(path: str, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
     if path == "-":
@@ -270,6 +292,7 @@ def _load_config(args) -> RunConfig:
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
+    _check_out(args.out)
     result = engine.run(cfg)
     if args.out:
         write_trace_csv(args.out, cfg, result)
@@ -319,6 +342,7 @@ def _cmd_sweep(args) -> int:
     seeds = None
     if args.seeds:
         seeds = [_parse_number(int, s, "--seeds") for s in args.seeds.split(",")]
+    _check_out(args.out)
     rows = sweep(cfg, args.axis, values, seeds)
     fields = COST_ROW_FIELDS if args.axis in ("bandwidth", "latency") else RUN_ROW_FIELDS
     write_rows_csv(args.out, cfg, rows, fields)

@@ -12,16 +12,30 @@ K comes from the rounds the holder has left and a fixed value budget,
 :func:`block_rounds`.  A set built from a plain list of Generators has one
 round left, so it draws exactly one round per fill: the per-round case is
 the same path with K = 1.
+
+A wide set draws ahead (:meth:`StreamSet._draws_ahead`): after each fill
+one background thread draws the next block, with the same K and the same
+accounting, into an array the set's own thread allocated.  Each stream still draws
+its values in order and in one thread at a time, so the values do not
+change; what moves is when the next block is drawn.  Stream calls release
+the GIL, as do a round's large numpy calls, so the draws run on another
+core while the round computes.  The next fill, :meth:`StreamSet.keep` and
+the set's deletion join the thread, so none outlives the set.  Every set
+draws one kind of values: a drawn-ahead block has already advanced its
+streams.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
 from .errors import InputError
 
 # Values one block of a purpose holds across all its streams, and the most
-# rounds a block covers.  At 2**18 values a purpose's buffer is 2 MiB.
+# rounds a block covers.  At 2**18 values a purpose's buffer is 2 MiB, and
+# a purpose that draws ahead holds two.
 # Measured with benchmarks/run.py on 2-core x86, one BLAS thread: small_sweep
 # (3 trials of ring 8 x dim 8, 64-round blocks of 12,288 values) ran
 # 14,000-14,200 rounds/s against 10,700-11,400 with one-round blocks; on
@@ -32,6 +46,19 @@ from .errors import InputError
 # for the larger block (BENCH_wide_blocks.json).
 BLOCK_VALUES = 2**18
 MAX_BLOCK_ROUNDS = 64
+
+# A set draws ahead when its round holds more than BLOCK_VALUES /
+# MAX_BLOCK_ROUNDS values (the budget, not the round cap, sets K) and each
+# stream draws at least this many values a block.  Below that a block is
+# many short stream calls, each taking the GIL from the round, and a second
+# block is held for no measured gain.  Measured on 2-core x86, one BLAS
+# thread: wide_ring1024 (1,024 streams of 256 values a block) ran 162
+# rounds/s serial and 224 drawing ahead, medians of ten 55 s
+# benchmarks/run.py pairs (BENCH_draw_ahead.json); a 16-trial ring-1024 x
+# dim-8 batch (16,384 streams of 16 values a block) took 1.21 s serial and
+# 1.30 s drawing ahead, medians of 20 engine.run calls each in alternating
+# order, each side faster in 10 of the 20 pairs.
+AHEAD_STREAM_VALUES = 256
 
 
 def as_streams(rngs) -> "StreamSet":
@@ -54,25 +81,34 @@ class StreamSet:
     run past it, and one round is drawn at a time after it.
     """
 
+    _ahead = None  # (thread, block, errors) of the block drawn in the background
+
     def __init__(self, sources, rounds: int = 1):
         self._sources = list(sources)
         self._built = False
         self._rounds_left = rounds
-        self._kind = None
+        self._kind = None  # (draw, width, args) of the first take; every take repeats it
         self._block = None  # (streams, K, width) draws of the current block
         self._next = self._end = 0  # next round of the block, and its round count
 
     def __len__(self) -> int:
         return len(self._sources)
 
+    def __del__(self):
+        # a run that stops early drops its sets with a block still being drawn
+        if self._ahead is not None:
+            self._ahead[0].join()
+
     def take(self, draw: str, width: int, *args) -> np.ndarray:
         """The next round's ``(streams, width)`` slab of ``draw`` ("random",
         "standard_normal", or "integers" with its bound in ``args``)."""
         kind = (draw, width, args)
-        if self._next == self._end:
-            self._fill(kind)
+        if self._kind is None:
+            self._kind = kind
         elif kind != self._kind:
             raise InputError(f"streams hold draws of {self._kind}, not {kind}")
+        if self._next == self._end:
+            self._fill()
         self._next += 1
         return self._block[:, self._next - 1]
 
@@ -83,22 +119,69 @@ class StreamSet:
         self._sources = [s for s, kept in zip(self._sources, rows) if kept]
         if self._block is not None:
             self._block = self._block[rows]
+        if self._ahead is not None:
+            thread, block, errors = self._ahead
+            thread.join()  # the thread writes the whole block before it ends
+            self._ahead = thread, block[rows], errors
 
-    def _fill(self, kind) -> None:
-        draw, width, args = kind
+    def _fill(self) -> None:
+        self._block = None  # the consumed block goes before another is allocated
         if not self._built:
             self._sources = [s if isinstance(s, np.random.Generator)
                              else np.random.Generator(np.random.Philox(s))
                              for s in self._sources]
             self._built = True
+        if self._ahead is not None:
+            thread, block, errors = self._ahead
+            self._ahead = None
+            thread.join()
+            if errors:
+                raise errors[0]
+        else:
+            block = self._new_block()
+            _draw(self._sources, block, self._kind)
+        self._block, self._next, self._end = block, 0, block.shape[1]
+        if self._draws_ahead():
+            self._ahead = _draw_behind(self._sources, self._new_block(), self._kind)
+
+    def _draws_ahead(self) -> bool:
+        """Should the next block be drawn now, in the background?"""
+        streams, width = len(self._sources), self._kind[1]
+        K = block_rounds(streams, width, self._rounds_left)
+        return (self._rounds_left > 0 and streams * width > BLOCK_VALUES // MAX_BLOCK_ROUNDS
+                and K * width >= AHEAD_STREAM_VALUES)
+
+    def _new_block(self) -> np.ndarray:
+        """An empty array for the next block; its rounds leave the rounds left."""
+        draw, width, _ = self._kind
         K = block_rounds(len(self._sources), width, self._rounds_left)
         self._rounds_left -= K
-        if draw != "integers":
-            self._block = np.empty((len(self._sources), K, width))
-            for row, g in zip(self._block, self._sources):
-                getattr(g, draw)(out=row)
-        else:
-            self._block = np.array(
-                [g.integers(*args, size=(K, width)) for g in self._sources], np.int64)
-        self._kind, self._next, self._end = kind, 0, K
+        return np.empty((len(self._sources), K, width),
+                        np.int64 if draw == "integers" else np.float64)
 
+
+def _draw(sources, block: np.ndarray, kind) -> None:
+    """Fill ``block`` row by row, each row from its own stream."""
+    draw, _, args = kind
+    if draw != "integers":
+        for row, g in zip(block, sources):
+            getattr(g, draw)(out=row)
+    else:
+        for row, g in zip(block, sources):
+            row[...] = g.integers(*args, size=row.shape)
+
+
+def _draw_behind(sources, block: np.ndarray, kind):
+    """Start a thread that runs ``_draw``; returns (thread, block, errors),
+    ``errors`` holding what the thread raised."""
+    errors = []
+
+    def work():
+        try:
+            _draw(sources, block, kind)
+        except BaseException as exc:  # re-raised by the thread that joins
+            errors.append(exc)
+
+    thread = threading.Thread(target=work, name="dcsgd-streams")
+    thread.start()
+    return thread, block, errors

@@ -321,20 +321,46 @@ class TestCliRun:
             assert main(argv) == 0
             assert len(calls) == 1
 
-    def test_missing_file_exit_code(self, tmp_path, capsys):
+    def test_missing_file_exit_code(self, tmp_path, capsys, monkeypatch):
         path = write_config(tmp_path, {**BASE, "T": 20})
         utf16 = tmp_path / "utf16.json"
         utf16.write_bytes(json.dumps({**BASE, "T": 20}).encode("utf-16"))
         for argv in (["run", "--config", str(tmp_path / "nope.json")],
                      ["run", "--config", str(tmp_path)],
-                     ["run", "--config", str(utf16)],
-                     ["run", "--config", path, "--out", str(tmp_path)],
-                     ["sweep", "--config", path, "--axis", "seed", "--values", "0,1",
-                      "--out", str(tmp_path)]):
+                     ["run", "--config", str(utf16)]):
             assert main(argv) == 1
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("configuration error: ")
             assert err.count("\n") == 1 and "Traceback" not in err
+
+        # an --out that cannot be written is reported before any round runs
+        def no_run(config):
+            raise AssertionError("engine.run called with an unwritable --out")
+
+        monkeypatch.setattr(engine, "run", no_run)
+        for out_path, reason in ((tmp_path, "Is a directory"),
+                                 (tmp_path / "missing" / "out.csv", "No such file"),
+                                 (tmp_path / "utf16.json" / "out.csv", "Not a directory")):
+            for argv in (["run", "--config", path],
+                         ["sweep", "--config", path, "--axis", "seed", "--values", "0,1"]):
+                assert main(argv + ["--out", str(out_path)]) == 1
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith("configuration error: ") and reason in err
+                assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
+
+    def test_out_checked_without_creating_or_truncating_it(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, {**BASE, "T": 20})
+        kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+        kept.write_text("earlier results\n")
+
+        def failing_run(config):
+            raise ConfigError("stopped before the first round")
+
+        monkeypatch.setattr(engine, "run", failing_run)
+        for out_path in (kept, fresh):
+            assert main(["run", "--config", path, "--out", str(out_path)]) == 1
+        assert kept.read_text() == "earlier results\n" and not fresh.exists()
 
     def test_seed_override(self, tmp_path, capsys):
         path = write_config(tmp_path, {**BASE, "problem": {
@@ -597,6 +623,7 @@ class TestBatchedSweep:
             "compressor": {"kind": "quantize", "levels": 127}}))
             for n, dim in ((8, 8), (16, 64), (256, 16), (8, 1024))]
         assert sizes == [64, 36, 9, 1]
+        assert cli.BATCH_BYTES - cli.DRAW_BYTES == 7 * 2**20
 
     def test_huge_levels_value_becomes_a_row_error(self):
         cfg = config_from_dict({**self.DOC, "T": 10})

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -766,3 +767,65 @@ class TestBlockDraws:
         assert [r.summary.status for r in batch[::2]] == ["completed", "completed"]
         for a, b in zip(solo, batch):
             assert result_bits(b) == result_bits(a)
+
+    # 3 trials of ring 8 x dim 8 hold 192 values a round; at this budget that
+    # is wider than BLOCK_VALUES / MAX_BLOCK_ROUNDS, so the batch draws
+    # ahead in 40-round blocks (320 values a stream), while a solo run
+    # (64 values a round) does not
+    AHEAD_BUDGET = 40 * 3 * 8 * 8
+
+    @pytest.mark.parametrize("alg", ["naive", "dcd", "ecd"])
+    def test_trial_retiring_while_the_next_block_is_drawn(
+            self, alg, monkeypatch, slow_background_draws):
+        # step size 0.45 diverges near round 90, inside the third of four
+        # 40-round blocks, while the fourth is being drawn for both purposes
+        doc = {"algorithm": alg, "topology": {"kind": "ring", "n": 8},
+               "problem": self.PROBLEMS["quadratic"], "compressor": self.COMPRESSORS["quantize7"],
+               "T": 160, "trace_every": 1}
+        configs = [config_from_dict({**doc, "gamma": g, "seed": s})
+                   for g, s in ((0.05, 11), (0.45, 12), (0.02, 13))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            solo = [run(cfg) for cfg in configs]
+            monkeypatch.setattr(streams, "BLOCK_VALUES", self.AHEAD_BUDGET)
+            assert streams.block_rounds(3 * 8, 8, 160) == 40
+            ahead = []  # per keep call: is a block drawn ahead, is it still being drawn
+            keep = streams.StreamSet.keep
+
+            def watched_keep(s, trials):
+                ahead.append((s._ahead is not None, s._ahead is not None and s._ahead[0].is_alive()))
+                keep(s, trials)
+
+            monkeypatch.setattr(streams.StreamSet, "keep", watched_keep)
+            batch = run(configs)
+        stopped = batch[1].summary
+        assert stopped.status == "diverged" and 80 < stopped.iterations < 120
+        # the oracle's set and then compression's, whose block may be done by
+        # the time the oracle's join returns
+        assert [pending for pending, _ in ahead] == [True, True] and ahead[0][1]
+        assert [r.summary.status for r in batch[::2]] == ["completed", "completed"]
+        for a, b in zip(solo, batch):
+            assert result_bits(b) == result_bits(a)
+
+    @pytest.mark.parametrize("gamma", [0.05, 50.0])
+    def test_no_thread_outlives_run(
+            self, gamma, monkeypatch, slow_background_draws, background_fills):
+        # at step size 50 every trial diverges within a few rounds, with the
+        # second block still being drawn
+        monkeypatch.setattr(streams, "BLOCK_VALUES", self.AHEAD_BUDGET)
+        configs = [config_from_dict({
+            "algorithm": "dcd", "topology": {"kind": "ring", "n": 8},
+            "problem": self.PROBLEMS["quadratic"], "compressor": self.COMPRESSORS["quantize7"],
+            "gamma": gamma, "T": 150, "seed": s}) for s in (1, 2, 3)]
+        before = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            results = run(configs)
+        assert threading.active_count() == before
+        assert background_fills
+        statuses = {r.summary.status for r in results}
+        if gamma > 1:
+            assert statuses == {"diverged"}
+            assert max(r.summary.iterations for r in results) < 40
+        else:
+            assert statuses == {"completed"}
