@@ -39,17 +39,17 @@ one call into a (S * n, K, width) block, and each round reads one
 call of K * width as in K calls of width, so a run's draws are bit for bit
 those of per-round drawing; ``run`` sizes K from its remaining rounds and
 a fixed value budget, while a state from ``init_state`` alone draws one
-round at a time.  A set whose rounds are so wide that the budget sets K,
-with enough values per stream (``streams.AHEAD_STREAM_VALUES``; a ring of
-1024 at dim 64), draws its next block on a background thread while the
-current rounds compute.  Each stream still draws its values in order, so
-no value changes; the thread is joined at the next refill, when a trial
+round at a time.  A set whose rounds are so wide that the budget sets K (a
+ring of 1024 at dim 64) draws its next block on a background thread while
+the current rounds compute.  Each stream still draws its values in order,
+so no value changes; the thread is joined at the next refill, when a trial
 retires, or when the state is dropped.  A purpose that never draws
 (identity compression, a noise-free quadratic oracle) never builds its
 Generators, and a retiring trial's rows are sliced out of the blocks.
 Compression runs once per round, over the whole message matrix, with each
-column reading its node's row of the slab.  Rounds are synchronous by construction; each step reads
-the frozen previous round and writes disjoint columns.
+column reading its node's row of the slab.  Rounds are synchronous by
+construction; each step reads the frozen previous round and writes
+disjoint columns.
 """
 
 from __future__ import annotations

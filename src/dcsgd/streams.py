@@ -13,16 +13,16 @@ K comes from the rounds the holder has left and a fixed value budget,
 round left, so it draws exactly one round per fill: the per-round case is
 the same path with K = 1.
 
-A wide set draws ahead (:meth:`StreamSet._draws_ahead`): after each fill
-one background thread draws the next block, with the same K and the same
-accounting, into an array the set's own thread allocated.  Each stream still draws
-its values in order and in one thread at a time, so the values do not
-change; what moves is when the next block is drawn.  Stream calls release
-the GIL, as do a round's large numpy calls, so the draws run on another
-core while the round computes.  The next fill, :meth:`StreamSet.keep` and
-the set's deletion join the thread, so none outlives the set.  Every set
-draws one kind of values: a drawn-ahead block has already advanced its
-streams.
+A wide set with rounds left after a fill, one whose round holds so many
+values that the budget sets K, draws ahead: one background thread draws
+the next block, with the same K and the same accounting, into an array the
+set's own thread allocated.  Each stream still draws its values in order
+and in one thread at a time, so the values do not change; what moves is
+when the next block is drawn.  Stream calls release the GIL, as do a
+round's large numpy calls, so the draws run on another core while the
+round computes.  The next fill, :meth:`StreamSet.keep` and the set's
+deletion join the thread, so none outlives the set.  Every set draws one
+kind of values: a drawn-ahead block has already advanced its streams.
 """
 
 from __future__ import annotations
@@ -46,19 +46,6 @@ from .errors import InputError
 # for the larger block (BENCH_wide_blocks.json).
 BLOCK_VALUES = 2**18
 MAX_BLOCK_ROUNDS = 64
-
-# A set draws ahead when its round holds more than BLOCK_VALUES /
-# MAX_BLOCK_ROUNDS values (the budget, not the round cap, sets K) and each
-# stream draws at least this many values a block.  Below that a block is
-# many short stream calls, each taking the GIL from the round, and a second
-# block is held for no measured gain.  Measured on 2-core x86, one BLAS
-# thread: wide_ring1024 (1,024 streams of 256 values a block) ran 162
-# rounds/s serial and 224 drawing ahead, medians of ten 55 s
-# benchmarks/run.py pairs (BENCH_draw_ahead.json); a 16-trial ring-1024 x
-# dim-8 batch (16,384 streams of 16 values a block) took 1.21 s serial and
-# 1.30 s drawing ahead, medians of 20 engine.run calls each in alternating
-# order, each side faster in 10 of the 20 pairs.
-AHEAD_STREAM_VALUES = 256
 
 
 def as_streams(rngs) -> "StreamSet":
@@ -141,15 +128,14 @@ class StreamSet:
             block = self._new_block()
             _draw(self._sources, block, self._kind)
         self._block, self._next, self._end = block, 0, block.shape[1]
-        if self._draws_ahead():
+        # Only a round so wide that the budget, not MAX_BLOCK_ROUNDS, sets K
+        # draws ahead.  Drawing every set ahead, small_sweep (24 streams of
+        # 8 values a round, 64-round blocks) ran 12,870 rounds/s against
+        # 14,410 serial, medians of ten alternating 15 s benchmarks/run.py
+        # pairs on 2-core x86, one BLAS thread, slower in all ten
+        # (BENCH_draw_ahead.json).
+        if self._rounds_left > 0 and len(self) * self._kind[1] > BLOCK_VALUES // MAX_BLOCK_ROUNDS:
             self._ahead = _draw_behind(self._sources, self._new_block(), self._kind)
-
-    def _draws_ahead(self) -> bool:
-        """Should the next block be drawn now, in the background?"""
-        streams, width = len(self._sources), self._kind[1]
-        K = block_rounds(streams, width, self._rounds_left)
-        return (self._rounds_left > 0 and streams * width > BLOCK_VALUES // MAX_BLOCK_ROUNDS
-                and K * width >= AHEAD_STREAM_VALUES)
 
     def _new_block(self) -> np.ndarray:
         """An empty array for the next block; its rounds leave the rounds left."""

@@ -770,8 +770,7 @@ class TestBlockDraws:
 
     # 3 trials of ring 8 x dim 8 hold 192 values a round; at this budget that
     # is wider than BLOCK_VALUES / MAX_BLOCK_ROUNDS, so the batch draws
-    # ahead in 40-round blocks (320 values a stream), while a solo run
-    # (64 values a round) does not
+    # ahead in 40-round blocks, while a solo run (64 values a round) does not
     AHEAD_BUDGET = 40 * 3 * 8 * 8
 
     @pytest.mark.parametrize("alg", ["naive", "dcd", "ecd"])

@@ -112,8 +112,9 @@ def test_other_draws_within_a_block_rejected():
 
 @pytest.mark.parametrize("count,width,rounds,ahead", [
     (3 * 8, 8, 250, False),  # small_sweep: 3 trials of ring 8 x dim 8
-    (16 * 1024, 8, 60, False),  # 16 trials of ring 1024 x dim 8: 16 values a stream
-    (1024, 64, 60, True),  # wide_ring1024: 256 values a stream
+    (512, 8, 250, False),  # 4,096 values a round: the 64-round cap still sets K
+    (16 * 1024, 8, 60, True),  # 16 trials of ring 1024 x dim 8: 16 values a stream
+    (1024, 64, 60, True),  # wide_ring1024
 ])
 def test_which_sets_draw_ahead(count, width, rounds, ahead, background_fills):
     s = StreamSet(np.random.SeedSequence(4).spawn(count), rounds)
