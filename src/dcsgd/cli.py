@@ -304,7 +304,7 @@ def _cmd_theory(args) -> int:
     cfg = _load_config(args)
     W, problem, c, _ = build_run(cfg)
     alpha = effective_alpha(c, problem.dim)
-    feasible = theory.dcd_feasible(W.rho, W.mu, alpha) if math.isfinite(alpha) else False
+    feasible = theory.dcd_feasible(W.rho, W.mu, alpha)
     doc = {
         "rho": W.rho, "mu": W.mu, "alpha": alpha if math.isfinite(alpha) else "unbounded",
         "L": problem.L, "sigma2": problem.sigma2, "zeta2": problem.zeta2,

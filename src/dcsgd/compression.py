@@ -3,7 +3,7 @@
 Each operator C satisfies E[C(z)] = z.  Two different noise contracts are
 tracked per operator:
 
-* ``alpha_bound(dim)``: a certified upper bound on the realized
+* ``effective_alpha(c, dim)``: a certified upper bound on the realized
   noise-to-signal ratio ||C(z) - z|| / ||z||, or inf when no such bound
   exists.  The magnitude-scaled stochastic quantizer gives sqrt(dim)/levels
   deterministically, which is what difference compression needs.
@@ -73,6 +73,7 @@ class Compressor:
             raise ConfigError(f"synthetic needs noise_bound2 >= 0, got {self.noise_bound2}")
 
     def alpha_bound(self, dim: int) -> float:
+        """``effective_alpha(self, dim)``, kept for library callers."""
         return effective_alpha(self, dim)
 
     @property

@@ -3,30 +3,36 @@
 State layout follows the matrix view of decentralized optimization: the
 (dim, n) matrix X holds one local model per column, and one synchronous
 round maps X to X W - gamma G(X) plus an algorithm-specific compression
-term.  The four gossip algorithms share one kernel, :func:`gossip_step`:
+term.  One function, :func:`round_step`, advances a state of any of the
+five by a round, reading the algorithm from the state.  The four gossip
+algorithms share one kernel:
 
     delta = S @ W - gamma * G - X,   X_new = X + delta
 
 where S is what each node sees of its neighbors (true models, compressed
-models, replicas, or estimates); the ``*_step`` functions wrap it.  The
-difference form makes the collapse exact: with the identity compressor
-naive, dcd and ecd reproduce dpsgd bit for bit from identical streams,
-because their compression terms vanish exactly.
+models, replicas, or estimates); the centralized baseline keeps one model
+and averages the nodes' gradients.  The difference form makes the
+collapse exact: with the identity compressor naive, dcd and ecd reproduce
+dpsgd bit for bit from identical streams, because their compression terms
+vanish exactly.  The per-algorithm names ``dpsgd_step``, ``naive_step``,
+``dcd_step``, ``ecd_step`` and ``centralized_step`` are deprecated shims
+over it.
 
 Trial axis: :func:`run` takes one config or a batch of configs that differ
 only in ``seed`` and ``gamma``, and runs the batch as one stacked state, X
 of shape (S, dim, n) over a stacked problem (``problems.stack_problems``)
-with one gamma per trial.  Each round is one pass of the same kernel: one
+with one gamma per trial.  Each round is one ``round_step``: one
 ``W.mix(seen)`` over the (S, dim, n) stack, one oracle call and one
-``compress`` call.  ``MixingMatrix.mix`` applies a W with few nonzero
-diagonals against n (a ring of n >= 192) as a sum over those diagonals,
-elementwise, and any other W as the stacked dense product ``seen @ W``
-(the BLAS call a solo run makes, once per trial); either way each trial
-gets the bits of its solo run.
-Every reduction is taken per trial, so each trial's records and summary
-are bit for bit those of its solo run; a trial that diverges is summarized
-and dropped, so its streams are never drawn again.  A single config is the
-S = 1 case of the same loop.  ``dcsgd sweep`` runs its seed and gamma axes
+``compress`` call; after round T, one last pass of the loop measures the
+trials still running and completes them.  ``MixingMatrix.mix`` applies a
+W with few nonzero diagonals against n (a ring of n >= 192) as a sum over
+those diagonals, elementwise, and any other W as the stacked dense
+product ``seen @ W`` (the BLAS call a solo run makes, once per trial);
+either way each trial gets the bits of its solo run.  Every reduction is
+taken per trial, so each trial's records and summary are bit for bit
+those of its solo run; a trial that diverges is summarized and dropped,
+so its streams are never drawn again.  A single config is the S = 1 case
+of the same loop.  ``dcsgd sweep`` runs its seed and gamma axes
 as such batches; its n and levels axes change shapes and run one by one.
 
 Randomness: every (trial, node, purpose) triple owns an independent
@@ -57,13 +63,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import types
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import compression, theory
-from .compression import Compressor, bits_transmitted, compress
+from .compression import Compressor, bits_transmitted, compress, effective_alpha
 from .errors import ConfigError, DivergedError, InputError
 from .problems import Problem, _dot, _mean, stack_problems, take_trials
 from .streams import StreamSet
@@ -74,7 +81,7 @@ LOSS_CAP = 1e12  # a run whose loss passes this is declared diverged
 
 @dataclass
 class StepStats:
-    """Per-transition quantities recorded by every step function.
+    """Per-round quantities that ``round_step`` records.
 
     q_norm2 / q_bar describe the effective compression noise Q_t in the
     common update form X_{t+1} = X_t W - gamma G + Q_t; g_norm2 / g_bar
@@ -133,9 +140,7 @@ class WorldState:
     @property
     def estimates(self) -> np.ndarray | None:
         """Neighbor-estimate matrix (extrapolation compression only)."""
-        if self.estimate_err is None:
-            return None
-        return self.X + self.estimate_err
+        return None if self.estimate_err is None else self.X + self.estimate_err
 
 
 @dataclass(slots=True)
@@ -196,9 +201,9 @@ def init_state(problem: Problem, n: int, algorithm: str, seed, rounds: int = 1) 
     ``seed[s]``.  Node i's oracle stream is child i of ``seed.spawn(2 * n)``
     and its compression stream child n + i, so a SeedSequence passed in is
     advanced by 2 * n children; a child's Generator is built on its first
-    draw.  ``rounds`` is how many
-    rounds the state is expected to run: the streams draw up to that many
-    rounds ahead in blocks (``dcsgd.streams``), which changes no value drawn.
+    draw.  ``rounds`` is how many rounds the state is expected to run: the
+    streams draw up to that many rounds ahead in blocks (``dcsgd.streams``),
+    which changes no value drawn.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
@@ -229,36 +234,54 @@ def init_state(problem: Problem, n: int, algorithm: str, seed, rounds: int = 1) 
 # ---------------------------------------------------------------------------
 
 
-def gossip_step(
-    algorithm: str, state: WorldState, W: MixingMatrix, c: Compressor, problem: Problem,
+def round_step(
+    state: WorldState, W: MixingMatrix, c: Compressor, problem: Problem,
     gamma: float, z_norm_cap: float = math.inf,
 ) -> WorldState:
-    """One synchronous round of dpsgd, naive, dcd or ecd.
+    """One synchronous round of the state's algorithm, ``state.algorithm``.
 
-    The algorithms differ only in what neighbors see and the noise Q_t they
-    record: dpsgd sees X and sends full precision whatever ``c`` is; naive
-    sees C(X); dcd sees the replicas and advances models and replicas by
-    C(delta); ecd sees X + E and folds the compressed extrapolated model
-    into E with weight 2/s.  A trial whose broadcast is non-finite, or for
-    ecd exceeds ``z_norm_cap`` in norm, commits X + delta, draws nothing
-    for the exchange and is marked diverged.  On a stacked state, ``gamma``
-    broadcasts against X (one value per trial).
+    Every algorithm is X <- X W - gamma G(X) + Q_t; they differ only in what
+    neighbors see and in the noise Q_t they record:
+
+    * dpsgd sees X, sent at full precision whatever ``c`` is.
+    * naive sees C(X); Q = C(X) - X scales with the models and never
+      diminishes, which makes naive the divergence counterexample.
+    * dcd sees the replicas.  Each node compresses the difference
+      Z = X(W - I) - gamma G and applies C(Z) to its model and to every
+      replica of it, so the two stay exactly equal; Q = C(Z) - Z.  ``c``
+      needs a finite noise-to-signal bound.
+    * ecd sees the estimates X + E.  Each node broadcasts one compressed
+      extrapolated value z_s = (1 - s/2) x_{s-1} + (s/2) x_s, s = t + 1,
+      which receivers fold into E with weight 2/s, so the estimate error
+      decays like 1/t under bounded compression noise; Q = E W.
+    * centralized keeps one model and averages the nodes' gradients; it
+      reads only ``W.n`` and ignores ``c``.
+
+    A trial whose broadcast is non-finite, or for ecd past ``z_norm_cap`` in
+    norm (the sparsifier's noise grows with its input), commits X + delta,
+    draws nothing for the exchange and is marked diverged.  On a stacked
+    state ``gamma`` broadcasts against X, one value per trial; unless each
+    is finite and >= 0 the round raises InputError before drawing anything.
     """
     if W.n != state.n:
         raise ConfigError(f"topology has {W.n} nodes but state has {state.n}")
-    if np.count_nonzero(np.asarray(gamma) < 0.0):
-        raise InputError(f"gamma must be >= 0, got {gamma}")
+    gammas = np.asarray(gamma)
+    if np.count_nonzero((gammas >= 0.0) & (gammas < math.inf)) < gammas.size:  # NaN fails both
+        raise InputError(f"gamma must be finite and >= 0, got {gamma}")
     if state.status == "diverged":
         raise DivergedError("state has already diverged")
-    if algorithm == "dcd" and not math.isfinite(c.alpha_bound(problem.dim)):
-        raise ConfigError(
-            f"difference compression needs a finite noise-to-signal bound; "
-            f"{c.kind!r} has none"
-        )
+    algorithm = state.algorithm
+    if algorithm == "dcd" and not math.isfinite(effective_alpha(c, problem.dim)):
+        raise ConfigError(f"difference compression needs a finite noise-to-signal "
+                          f"bound; {c.kind!r} has none")
     # the previous round's Q and G are two state-sized arrays; free them
     # before this round allocates its own
     state.last_step = None
     X = state.X
+    if algorithm == "centralized":  # X is (..., dim, 1)
+        G = problem.stochastic_gradients(np.repeat(X, state.n, axis=-1), state.sample_streams)
+        bits = 2 * (state.n - 1) * compression.FULL_PRECISION_BITS * problem.dim
+        return _commit(state, X - gamma * G.mean(axis=-1, keepdims=True), None, G, bits)
     if algorithm == "dpsgd":
         c = compression.identity()
         seen, Q = X, None
@@ -271,7 +294,7 @@ def gossip_step(
     elif algorithm == "ecd":
         seen, Q = X + state.estimate_err, W.mix(state.estimate_err)
     else:
-        raise ConfigError(f"{algorithm!r} is not a gossip algorithm")
+        raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     G = problem.stochastic_gradients(X, state.sample_streams)
     # seen W - gamma * G - X, left to right, in one buffer
     delta = W.mix(seen)
@@ -315,70 +338,41 @@ def gossip_step(
     return state
 
 
+def _deprecated_step(algorithm, state, W, c, problem, gamma, z_norm_cap=math.inf):
+    warnings.warn(f"{algorithm}_step is deprecated; use round_step, which reads the "
+                  "algorithm from the state", DeprecationWarning, stacklevel=3)
+    if state.algorithm != algorithm:
+        raise ConfigError(f"{algorithm}_step called on a state made for {state.algorithm!r}")
+    return round_step(state, W, c, problem, gamma, z_norm_cap)
+
+
 def dpsgd_step(state: WorldState, W: MixingMatrix, problem: Problem, gamma: float) -> WorldState:
-    """One uncompressed gossip round: X <- X W - gamma G(X)."""
-    return gossip_step("dpsgd", state, W, compression.identity(), problem, gamma)
+    """Deprecated: ``round_step(state, W, identity(), problem, gamma)``."""
+    return _deprecated_step("dpsgd", state, W, compression.identity(), problem, gamma)
 
 
-def naive_step(
-    state: WorldState, W: MixingMatrix, c: Compressor, problem: Problem, gamma: float
-) -> WorldState:
-    """Gossip over directly compressed models: X <- C(X) W - gamma G(X).
-
-    The recorded noise Q = C(X) - X scales with the models themselves, so it
-    never diminishes; this step exists as the divergence counterexample.
-    """
-    return gossip_step("naive", state, W, c, problem, gamma)
+def naive_step(state: WorldState, W: MixingMatrix, c: Compressor, problem: Problem,
+               gamma: float) -> WorldState:
+    """Deprecated: ``round_step(state, W, c, problem, gamma)``."""
+    return _deprecated_step("naive", state, W, c, problem, gamma)
 
 
-def dcd_step(
-    state: WorldState, W: MixingMatrix, c: Compressor, problem: Problem, gamma: float
-) -> WorldState:
-    """Difference-compression round.
-
-    Each node averages its neighbor replicas, takes the gradient step,
-    compresses the difference z to its previous model, and applies C(z) to
-    both its model and every replica of it.  Owner and replicas advance by
-    the same message, so they remain exactly equal; the recorded noise is
-    Q = C(Z) - Z with Z = X(W - I) - gamma G.
-    """
-    return gossip_step("dcd", state, W, c, problem, gamma)
+def dcd_step(state: WorldState, W: MixingMatrix, c: Compressor, problem: Problem,
+             gamma: float) -> WorldState:
+    """Deprecated: ``round_step(state, W, c, problem, gamma)``."""
+    return _deprecated_step("dcd", state, W, c, problem, gamma)
 
 
-def ecd_step(
-    state: WorldState,
-    W: MixingMatrix,
-    c: Compressor,
-    problem: Problem,
-    gamma: float,
-    z_norm_cap: float = math.inf,
-) -> WorldState:
-    """Extrapolation-compression round.
-
-    Nodes average their current neighbor estimates, take the gradient step
-    at the local model, then broadcast one compressed extrapolated value
-    z_s = (1 - s/2) x_{s-1} + (s/2) x_s for s = t + 1; receivers fold it
-    into the estimate with weight 2/s.  Estimates start exact (x~_1 = x_1)
-    and their mean squared error decays like 1/t under bounded compression
-    noise.  The recorded effective noise is (X~ - X) W.
-
-    ``z_norm_cap`` guards compressors whose noise grows with the input (the
-    sparsifier): the run is declared diverged when any broadcast z exceeds
-    it in norm.
-    """
-    return gossip_step("ecd", state, W, c, problem, gamma, z_norm_cap)
+def ecd_step(state: WorldState, W: MixingMatrix, c: Compressor, problem: Problem,
+             gamma: float, z_norm_cap: float = math.inf) -> WorldState:
+    """Deprecated: ``round_step(state, W, c, problem, gamma, z_norm_cap)``."""
+    return _deprecated_step("ecd", state, W, c, problem, gamma, z_norm_cap)
 
 
 def centralized_step(state: WorldState, problem: Problem, gamma: float) -> WorldState:
-    """Fully synchronized baseline: one shared model, allreduce-averaged gradients."""
-    if np.count_nonzero(np.asarray(gamma) < 0.0):
-        raise InputError(f"gamma must be >= 0, got {gamma}")
-    state.last_step = None  # free the previous round's G before drawing a new one
-    X = state.X  # (..., dim, 1)
-    G = problem.stochastic_gradients(np.repeat(X, state.n, axis=-1), state.sample_streams)
-    bits = 2 * (state.n - 1) * compression.FULL_PRECISION_BITS * problem.dim
-    X_new = X - gamma * G.mean(axis=-1, keepdims=True)
-    return _commit(state, X_new, None, G, bits)
+    """Deprecated: ``round_step(state, W, c, problem, gamma)``; the round reads only ``W.n``."""
+    nodes = types.SimpleNamespace(n=state.n)
+    return _deprecated_step("centralized", state, nodes, compression.identity(), problem, gamma)
 
 
 def _commit(state: WorldState, X_new, Q, G, bits: int, diverged=False) -> WorldState:
@@ -459,8 +453,8 @@ def run(config):
     del problems  # the stacked copy is the only one a batch keeps
 
     if cfg.algorithm == "dcd":
-        alpha = c.alpha_bound(problem.dim)
-        if math.isfinite(alpha) and not theory.dcd_feasible(W.rho, W.mu, alpha):
+        alpha = effective_alpha(c, problem.dim)
+        if not theory.dcd_feasible(W.rho, W.mu, alpha):
             warnings.warn(
                 f"difference compression budget violated: alpha = {alpha:.4g} "
                 f">= (1-rho)/(2 mu) = {(1 - W.rho) / (2 * W.mu):.4g}; "
@@ -486,23 +480,6 @@ def run(config):
     rows = np.zeros(S, int)  # recorded rounds per trial, set when it stops
     summaries = [None] * S
 
-    def track(grads, t):
-        np.fmin(min_grad_norm2, grads, out=min_grad_norm2)  # a NaN never counts
-        under = grads <= cfg.grad_threshold
-        if np.count_nonzero(under):
-            np.putmask(time_to_threshold, under & (time_to_threshold < 0), t)
-
-    def record(t, losses, grads, cons):
-        nonlocal values
-        if len(rounds) == len(values):
-            values = np.concatenate([values, np.empty_like(values)])
-        step = state.last_step
-        row = values[len(rounds)].T  # (5, S)
-        for j, v in enumerate((losses, grads, cons, step.q_norm2, step.g_norm2)):
-            row[j, slots] = v
-        rounds.append(t)
-        round_bits.append(state.bits_total)
-
     def retire(done, status, iterations, finals=None):
         """Summarize the running trials flagged in ``done`` and drop them from the state."""
         nonlocal trials, slots, gamma, problem, min_grad_norm2, time_to_threshold
@@ -517,52 +494,45 @@ def run(config):
         rows[trials[done]] = len(rounds)
         keep = ~done
         trials = trials[keep]
-        if trials.size and np.count_nonzero(done):
+        if trials.size:
             slots = trials
             problem = take_trials(problem, keep)
             gamma = gamma[keep]
             min_grad_norm2, time_to_threshold = min_grad_norm2[keep], time_to_threshold[keep]
             _keep_trials(state, keep)
 
-    # blow-up is detected from the values, so numpy's overflow warnings are noise
+    # numpy's overflow warnings are noise: blow-up is detected from the values.
+    # Pass t stops trials that diverged in round t - 1 or passed the loss cap.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, cfg.T + 1):
+        for t in range(1, cfg.T + 2):
             losses, grads, cons = metrics(state, problem)
-            capped = _over_cap(losses)
-            if np.count_nonzero(capped):
-                retire(capped, "diverged", t - 1)
+            stop = state.diverged | ~(losses <= LOSS_CAP)  # a NaN loss stops too
+            if np.count_nonzero(stop):
+                retire(stop, "diverged", t - 1)
                 if not trials.size:
                     break
-                live = ~capped
-                losses, grads, cons = losses[live], grads[live], cons[live]
-            track(grads, t)
-            if cfg.algorithm == "centralized":
-                centralized_step(state, problem, gamma)
-            else:
-                gossip_step(cfg.algorithm, state, W, c, problem, gamma, z_norm_cap)
+                losses, grads, cons = losses[~stop], grads[~stop], cons[~stop]
+            np.fmin(min_grad_norm2, grads, out=min_grad_norm2)  # a NaN never counts
+            under = grads <= cfg.grad_threshold
+            if np.count_nonzero(under):
+                np.putmask(time_to_threshold, under & (time_to_threshold < 0), t)
+            if t > cfg.T:
+                retire(np.ones(trials.size, bool), "completed", cfg.T, (losses, grads, cons))
+                break
+            round_step(state, W, c, problem, gamma, z_norm_cap)
             if (t - 1) % cfg.trace_every == 0 or t == cfg.T:
-                record(t, losses, grads, cons)
-            if state.status == "diverged":
-                retire(state.diverged, "diverged", t)
-                if not trials.size:
-                    break
-
-        if trials.size:
-            losses, grads, cons = metrics(state, problem)
-            capped = _over_cap(losses)
-            track(np.where(capped, math.inf, grads), cfg.T + 1)
-            retire(capped, "diverged", cfg.T)
-            live = ~capped
-            retire(np.ones(trials.size, bool), "completed", cfg.T,
-                   (losses[live], grads[live], cons[live]))
+                if len(rounds) == len(values):
+                    values = np.concatenate([values, np.empty_like(values)])
+                # no local keeps last_step, whose G round_step frees before the next
+                row = values[len(rounds)].T  # (5, S)
+                for j, v in enumerate((losses, grads, cons, state.last_step.q_norm2,
+                                       state.last_step.g_norm2)):
+                    row[j, slots] = v
+                rounds.append(t)
+                round_bits.append(state.bits_total)
 
     results = [RunResult(summaries[i], rounds, round_bits, values[:rows[i], i]) for i in range(S)]
     return results if isinstance(config, list) else results[0]
-
-
-def _over_cap(losses: np.ndarray) -> np.ndarray:
-    """Per trial: has the loss left the finite range below LOSS_CAP?"""
-    return ~(losses <= LOSS_CAP)  # NaN compares false; a loss is never negative
 
 
 def _keep_trials(state: WorldState, keep: np.ndarray) -> None:

@@ -166,7 +166,7 @@ def test_c3_extrapolation_error_decay():
 
 
 def test_c4_consensus_inequality():
-    from dcsgd import dpsgd_step, init_state, make_quadratic
+    from dcsgd import identity, init_state, make_quadratic, round_step
 
     rng = np.random.default_rng(4)
     topologies = [
@@ -189,7 +189,7 @@ def test_c4_consensus_inequality():
             for _ in range(T):
                 x_bar = state.X.mean(axis=1, keepdims=True)
                 lhs += float(np.sum((state.X - x_bar) ** 2))
-                dpsgd_step(state, W, problem, gamma)
+                round_step(state, W, identity(), problem, gamma)
                 rhs += gamma * gamma * state.last_step.g_norm2
             bound = 2.0 / (1.0 - W.rho) ** 2 * rhs
             assert lhs <= bound + 1e-8 * max(1.0, bound)

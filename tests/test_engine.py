@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from dcsgd import (
-    ConfigError, centralized_step, dcd_step, dpsgd_step, ecd_step,
-    estimate_error_trace, identity, init_state, make_quadratic, metrics,
-    naive_step, run, stochastic_quantize, streams, synthetic_noise,
+    ConfigError, InputError, centralized_step, dcd_step, dpsgd_step, ecd_step,
+    estimate_error_trace, identity, init_state, make_quadratic, metrics, naive_step,
+    round_step, run, stochastic_quantize, streams, synthetic_noise,
 )
 from dcsgd.config import build_run, build_topology, config_from_dict, resolve_gamma
 from dcsgd.engine import LOSS_CAP
@@ -25,19 +25,6 @@ def quad_problem(N, n, het=0.0, noise=0.0, seed=0):
                           rng=np.random.default_rng(seed))
 
 
-def run_steps(alg, state, W, c, problem, gamma, T):
-    for _ in range(T):
-        if alg == "dpsgd":
-            dpsgd_step(state, W, problem, gamma)
-        elif alg == "naive":
-            naive_step(state, W, c, problem, gamma)
-        elif alg == "dcd":
-            dcd_step(state, W, c, problem, gamma)
-        elif alg == "ecd":
-            ecd_step(state, W, c, problem, gamma)
-    return state
-
-
 class TestDpsgdStep:
     def test_zero_gamma_identical_columns_unchanged(self):
         problem = quad_problem(3, 2)
@@ -45,7 +32,7 @@ class TestDpsgdStep:
         state = init_state(problem, 2, "dpsgd", 0)
         state.X = np.repeat(np.array([[1.0], [2.0], [-0.5]]), 2, axis=1)
         before = state.X.copy()
-        dpsgd_step(state, W, problem, 0.0)
+        round_step(state, W, identity(), problem, 0.0)
         assert np.array_equal(state.X, before)
 
     def test_one_step_matches_matrix_expression(self):
@@ -61,7 +48,7 @@ class TestDpsgdStep:
         for i in range(2):
             expected[:, i] = sum(W.entries[i, j] * X0[:, j] for j in range(2)) \
                 - gamma * G[:, i]
-        dpsgd_step(state, W, problem, gamma)
+        round_step(state, W, identity(), problem, gamma)
         assert np.allclose(state.X, expected, atol=1e-14)
 
     def test_fully_connected_noiseless_equals_centralized_gd(self):
@@ -71,7 +58,7 @@ class TestDpsgdStep:
         x = np.zeros(5)
         gamma = 0.2
         for _ in range(50):
-            dpsgd_step(state, W, problem, gamma)
+            round_step(state, W, identity(), problem, gamma)
             x = x - gamma * problem.grad_mean(x)
             # columns re-average every step, so the mean follows plain
             # gradient descent on f
@@ -85,8 +72,8 @@ class TestNaiveStep:
         s1 = init_state(problem, 8, "dpsgd", 11)
         s2 = init_state(problem, 8, "naive", 11)
         for _ in range(25):
-            dpsgd_step(s1, W, problem, 0.05)
-            naive_step(s2, W, identity(), problem, 0.05)
+            round_step(s1, W, identity(), problem, 0.05)
+            round_step(s2, W, identity(), problem, 0.05)
             assert np.array_equal(s1.X, s2.X)
 
     def test_consensus_plateau_at_noise_floor(self):
@@ -105,7 +92,7 @@ class TestNaiveStep:
             state = init_state(problem, 16, "naive", seed)
             cons = []
             for _ in range(1500):
-                naive_step(state, W, c, problem, 0.0)
+                round_step(state, W, c, problem, 0.0)
                 cons.append(float(np.sum((state.X - state.X.mean(1, keepdims=True)) ** 2)))
             cons = np.array(cons)
             late_means.append(cons[1000:].mean())
@@ -122,7 +109,8 @@ class TestNaiveStep:
         finals = {}
         for alg in ("naive", "dcd"):
             state = init_state(problem, 8, alg, 3)
-            run_steps(alg, state, W, c, problem, 0.05, 1500)
+            for _ in range(1500):
+                round_step(state, W, c, problem, 0.05)
             _, gn2, _ = metrics(state, problem)
             finals[alg] = gn2
         assert finals["naive"] >= 10.0 * finals["dcd"]
@@ -135,8 +123,8 @@ class TestDcdStep:
         s1 = init_state(problem, 8, "dpsgd", 13)
         s2 = init_state(problem, 8, "dcd", 13)
         for _ in range(25):
-            dpsgd_step(s1, W, problem, 0.05)
-            dcd_step(s2, W, identity(), problem, 0.05)
+            round_step(s1, W, identity(), problem, 0.05)
+            round_step(s2, W, identity(), problem, 0.05)
             assert np.array_equal(s1.X, s2.X)
 
     def test_two_node_scalar_hand_oracle(self):
@@ -154,7 +142,7 @@ class TestDcdStep:
             0.5 * 2.0 + 0.5 * (-4.0) - gamma * g[0, 0],
             0.5 * 2.0 + 0.5 * (-4.0) - gamma * g[0, 1],
         ])
-        dcd_step(state, W, identity(), problem, gamma)
+        round_step(state, W, identity(), problem, gamma)
         assert np.allclose(state.X[0], x_half, atol=1e-14)
         assert np.array_equal(state.replicas, state.X)
 
@@ -164,7 +152,7 @@ class TestDcdStep:
         c = stochastic_quantize(7)
         state = init_state(problem, 8, "dcd", 21)
         for _ in range(300):
-            dcd_step(state, W, c, problem, 0.02)
+            round_step(state, W, c, problem, 0.02)
             assert np.max(np.abs(state.replicas - state.X)) == 0.0
 
     def test_unbounded_alpha_rejected(self):
@@ -172,7 +160,7 @@ class TestDcdStep:
         W = build_ring(8)
         state = init_state(problem, 8, "dcd", 0)
         with pytest.raises(ConfigError):
-            dcd_step(state, W, synthetic_noise(1.0), problem, 0.05)
+            round_step(state, W, synthetic_noise(1.0), problem, 0.05)
 
 
 class TestEcdStep:
@@ -181,7 +169,7 @@ class TestEcdStep:
         W = build_ring(8)
         state = init_state(problem, 8, "ecd", 17)
         for _ in range(40):
-            ecd_step(state, W, identity(), problem, 0.05)
+            round_step(state, W, identity(), problem, 0.05)
             assert np.array_equal(state.estimates, state.X)
             assert np.all(state.estimate_err == 0.0)
 
@@ -191,8 +179,8 @@ class TestEcdStep:
         s1 = init_state(problem, 8, "dpsgd", 19)
         s2 = init_state(problem, 8, "ecd", 19)
         for _ in range(25):
-            dpsgd_step(s1, W, problem, 0.05)
-            ecd_step(s2, W, identity(), problem, 0.05)
+            round_step(s1, W, identity(), problem, 0.05)
+            round_step(s2, W, identity(), problem, 0.05)
             assert np.array_equal(s1.X, s2.X)
 
     def test_average_preservation_identity(self):
@@ -208,7 +196,7 @@ class TestEcdStep:
             state = init_state(problem, 8, alg, 23)
             for _ in range(50):
                 x_bar = state.X.mean(axis=1)
-                run_steps(alg, state, W, c, problem, gamma, 1)
+                round_step(state, W, c, problem, gamma)
                 predicted = x_bar + state.last_step.q_bar - gamma * state.last_step.g_bar
                 assert np.allclose(state.X.mean(axis=1), predicted, atol=1e-10, rtol=0.0)
 
@@ -237,7 +225,7 @@ class TestEcdStep:
         for seed in range(20):
             state = init_state(problem, 8, "ecd", 500 + seed)
             for t in range(1, 101):
-                ecd_step(state, W, c, problem, 0.02)
+                round_step(state, W, c, problem, 0.02)
                 if t + 1 in checkpoints:  # estimate_err now pairs with x_{t+1}
                     per_node = np.sum(state.estimate_err**2, axis=0)
                     checkpoints[t + 1].append(per_node.mean())
@@ -258,12 +246,13 @@ class TestEcdStep:
 class TestCentralizedStep:
     def test_noiseless_gd_contraction(self):
         problem = quad_problem(6, 4, seed=15)
+        W = build_ring(4)
         state = init_state(problem, 4, "centralized", 0)
         x_star = problem.minimizer()
         gamma = 0.9 / problem.L
         prev = np.linalg.norm(state.X[:, 0] - x_star)
         for _ in range(30):
-            centralized_step(state, problem, gamma)
+            round_step(state, W, identity(), problem, gamma)
             cur = np.linalg.norm(state.X[:, 0] - x_star)
             assert cur < prev
             prev = cur
@@ -275,15 +264,15 @@ class TestCentralizedStep:
         s_dpsgd = init_state(problem, 4, "dpsgd", 31)
         gamma = 0.1
         for _ in range(200):
-            centralized_step(s_central, problem, gamma)
-            dpsgd_step(s_dpsgd, W, problem, gamma)
+            round_step(s_central, W, identity(), problem, gamma)
+            round_step(s_dpsgd, W, identity(), problem, gamma)
             assert np.allclose(s_central.X[:, 0], s_dpsgd.X.mean(axis=1),
                                rtol=1e-8, atol=1e-12)
 
     def test_consensus_is_zero(self):
         problem = quad_problem(4, 4, seed=17)
         state = init_state(problem, 4, "centralized", 0)
-        centralized_step(state, problem, 0.1)
+        round_step(state, build_ring(4), identity(), problem, 0.1)
         _, _, consensus = metrics(state, problem)
         assert consensus == 0.0
 
@@ -298,10 +287,7 @@ class TestZeroNoise:
             for prob, seed, trials in ((problem, 0, ()),
                                        (stack_problems([problem, problem]), [0, 1], (2,))):
                 state = init_state(prob, 4, alg, seed)
-                if alg == "dpsgd":
-                    dpsgd_step(state, W, prob, 0.1)
-                else:
-                    centralized_step(state, prob, 0.1)
+                round_step(state, W, identity(), prob, 0.1)
                 step = state.last_step
                 assert step.Q is None
                 assert np.shape(step.q_norm2) == trials
@@ -328,7 +314,7 @@ class TestConsensusInequality:
             for _ in range(T):
                 x_bar = state.X.mean(axis=1, keepdims=True)
                 lhs += float(np.sum((state.X - x_bar) ** 2))
-                dpsgd_step(state, topo, problem, gamma)
+                round_step(state, topo, identity(), problem, gamma)
                 rhs += gamma * gamma * state.last_step.g_norm2
             bound = 2.0 / (1.0 - topo.rho) ** 2 * rhs
             assert lhs <= bound + 1e-8 * max(1.0, bound)
@@ -343,7 +329,7 @@ class TestAlgorithmCollapse:
             state = init_state(problem, 8, alg, 77)
             snaps = []
             for _ in range(60):
-                run_steps(alg, state, W, identity(), problem, 0.04, 1)
+                round_step(state, W, identity(), problem, 0.04)
                 snaps.append(state.X.copy())
             trajectories[alg] = snaps
         for t in range(60):
@@ -506,7 +492,7 @@ class TestStateValidation:
         problem = quad_problem(4, 8, seed=19)
         state = init_state(problem, 8, "dpsgd", 0)
         with pytest.raises(ConfigError):
-            dpsgd_step(state, build_ring(4), problem, 0.1)
+            round_step(state, build_ring(4), identity(), problem, 0.1)
 
     def test_unknown_algorithm_rejected(self):
         problem = quad_problem(4, 8, seed=20)
@@ -517,6 +503,116 @@ class TestStateValidation:
         problem = quad_problem(4, 8, seed=21)
         with pytest.raises(ConfigError):
             init_state(problem, 4, "dpsgd", 0)
+
+    @pytest.mark.parametrize("alg", ["dpsgd", "dcd", "centralized"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_bad_gamma_rejected_before_anything_is_drawn(self, alg, bad, stacked, monkeypatch):
+        draws = []
+        draw = streams._draw
+        monkeypatch.setattr(streams, "_draw", lambda *args: draws.append(args) or draw(*args))
+        problem = quad_problem(4, 8, noise=0.3, seed=22)
+        seed, gamma = 0, bad
+        if stacked:  # one bad step size among the trials is enough
+            problem, seed, gamma = stack_problems([problem, problem]), [0, 1], \
+                np.array([0.1, bad])[:, None, None]
+        state = init_state(problem, 8, alg, seed)
+        X = state.X.copy()
+        with pytest.raises(InputError, match="finite and >= 0"):
+            round_step(state, build_ring(8), stochastic_quantize(7), problem, gamma)
+        assert state.t == 1 and np.array_equal(state.X, X) and state.last_step is None
+        assert draws == []
+
+
+STEP_SHIMS = {
+    "dpsgd": lambda state, W, c, problem, gamma: dpsgd_step(state, W, problem, gamma),
+    "naive": naive_step,
+    "dcd": dcd_step,
+    "ecd": ecd_step,
+    "centralized": lambda state, W, c, problem, gamma: centralized_step(state, problem, gamma),
+}
+
+
+class TestDeprecatedSteps:
+    """The per-algorithm step names are shims over round_step."""
+
+    @pytest.mark.parametrize("shim,alg", [
+        case for case in itertools.product(STEP_SHIMS, STEP_SHIMS) if case[0] != case[1]])
+    def test_shim_rejects_a_state_of_another_algorithm(self, shim, alg):
+        problem = quad_problem(4, 8, noise=0.3, seed=23)
+        state = init_state(problem, 8, alg, 0)
+        with pytest.warns(DeprecationWarning), pytest.raises(
+                ConfigError, match=f"{shim}_step called on a state made for '{alg}'"):
+            STEP_SHIMS[shim](state, build_ring(8), stochastic_quantize(7), problem, 0.05)
+        assert state.t == 1 and not np.any(state.X)
+
+    @pytest.mark.parametrize("alg", list(STEP_SHIMS))
+    def test_shim_warns_once_and_steps_like_round_step(self, alg):
+        problem = quad_problem(4, 8, het=0.5, noise=0.3, seed=24)
+        W, c = build_ring(8), stochastic_quantize(7)
+        old, new = init_state(problem, 8, alg, 25), init_state(problem, 8, alg, 25)
+        for _ in range(3):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                STEP_SHIMS[alg](old, W, c, problem, 0.05)
+            assert [w.category for w in caught] == [DeprecationWarning]
+            round_step(new, W, c, problem, 0.05)
+            fields = [(getattr(old, k), getattr(new, k))
+                      for k in ("X", "replicas", "estimate_err", "bits_total")]
+            fields += [(getattr(old.last_step, k), getattr(new.last_step, k))
+                       for k in ("q_norm2", "g_norm2", "bits", "Q", "G")]
+            for a, b in fields:
+                assert (a is None) == (b is None)
+                assert a is None or np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert old.t == new.t == 4
+
+
+class TestFinalMeasurement:
+    """The measurement after round T runs as pass T + 1 of run's loop:
+    it may stop a trial at the loss cap or record its threshold crossing."""
+
+    DOC = {"topology": {"kind": "ring", "n": 8}, "trace_every": 1,
+           "problem": {"kind": "quadratic", "dim": 6, "heterogeneity": 0.5, "noise": 0.2},
+           "compressor": {"kind": "quantize", "levels": 127}}
+
+    @pytest.mark.parametrize("alg", ["dpsgd", "naive", "dcd", "ecd", "centralized"])
+    def test_loss_cap_and_threshold_at_the_last_measurement(self, alg):
+        doc = {**self.DOC, "algorithm": alg, "T": 400}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            # step size 1.5 passes the loss cap mid-run: cut the horizon there
+            long_run = run(config_from_dict({**doc, "gamma": 1.5, "seed": 1}))
+            T = long_run.summary.iterations
+            assert long_run.summary.status == "diverged" and 1 < T < 400
+            # the measurement after round T, not the round, passes the cap
+            capped_cfg = config_from_dict({**doc, "gamma": 1.5, "seed": 1, "T": T})
+            W, problem, c, state_ss = build_run(capped_cfg)
+            state = init_state(problem, W.n, alg, state_ss)
+            for _ in range(T):
+                round_step(state, W, c, problem, 1.5)
+            assert np.isfinite(state.X).all() and metrics(state, problem)[0] > LOSS_CAP
+            # the threshold is a completing run's gradient norm at that
+            # measurement, which is below every earlier one
+            grads = [r.grad_norm2 for r in run(config_from_dict(
+                {**doc, "gamma": 0.05, "seed": 2})).records]
+            assert min(grads[:T]) > grads[T]
+            configs = [config_from_dict({**doc, "T": T, "grad_threshold": grads[T],
+                                         "gamma": g, "seed": s})
+                       for g, s in ((1.5, 1), (0.05, 2), (0.02, 3))]
+            solo = [run(cfg) for cfg in configs]
+            batch = run(configs)
+        capped, crossed, completed = solo
+        assert capped.summary.status == "diverged" and capped.summary.iterations == T
+        assert len(capped.records) == T
+        finals = (capped.summary.final_loss, capped.summary.final_grad_norm2,
+                  capped.summary.final_consensus)
+        assert finals == (math.inf,) * 3
+        assert crossed.summary.status == "completed"
+        assert crossed.summary.time_to_threshold == T + 1
+        assert crossed.summary.final_grad_norm2 == grads[T]
+        assert completed.summary.status == "completed" and completed.summary.iterations == T
+        for a, b in zip(solo, batch):
+            assert result_bits(b) == result_bits(a)
 
 
 def result_bits(result):
@@ -640,8 +736,8 @@ def float_bits(value):
 
 
 class TestBlockDraws:
-    """run() draws each stream many rounds ahead; the public step functions on
-    a fresh init_state draw one round at a time.  Both must give the same bits."""
+    """run() draws each stream many rounds ahead; round_step on a fresh
+    init_state draws one round at a time.  Both must give the same bits."""
 
     PROBLEMS = {
         "quadratic": {"kind": "quadratic", "dim": 8, "heterogeneity": 0.5, "noise": 0.2},
@@ -654,21 +750,6 @@ class TestBlockDraws:
     }
     BLOCK = 16  # rounds per block, small enough that runs diverging near round 50 cross refills
     T = 60
-
-    @staticmethod
-    def step(state, cfg, W, c, problem, gamma):
-        alg = cfg.algorithm
-        if alg == "dpsgd":
-            dpsgd_step(state, W, problem, gamma)
-        elif alg == "naive":
-            naive_step(state, W, c, problem, gamma)
-        elif alg == "dcd":
-            dcd_step(state, W, c, problem, gamma)
-        elif alg == "ecd":
-            z_norm_cap = cfg.z_norm_cap if c.kind == "sparsify" else math.inf
-            ecd_step(state, W, c, problem, gamma, z_norm_cap)
-        else:
-            centralized_step(state, problem, gamma)
 
     @pytest.mark.parametrize("alg,family,comp", [
         case for case in itertools.product(
@@ -716,9 +797,9 @@ class TestBlockDraws:
         assert len(records) >= 5 * max(oracle_K, compress_K)
 
     def check_against_step_loop(self, cfg):
-        """Run cfg, replay it one round per draw with the public step
-        functions, and compare every record and the final metrics as float
-        hex; return the run's records."""
+        """Run cfg, replay it one round per draw with round_step, and
+        compare every record and the final metrics as float hex; return the
+        run's records."""
         alg = cfg.algorithm
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -727,11 +808,12 @@ class TestBlockDraws:
 
         W, problem, c, state_ss = build_run(cfg)
         gamma = resolve_gamma(cfg, problem, W, c)
+        z_norm_cap = cfg.z_norm_cap if c.kind == "sparsify" else math.inf
         state = init_state(problem, W.n, alg, state_ss)  # one round per draw
         with np.errstate(over="ignore", invalid="ignore"):
             for r in records:
                 before = metrics(state, problem)
-                self.step(state, cfg, W, c, problem, gamma)
+                round_step(state, W, c, problem, gamma, z_norm_cap)
                 step = state.last_step
                 got = (state.t - 1, *before, step.q_norm2, step.g_norm2, state.bits_total)
                 want = (r.t, r.loss, r.grad_norm2, r.consensus, r.q_norm2, r.g_norm2, r.bits)
