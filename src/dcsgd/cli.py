@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import functools
 import json
 import math
 import os
@@ -372,7 +373,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``dcsgd`` argument parser, built once per process: parsing leaves
+    no state in it, so successive ``main`` calls share it."""
     parser = _Parser(
         prog="dcsgd",
         description="Desk-scale simulator for communication-compressed decentralized SGD",

@@ -124,12 +124,19 @@ def compress(
             f"per-column streams need a matrix with one column per stream, "
             f"got shape {z.shape} and {len(rng)} streams"
         )
-    if z.size == 0:
-        return z.copy()
     if not np.isfinite(z).all():
         raise InputError("compression input contains non-finite entries")
-    if c.kind == "identity":
+    return _compress(c, z, rng)
+
+
+def _compress(c: Compressor, z: np.ndarray, rng) -> np.ndarray:
+    """:func:`compress` of a float array z that its checks have passed.
+
+    The simulator calls this on inputs it has already scanned (or zeroed),
+    so the round does not scan them again."""
+    if z.size == 0 or c.kind == "identity":
         return z.copy()
+    per_column = not isinstance(rng, np.random.Generator)
     draw = "standard_normal" if c.kind == "synthetic" else "random"
     if per_column:
         # one round of the streams: row s * n + i holds column i of matrix s,

@@ -23,7 +23,7 @@ only in ``seed`` and ``gamma``, and runs the batch as one stacked state, X
 of shape (S, dim, n) over a stacked problem (``problems.stack_problems``)
 with one gamma per trial.  Each round is one ``round_step``: one
 ``W.mix(seen)`` over the (S, dim, n) stack, one oracle call and one
-``compress`` call; after round T, one last pass of the loop measures the
+compression call; after round T, one last pass of the loop measures the
 trials still running and completes them.  ``MixingMatrix.mix`` applies a
 W with few nonzero diagonals against n (a ring of n >= 192) as a sum over
 those diagonals, elementwise, and any other W as the stacked dense
@@ -56,6 +56,19 @@ Compression runs once per round, over the whole message matrix, with each
 column reading its node's row of the slab.  Rounds are synchronous by
 construction; each step reads the frozen previous round and writes
 disjoint columns.
+
+Non-finite values: on ``run``'s path they are caught inside
+``round_step``, at two sites.  For dcd and ecd the broadcast Z is scanned
+before it is compressed (ecd also caps its norm), and ``_commit`` scans the
+new X; either marks the trial diverged, and ``run`` retires it at its next
+pass before it steps again.  So the oracle (``Problem._samples``) and the
+compressor (``compression._compress``) only see inputs already known to be
+finite, or zeroed for a bad trial, and do not scan them again.  The library
+entry points keep their own checks: ``Problem.stochastic_gradients`` raises
+DivergedError and ``compress`` raises InputError on non-finite input, and
+``round_step`` raises DivergedError on a state already marked diverged.  A
+state whose X a caller made non-finite by hand is marked diverged by that
+round's ``_commit``, and the next ``round_step`` raises.
 """
 
 from __future__ import annotations
@@ -259,7 +272,9 @@ def round_step(
 
     A trial whose broadcast is non-finite, or for ecd past ``z_norm_cap`` in
     norm (the sparsifier's noise grows with its input), commits X + delta,
-    draws nothing for the exchange and is marked diverged.  On a stacked
+    draws nothing for the exchange and is marked diverged; so is a trial
+    whose new X is not finite.  These are the round's only scans for
+    non-finite values (module docstring).  On a stacked
     state ``gamma`` broadcasts against X, one value per trial; unless each
     is finite and >= 0 the round raises InputError before drawing anything.
     """
@@ -279,14 +294,14 @@ def round_step(
     state.last_step = None
     X = state.X
     if algorithm == "centralized":  # X is (..., dim, 1)
-        G = problem.stochastic_gradients(np.repeat(X, state.n, axis=-1), state.sample_streams)
+        G = problem._samples(np.repeat(X, state.n, axis=-1), state.sample_streams)
         bits = 2 * (state.n - 1) * compression.FULL_PRECISION_BITS * problem.dim
         return _commit(state, X - gamma * G.mean(axis=-1, keepdims=True), None, G, bits)
     if algorithm == "dpsgd":
         c = compression.identity()
         seen, Q = X, None
     elif algorithm == "naive":
-        seen = compress(c, X, state.compress_streams)
+        seen = compression._compress(c, X, state.compress_streams)
         Q = seen - X
     elif algorithm == "dcd":
         # Q_t is zero for a trial that diverges before the exchange
@@ -295,7 +310,7 @@ def round_step(
         seen, Q = X + state.estimate_err, W.mix(state.estimate_err)
     else:
         raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-    G = problem.stochastic_gradients(X, state.sample_streams)
+    G = problem._samples(X, state.sample_streams)
     # seen W - gamma * G - X, left to right, in one buffer
     delta = W.mix(seen)
     delta -= gamma * G
@@ -308,9 +323,9 @@ def round_step(
     s = state.t + 1
     Z = delta if algorithm == "dcd" else _extrapolate(X, X_new, s)
     # nothing sane to broadcast: overflowed or past the input-norm guard
-    bad = ~_per_trial(np.isfinite(Z)).all(axis=-1)
+    bad = ~np.logical_and.reduce(_per_trial(np.isfinite(Z)), axis=-1)
     if algorithm == "ecd":
-        bad |= np.sum(Z * Z, axis=-2).max(axis=-1) > z_norm_cap * z_norm_cap
+        bad |= np.maximum.reduce(np.add.reduce(Z * Z, axis=-2), axis=-1) > z_norm_cap * z_norm_cap
     n_bad = np.count_nonzero(bad)
     if n_bad == bad.size:
         return _commit(state, X_new, Q, G, bits, bad)
@@ -318,10 +333,11 @@ def round_step(
         # the other trials exchange; a bad trial compresses zeros (its draws
         # are discarded with it) and Z stands in for its message, so dcd
         # commits it X + delta like the path above
-        CZ = compress(c, np.where(bad[..., None, None], 0.0, Z), state.compress_streams)
+        CZ = compression._compress(c, np.where(bad[..., None, None], 0.0, Z),
+                                   state.compress_streams)
         CZ[bad] = Z[bad]
     else:
-        CZ = compress(c, Z, state.compress_streams)
+        CZ = compression._compress(c, Z, state.compress_streams)
     if algorithm == "ecd":
         state.estimate_err = _fold(state.estimate_err, CZ - Z, s)
         return _commit(state, X_new, Q, G, bits, bad)
@@ -377,12 +393,14 @@ def centralized_step(state: WorldState, problem: Problem, gamma: float) -> World
 
 def _commit(state: WorldState, X_new, Q, G, bits: int, diverged=False) -> WorldState:
     # Q None is Q_t = 0: q_norm2 is +0.0 per trial (a scalar for a solo state)
-    q_norm2 = np.zeros(G.shape[:-2])[()] if Q is None else _per_trial(Q * Q).sum(axis=-1)
-    state.last_step = StepStats(q_norm2, _per_trial(G * G).sum(axis=-1), bits, Q, G)
+    # np.add.reduce and np.logical_and.reduce are what .sum() and .all() call
+    q_norm2 = (np.zeros(G.shape[:-2])[()] if Q is None
+               else np.add.reduce(_per_trial(Q * Q), axis=-1))
+    state.last_step = StepStats(q_norm2, np.add.reduce(_per_trial(G * G), axis=-1), bits, Q, G)
     state.X = X_new
     state.t += 1
     state.bits_total += bits
-    state.diverged = diverged | ~_per_trial(np.isfinite(X_new)).all(axis=-1)
+    state.diverged = diverged | ~np.logical_and.reduce(_per_trial(np.isfinite(X_new)), axis=-1)
     return state
 
 
@@ -415,8 +433,9 @@ def metrics(state: WorldState, problem: Problem) -> tuple[float, float, float]:
     x_bar = _mean(state.X)
     loss = problem.loss(x_bar)
     g = problem.grad_mean(x_bar)
-    consensus = _per_trial((state.X - x_bar[..., None]) ** 2).sum(axis=-1)
-    return loss, _dot(g, g), consensus
+    dev = state.X - x_bar[..., None]
+    dev *= dev
+    return loss, _dot(g, g), np.add.reduce(_per_trial(dev), axis=-1)
 
 
 def run(config):

@@ -372,6 +372,25 @@ class TestCliRun:
         assert s5["seed"] == 5 and s6["seed"] == 6
         assert s5["final_grad_norm2"] != s6["final_grad_norm2"]
 
+    def test_successive_calls_share_no_argument_state(self, tmp_path, capsys):
+        # the parser is built once per process; what one call parsed must
+        # not reach the next
+        assert cli.build_parser() is cli.build_parser()
+        path = write_config(tmp_path, {**BASE, "seed": 3, "T": 20})
+        out = tmp_path / "trace.csv"
+        assert main(["run", "--config", path, "--seed", "5", "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 5
+        written = out.read_bytes()
+        assert main(["run", "--config", path]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 3
+        assert out.read_bytes() == written
+        swept = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", path, "--axis", "gamma", "--values", "0.1,0.2",
+                     "--out", str(swept)]) == 0
+        rows = [l for l in swept.read_text().splitlines() if not l.startswith("#")]
+        assert rows[0].split(",")[:3] == ["axis", "value", "seed"]
+        assert [row.split(",")[2] for row in rows[1:]] == ["3", "3"]
+
 
 class TestCliTheory:
     def test_prints_constants_and_verdict(self, tmp_path, capsys):

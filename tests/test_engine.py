@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from dcsgd import (
-    ConfigError, InputError, centralized_step, dcd_step, dpsgd_step, ecd_step,
+    ConfigError, DivergedError, InputError, centralized_step, dcd_step, dpsgd_step, ecd_step,
     estimate_error_trace, identity, init_state, make_quadratic, metrics, naive_step,
     round_step, run, stochastic_quantize, streams, synthetic_noise,
 )
+from dcsgd import compression, engine
 from dcsgd.config import build_run, build_topology, config_from_dict, resolve_gamma
-from dcsgd.engine import LOSS_CAP
-from dcsgd.problems import stack_problems
+from dcsgd.engine import ALGORITHMS, LOSS_CAP
+from dcsgd.problems import Problem, stack_problems
 from dcsgd.topology import build_fully_connected, build_ring
 
 
@@ -523,6 +524,22 @@ class TestStateValidation:
         assert state.t == 1 and np.array_equal(state.X, X) and state.last_step is None
         assert draws == []
 
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_state_made_non_finite_by_hand_diverges_at_the_commit(self, alg):
+        # the round does not scan X before its oracle and compressor: that
+        # round's commit marks the state diverged, and the next round raises
+        problem = quad_problem(4, 8, noise=0.3, seed=23)
+        W, c = build_ring(8), stochastic_quantize(127)
+        state = init_state(problem, 8, alg, 0)
+        round_step(state, W, c, problem, 0.1)
+        state.X[2, -1] = math.nan
+        with np.errstate(invalid="ignore"):
+            round_step(state, W, c, problem, 0.1)
+        assert state.status == "diverged" and state.t == 3
+        with pytest.raises(DivergedError, match="already diverged"):
+            round_step(state, W, c, problem, 0.1)
+        assert state.t == 3
+
 
 STEP_SHIMS = {
     "dpsgd": lambda state, W, c, problem, gamma: dpsgd_step(state, W, problem, gamma),
@@ -684,6 +701,29 @@ class TestTrialBatch:
         assert statuses == ["completed", "diverged", "diverged", "completed"]
         assert 0 < batch[2].summary.iterations < 120
         assert batch[2].records and batch[2].records[-1].t == batch[2].summary.iterations
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_run_calls_no_checked_entry_point(self, alg, monkeypatch):
+        # run's rounds scan for non-finite values in round_step alone; its
+        # oracle and compressor are the primitives behind the checked entry
+        # points.  Gamma 1e308 overflows in the first round, so in the batch
+        # one trial compresses zeros while the others exchange.
+        def checked(*args, **kwargs):
+            raise AssertionError("run called a checked entry point")
+
+        monkeypatch.setattr(Problem, "stochastic_gradients", checked)
+        monkeypatch.setattr(engine, "compress", checked)
+        monkeypatch.setattr(compression, "compress", checked)
+        doc = {**self.BASE, "algorithm": alg, "T": 60, "seed": 7,
+               "problem": TRIAL_PROBLEMS["quadratic"],
+               "compressor": TRIAL_COMPRESSORS["quantize127"]}
+        configs = [config_from_dict({**doc, "gamma": g}) for g in (0.05, 1e308, 0.1)]
+        solo = [run(cfg) for cfg in configs]
+        batch = run(configs)
+        for a, b in zip(solo, batch):
+            assert result_bits(b) == result_bits(a)
+        assert [r.summary.status for r in batch] == ["completed", "diverged", "completed"]
+        assert batch[1].summary.iterations == 1
 
     def test_norm_cap_trips_one_trial_while_others_exchange(self):
         # ecd with the sparsifier: a large step pushes one trial's broadcast

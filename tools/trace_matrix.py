@@ -49,8 +49,8 @@ import tempfile
 import warnings
 
 from dcsgd.cli import main as dcsgd_main
+from dcsgd.engine import ALGORITHMS
 
-ALGORITHMS = ("dpsgd", "naive", "dcd", "ecd", "centralized")
 COMPRESSORS = (
     {"kind": "identity"},
     {"kind": "quantize", "levels": 127},
