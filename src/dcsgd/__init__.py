@@ -14,8 +14,7 @@ from .compression import (
 from .config import RunConfig, parse_config, serialize_config
 from .costmodel import NetworkSpec, epoch_time_allreduce, epoch_time_decentralized
 from .engine import (
-    RunResult, TraceRecord, WorldState, centralized_step, dcd_step, dpsgd_step,
-    ecd_step, estimate_error_trace, init_state, metrics, naive_step, round_step, run,
+    RunResult, TraceRecord, WorldState, estimate_error_trace, init_state, metrics, round_step, run,
 )
 from .errors import (
     ConfigError, DivergedError, InfeasibleError, InputError, TopologyError,

@@ -24,6 +24,8 @@ from .config import RunConfig, build_compressor, build_run, parse_config, resolv
 from .errors import ConfigError, InfeasibleError, InputError, TopologyError
 
 SWEEP_AXES = ("gamma", "levels", "n", "seed", "bandwidth", "latency")
+SEEDED_AXES = ("gamma", "levels", "n")  # the axes that take --seeds
+COST_AXES = {"bandwidth": "bandwidths", "latency": "latencies"}  # axis: network field
 
 RUN_ROW_FIELDS = (
     "axis", "value", "seed", "status", "gamma", "iterations", "final_loss",
@@ -78,24 +80,30 @@ def sweep(cfg: RunConfig, axis: str, values, seeds=None) -> list[dict]:
     size, so their entries run as trial batches through one ``engine.run``
     call each, every row bit for bit what a solo run gives; the n and levels
     axes change shapes and run one entry at a time.  The bandwidth / latency
-    axes evaluate the communication model rather than running the simulator.
+    axes evaluate the communication model of a one-point network grid rather
+    than running the simulator.  ``seeds`` applies to ``SEEDED_AXES`` only.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
-    if axis in ("bandwidth", "latency"):
-        return _cost_sweep(cfg, axis, values)
+    if seeds and axis not in SEEDED_AXES:
+        raise ConfigError(f"--seeds applies only to the {'/'.join(SEEDED_AXES)} axes, "
+                          f"not to {axis!r}")
     if axis == "seed":
         entries = [(int(v), int(v)) for v in values]
     else:
-        seed_list = [cfg.seed] if not seeds else [int(s) for s in seeds]
-        entries = [(v, s) for v in values for s in seed_list]
+        entries = [(v, int(s)) for v in values for s in seeds or [cfg.seed]]
     rows, runnable = [], []
     for value, seed in entries:
-        row = dict.fromkeys(RUN_ROW_FIELDS, "")
+        row = dict.fromkeys(COST_ROW_FIELDS if axis in COST_AXES else RUN_ROW_FIELDS, "")
         row.update(axis=axis, value=value, seed=seed)
         rows.append(row)
         try:
-            runnable.append((row, _derive_config(cfg, axis, value, seed)))
+            derived = _derive_config(cfg, axis, value, seed)
+            if axis in COST_AXES:
+                grid = _grid(derived)[0]
+                row.update({k: grid[k] for k in COST_ROW_FIELDS[4:]}, status="completed")
+            else:
+                runnable.append((row, derived))
         except _CONFIG_ERRORS as exc:
             row["status"] = f"config_error: {exc}"
     size = _batch_size(cfg) if axis in ("seed", "gamma") else 1
@@ -163,6 +171,11 @@ def _derive_config(cfg: RunConfig, axis: str, value, seed: int) -> RunConfig:
         return cfg
     if axis == "gamma":
         return dataclasses.replace(cfg, gamma=value)
+    if axis in COST_AXES:  # the value and the first entry of the other list
+        net = cfg.network
+        point = {"bandwidths": net.bandwidths[:1], "latencies": net.latencies[:1],
+                 COST_AXES[axis]: (value,)}
+        return dataclasses.replace(cfg, network=dataclasses.replace(net, **point))
     if axis == "levels":
         if cfg.compressor.kind != "quantize":
             raise ConfigError(
@@ -176,37 +189,16 @@ def _derive_config(cfg: RunConfig, axis: str, value, seed: int) -> RunConfig:
     return dataclasses.replace(cfg, topology=topo)
 
 
-def _cost_sweep(cfg: RunConfig, axis: str, values) -> list[dict]:
+def _grid(cfg: RunConfig) -> list[dict]:
+    """The config's communication-time grid, one row per (bandwidth, latency)."""
     net = cfg.network
-    ratio = _compression_ratio(cfg)
-    rows = []
-    for value in values:
-        bandwidth = float(value) if axis == "bandwidth" else net.bandwidths[0]
-        latency = float(value) if axis == "latency" else net.latencies[0]
-        row = dict.fromkeys(COST_ROW_FIELDS, "")
-        row.update(axis=axis, value=value, seed=cfg.seed)
-        try:
-            grid = costmodel.cost_grid(
-                n=cfg.topology.n, model_bits=FULL_PRECISION_BITS * net.model_dim,
-                compression_ratio=ratio, steps_per_epoch=net.steps_per_epoch,
-                degree=net.degree, compute_s=net.compute_s,
-                bandwidths=[bandwidth], latencies=[latency],
-            )[0]
-        except _CONFIG_ERRORS as exc:
-            row["status"] = f"config_error: {exc}"
-            rows.append(row)
-            continue
-        row.update(status="completed", allreduce_s=grid["allreduce_s"],
-                   decen_full_s=grid["decen_full_s"],
-                   decen_compressed_s=grid["decen_compressed_s"])
-        rows.append(row)
-    return rows
-
-
-def _compression_ratio(cfg: RunConfig) -> float:
-    c = build_compressor(cfg.compressor)
-    dim = cfg.network.model_dim
-    return bits_transmitted(c, dim) / (FULL_PRECISION_BITS * dim)
+    bits = FULL_PRECISION_BITS * net.model_dim
+    return costmodel.cost_grid(
+        n=cfg.topology.n, model_bits=bits,
+        compression_ratio=bits_transmitted(build_compressor(cfg.compressor), net.model_dim) / bits,
+        steps_per_epoch=net.steps_per_epoch, degree=net.degree,
+        compute_s=net.compute_s, bandwidths=net.bandwidths, latencies=net.latencies,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +318,7 @@ def _cmd_theory(args) -> int:
 
 def _cmd_cost(args) -> int:
     cfg = _load_config(args)
-    net = cfg.network
-    rows = costmodel.cost_grid(
-        n=cfg.topology.n, model_bits=FULL_PRECISION_BITS * net.model_dim,
-        compression_ratio=_compression_ratio(cfg),
-        steps_per_epoch=net.steps_per_epoch, degree=net.degree,
-        compute_s=net.compute_s, bandwidths=net.bandwidths, latencies=net.latencies,
-    )
-    write_rows_csv(args.out, cfg, rows, GRID_FIELDS)
+    write_rows_csv(args.out, cfg, _grid(cfg), GRID_FIELDS)
     return 0
 
 
@@ -345,7 +330,7 @@ def _cmd_sweep(args) -> int:
         seeds = [_parse_number(int, s, "--seeds") for s in args.seeds.split(",")]
     _check_out(args.out)
     rows = sweep(cfg, args.axis, values, seeds)
-    fields = COST_ROW_FIELDS if args.axis in ("bandwidth", "latency") else RUN_ROW_FIELDS
+    fields = COST_ROW_FIELDS if args.axis in COST_AXES else RUN_ROW_FIELDS
     write_rows_csv(args.out, cfg, rows, fields)
     return 0
 

@@ -11,6 +11,7 @@ added uniformly to every configuration.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -36,14 +37,15 @@ class NetworkSpec:
     compute_s: float = 0.0
 
     def __post_init__(self):
-        if self.bandwidth <= 0.0:
-            raise InputError(f"bandwidth must be > 0, got {self.bandwidth}")
-        if self.latency < 0.0:
-            raise InputError(f"latency must be >= 0, got {self.latency}")
         if self.n < 2:
             raise InputError(f"need n >= 2, got {self.n}")
-        if self.model_bits <= 0.0 or self.compression_ratio <= 0.0:
-            raise InputError("model_bits and compression_ratio must be > 0")
+        for name in ("bandwidth", "model_bits", "compression_ratio", "latency", "compute_s"):
+            value = getattr(self, name)
+            positive = name not in ("latency", "compute_s")
+            # NaN, infinities and integers beyond the float range fail the abs test
+            if not (abs(value) <= sys.float_info.max and (value > 0 if positive else value >= 0)):
+                floor = "> 0" if positive else ">= 0"
+                raise InputError(f"{name} must be a finite number {floor}, got {value!r}")
 
 
 def epoch_time_allreduce(spec: NetworkSpec, steps_per_epoch: int) -> float:

@@ -14,9 +14,7 @@ models, replicas, or estimates); the centralized baseline keeps one model
 and averages the nodes' gradients.  The difference form makes the
 collapse exact: with the identity compressor naive, dcd and ecd reproduce
 dpsgd bit for bit from identical streams, because their compression terms
-vanish exactly.  The per-algorithm names ``dpsgd_step``, ``naive_step``,
-``dcd_step``, ``ecd_step`` and ``centralized_step`` are deprecated shims
-over it.
+vanish exactly.
 
 Trial axis: :func:`run` takes one config or a batch of configs that differ
 only in ``seed`` and ``gamma``, and runs the batch as one stacked state, X
@@ -76,7 +74,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import types
 import warnings
 from dataclasses import dataclass, field
 
@@ -352,43 +349,6 @@ def round_step(
     if drift.size and drift.max() != 0.0:
         raise AssertionError(f"replica drifted from its owner by {drift.max()}")
     return state
-
-
-def _deprecated_step(algorithm, state, W, c, problem, gamma, z_norm_cap=math.inf):
-    warnings.warn(f"{algorithm}_step is deprecated; use round_step, which reads the "
-                  "algorithm from the state", DeprecationWarning, stacklevel=3)
-    if state.algorithm != algorithm:
-        raise ConfigError(f"{algorithm}_step called on a state made for {state.algorithm!r}")
-    return round_step(state, W, c, problem, gamma, z_norm_cap)
-
-
-def dpsgd_step(state: WorldState, W: MixingMatrix, problem: Problem, gamma: float) -> WorldState:
-    """Deprecated: ``round_step(state, W, identity(), problem, gamma)``."""
-    return _deprecated_step("dpsgd", state, W, compression.identity(), problem, gamma)
-
-
-def naive_step(state: WorldState, W: MixingMatrix, c: Compressor, problem: Problem,
-               gamma: float) -> WorldState:
-    """Deprecated: ``round_step(state, W, c, problem, gamma)``."""
-    return _deprecated_step("naive", state, W, c, problem, gamma)
-
-
-def dcd_step(state: WorldState, W: MixingMatrix, c: Compressor, problem: Problem,
-             gamma: float) -> WorldState:
-    """Deprecated: ``round_step(state, W, c, problem, gamma)``."""
-    return _deprecated_step("dcd", state, W, c, problem, gamma)
-
-
-def ecd_step(state: WorldState, W: MixingMatrix, c: Compressor, problem: Problem,
-             gamma: float, z_norm_cap: float = math.inf) -> WorldState:
-    """Deprecated: ``round_step(state, W, c, problem, gamma, z_norm_cap)``."""
-    return _deprecated_step("ecd", state, W, c, problem, gamma, z_norm_cap)
-
-
-def centralized_step(state: WorldState, problem: Problem, gamma: float) -> WorldState:
-    """Deprecated: ``round_step(state, W, c, problem, gamma)``; the round reads only ``W.n``."""
-    nodes = types.SimpleNamespace(n=state.n)
-    return _deprecated_step("centralized", state, nodes, compression.identity(), problem, gamma)
 
 
 def _commit(state: WorldState, X_new, Q, G, bits: int, diverged=False) -> WorldState:

@@ -14,6 +14,7 @@ from dcsgd import ConfigError, RunConfig, parse_config, serialize_config
 from dcsgd import cli, engine, topology
 from dcsgd.cli import main, sweep
 from dcsgd.config import config_from_dict, resolve_gamma, build_topology, build_problem, build_compressor
+from dcsgd.costmodel import cost_grid
 
 BASE = {
     "algorithm": "dpsgd",
@@ -74,6 +75,20 @@ BAD_PROBLEM_CONSTANTS = [
 # the custom graph of tools/trace_matrix.py
 CUSTOM = {"kind": "custom", "n": 6,
           "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0], [0, 3]]}
+
+
+# a config with its own network section, for the cost command and cost axes
+COST_DOC = {**BASE, "compressor": {"kind": "quantize", "levels": 127},
+            "network": {"model_dim": 1000, "steps_per_epoch": 7, "compute_s": 0.01,
+                        "degree": 3, "bandwidths": [3e8, 1e6], "latencies": [1e-4, 2e-3]}}
+
+
+def cost_reference(bandwidths, latencies):
+    """COST_DOC's grid from the cost model called directly: the 127-level
+    quantizer sends 8 bits per entry plus one 32-bit scale."""
+    return cost_grid(n=8, model_bits=32 * 1000, compression_ratio=(8 * 1000 + 32) / (32 * 1000),
+                     steps_per_epoch=7, degree=3, compute_s=0.01,
+                     bandwidths=bandwidths, latencies=latencies)
 
 
 def _tuples(value):
@@ -442,6 +457,22 @@ class TestCliCost:
         assert lines[0] == "bandwidth,latency,allreduce_s,decen_full_s,decen_compressed_s"
         assert len(lines) == 1 + 25
 
+    def test_rows_equal_the_cost_model(self, tmp_path):
+        path = write_config(tmp_path, COST_DOC)
+        out = tmp_path / "cost.csv"
+        assert main(["cost", "--config", path, "--out", str(out)]) == 0
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert lines[1:] == [",".join(repr(row[k]) for k in cli.GRID_FIELDS)
+                             for row in cost_reference([3e8, 1e6], [1e-4, 2e-3])]
+
+    def test_payload_beyond_the_float_range_is_a_config_error(self, tmp_path, capsys):
+        # model_dim fits a float, but its 32 bits per entry do not
+        path = write_config(tmp_path, {**BASE, "network": {"model_dim": 10**307}})
+        assert main(["cost", "--config", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("configuration error: model_bits must be a finite")
+        assert err.count("\n") == 1
+
 
 class TestSweep:
     def test_seed_sweep_rows(self):
@@ -540,6 +571,57 @@ class TestSweep:
         rows = sweep(cfg, "bandwidth", [1.4e9, 5e6])
         assert all(r["status"] == "completed" for r in rows)
         assert rows[0]["decen_compressed_s"] < rows[1]["decen_compressed_s"]
+
+    def test_latency_axis_cost_rows(self):
+        cfg = config_from_dict({**BASE, "compressor": {"kind": "quantize", "levels": 127}})
+        rows = sweep(cfg, "latency", [0.13e-3, 5e-3])
+        assert [(r["value"], r["seed"], r["status"]) for r in rows] == [
+            (0.13e-3, 0, "completed"), (5e-3, 0, "completed")]
+        # the allreduce pays 2 (n - 1) latencies per step, gossip one
+        assert rows[0]["allreduce_s"] < rows[1]["allreduce_s"]
+        assert (rows[1]["allreduce_s"] - rows[0]["allreduce_s"]
+                > rows[1]["decen_full_s"] - rows[0]["decen_full_s"])
+
+    @pytest.mark.parametrize("axis,values,other", [
+        ("bandwidth", [5e8, 2e6, 3e8], 1e-4),  # latency: the config's first entry
+        ("latency", [0.0, 3e-3, 1e-4], 3e8),  # bandwidth: the config's first entry
+    ])
+    def test_cost_axis_rows_equal_the_cost_model(self, axis, values, other):
+        rows = sweep(config_from_dict(COST_DOC), axis, values)
+        for row, value in zip(rows, values, strict=True):
+            point = ([value], [other]) if axis == "bandwidth" else ([other], [value])
+            reference = cost_reference(*point)[0]
+            assert row == {"axis": axis, "value": value, "seed": 0, "status": "completed",
+                           **{k: reference[k] for k in cli.COST_ROW_FIELDS[4:]}}
+
+    @pytest.mark.parametrize("axis,bad,message", [
+        ("bandwidth", "nan,inf,-5.0,0.0", "network bandwidths entry must be a finite number > 0"),
+        ("latency", "nan,inf,-1e-3", "network latencies entry must be a finite number >= 0"),
+    ])
+    def test_bad_cost_values_become_row_errors(self, tmp_path, axis, bad, message):
+        # a swept value obeys the rules of the config's network section
+        path = write_config(tmp_path, COST_DOC)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", path, "--axis", axis,
+                     "--values", f"2.0,{bad},3.0", "--out", str(out)]) == 0
+        # the status column onwards; an error message may hold a comma
+        rows = [l.split(",", 3)[3] for l in out.read_text().splitlines()
+                if l.startswith(f"{axis},")]
+        assert len(rows) == 2 + bad.count(",") + 1
+        assert rows[0].startswith("completed,") and rows[-1].startswith("completed,")
+        for r in rows[1:-1]:
+            assert r.startswith(f"config_error: {message}") and r.endswith(",,,")
+
+    @pytest.mark.parametrize("axis", ["seed", "bandwidth", "latency"])
+    def test_seeds_rejected_on_axes_that_do_not_take_them(self, tmp_path, capsys, axis):
+        with pytest.raises(ConfigError, match="^--seeds applies only to the gamma/levels/n axes"):
+            sweep(config_from_dict(COST_DOC), axis, [1], seeds=[4, 5])
+        path = write_config(tmp_path, COST_DOC)
+        argv = ["sweep", "--config", path, "--axis", axis, "--values", "1", "--seeds", "4,5"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("configuration error: --seeds ")
+        assert err.count("\n") == 1
 
     def test_unknown_axis_rejected(self):
         cfg = config_from_dict(BASE)

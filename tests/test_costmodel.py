@@ -1,5 +1,7 @@
 """Analytic communication-time model: formulas, monotonicity, orderings."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,23 @@ class TestFormulas:
             epoch_time_decentralized(spec(**BEST), 10, degree=0)
         with pytest.raises(InputError):
             epoch_time_allreduce(spec(**BEST), 0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("bandwidth", math.nan), ("bandwidth", math.inf), ("bandwidth", 0.0),
+        ("latency", math.nan), ("latency", math.inf), ("latency", -1e-3),
+        ("compute_s", -1.0), ("compute_s", math.nan), ("compute_s", math.inf),
+        ("model_bits", math.inf), ("model_bits", 0),
+        pytest.param("model_bits", 10**400, id="model_bits-int-beyond-float"),
+        ("compression_ratio", math.nan), ("compression_ratio", math.inf),
+        ("compression_ratio", 0.0),
+    ])
+    def test_field_must_be_finite_and_in_range(self, field, value):
+        # bandwidth, model_bits and compression_ratio must be > 0; latency
+        # and compute_s >= 0; each of them finite
+        fields = dict(bandwidth=1e9, latency=1e-3, n=8, model_bits=MODEL_BITS,
+                      compression_ratio=0.5, compute_s=0.1)
+        with pytest.raises(InputError, match=f"^{field} must be a finite number"):
+            NetworkSpec(**{**fields, field: value})
 
 
 class TestMonotonicity:

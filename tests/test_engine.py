@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from dcsgd import (
-    ConfigError, DivergedError, InputError, centralized_step, dcd_step, dpsgd_step, ecd_step,
-    estimate_error_trace, identity, init_state, make_quadratic, metrics, naive_step,
-    round_step, run, stochastic_quantize, streams, synthetic_noise,
+    ConfigError, DivergedError, InputError, estimate_error_trace, identity, init_state,
+    make_quadratic, metrics, round_step, run, stochastic_quantize, streams, synthetic_noise,
 )
 from dcsgd import compression, engine
 from dcsgd.config import build_run, build_topology, config_from_dict, resolve_gamma
@@ -539,49 +538,6 @@ class TestStateValidation:
         with pytest.raises(DivergedError, match="already diverged"):
             round_step(state, W, c, problem, 0.1)
         assert state.t == 3
-
-
-STEP_SHIMS = {
-    "dpsgd": lambda state, W, c, problem, gamma: dpsgd_step(state, W, problem, gamma),
-    "naive": naive_step,
-    "dcd": dcd_step,
-    "ecd": ecd_step,
-    "centralized": lambda state, W, c, problem, gamma: centralized_step(state, problem, gamma),
-}
-
-
-class TestDeprecatedSteps:
-    """The per-algorithm step names are shims over round_step."""
-
-    @pytest.mark.parametrize("shim,alg", [
-        case for case in itertools.product(STEP_SHIMS, STEP_SHIMS) if case[0] != case[1]])
-    def test_shim_rejects_a_state_of_another_algorithm(self, shim, alg):
-        problem = quad_problem(4, 8, noise=0.3, seed=23)
-        state = init_state(problem, 8, alg, 0)
-        with pytest.warns(DeprecationWarning), pytest.raises(
-                ConfigError, match=f"{shim}_step called on a state made for '{alg}'"):
-            STEP_SHIMS[shim](state, build_ring(8), stochastic_quantize(7), problem, 0.05)
-        assert state.t == 1 and not np.any(state.X)
-
-    @pytest.mark.parametrize("alg", list(STEP_SHIMS))
-    def test_shim_warns_once_and_steps_like_round_step(self, alg):
-        problem = quad_problem(4, 8, het=0.5, noise=0.3, seed=24)
-        W, c = build_ring(8), stochastic_quantize(7)
-        old, new = init_state(problem, 8, alg, 25), init_state(problem, 8, alg, 25)
-        for _ in range(3):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                STEP_SHIMS[alg](old, W, c, problem, 0.05)
-            assert [w.category for w in caught] == [DeprecationWarning]
-            round_step(new, W, c, problem, 0.05)
-            fields = [(getattr(old, k), getattr(new, k))
-                      for k in ("X", "replicas", "estimate_err", "bits_total")]
-            fields += [(getattr(old.last_step, k), getattr(new.last_step, k))
-                       for k in ("q_norm2", "g_norm2", "bits", "Q", "G")]
-            for a, b in fields:
-                assert (a is None) == (b is None)
-                assert a is None or np.asarray(a).tobytes() == np.asarray(b).tobytes()
-        assert old.t == new.t == 4
 
 
 class TestFinalMeasurement:
