@@ -214,9 +214,11 @@ def _metadata_lines(cfg: RunConfig, extra: dict | None = None) -> list[str]:
 
 
 def _format_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    """A float's repr or anything else's str, quoted as csv.QUOTE_MINIMAL would."""
+    text = repr(v) if isinstance(v, float) else str(v)
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_trace_csv(path: str, cfg: RunConfig, result: engine.RunResult) -> None:
@@ -237,10 +239,12 @@ def write_rows_csv(path: str, cfg: RunConfig, rows: list[dict], fields) -> None:
 
 
 def _check_out(path: str | None) -> None:
-    """Raise the OSError that writing ``path`` would raise, before any work
-    is done, without creating or truncating the file."""
+    """Raise the OSError that writing ``path`` would raise (ConfigError if it
+    is empty), before any work is done, without creating or truncating it."""
     if path in (None, "-"):
         return
+    if not path:
+        raise ConfigError("--out must be a file path or '-', got an empty string")
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         code = errno.EISDIR

@@ -11,10 +11,11 @@ algorithms share one kernel:
 
 where S is what each node sees of its neighbors (true models, compressed
 models, replicas, or estimates); the centralized baseline keeps one model
-and averages the nodes' gradients.  The difference form makes the
-collapse exact: with the identity compressor naive, dcd and ecd reproduce
-dpsgd bit for bit from identical streams, because their compression terms
-vanish exactly.
+and averages the nodes' gradients.  dcd's replicas equal the models by
+construction, so dcd mixes X (a reference test with explicit replicas pins
+this).  The difference form makes the collapse exact: with the identity
+compressor naive, dcd and ecd reproduce dpsgd bit for bit from identical
+streams, because their compression terms vanish exactly.
 
 Trial axis: :func:`run` takes one config or a batch of configs that differ
 only in ``seed`` and ``gamma``, and runs the batch as one stacked state, X
@@ -119,15 +120,14 @@ class StepStats:
 class WorldState:
     """Mutable simulation state: models plus per-algorithm auxiliaries.
 
-    X holds column-per-node models.  For difference compression,
-    ``replicas`` mirrors each node's publicly known copy; both advance by
-    the same compressed messages, so they stay exactly equal.  For
+    X holds column-per-node models.  dcd stores no replicas, which equal X
+    by construction (a reference test with explicit replicas pins this).  For
     extrapolation compression, estimates are tracked in error form:
     the estimate matrix is X + estimate_err, which keeps the error exactly
     zero under lossless compression.  ``sample_streams`` feed the gradient
     oracle and ``compress_streams`` the compressor, one stream per node.
-    A stacked state puts a leading trial axis on X, replicas, estimate_err
-    and ``diverged``, and its stream sets list each trial's n streams one
+    A stacked state puts a leading trial axis on X, estimate_err and
+    ``diverged``, and its stream sets list each trial's n streams one
     trial after another.
     """
 
@@ -137,7 +137,6 @@ class WorldState:
     X: np.ndarray
     sample_streams: StreamSet
     compress_streams: StreamSet
-    replicas: np.ndarray | None = None
     estimate_err: np.ndarray | None = None
     bits_total: int = 0
     diverged: np.ndarray = field(default_factory=lambda: np.array(False))
@@ -228,15 +227,11 @@ def init_state(problem: Problem, n: int, algorithm: str, seed, rounds: int = 1) 
     comp = [c for cs in children for c in cs[n:]]
     cols = 1 if algorithm == "centralized" else n
     X = np.zeros(trials + (problem.dim, cols))
-    state = WorldState(
+    return WorldState(
         algorithm=algorithm, n=n, t=1, X=X, sample_streams=StreamSet(sample, rounds),
         compress_streams=StreamSet(comp, rounds), diverged=np.zeros(trials, bool),
+        estimate_err=np.zeros_like(X) if algorithm == "ecd" else None,
     )
-    if algorithm == "dcd":
-        state.replicas = X.copy()
-    if algorithm == "ecd":
-        state.estimate_err = np.zeros_like(X)
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +251,10 @@ def round_step(
     * dpsgd sees X, sent at full precision whatever ``c`` is.
     * naive sees C(X); Q = C(X) - X scales with the models and never
       diminishes, which makes naive the divergence counterexample.
-    * dcd sees the replicas.  Each node compresses the difference
+    * dcd sees the replicas, which equal X by construction (a reference test
+      with explicit replicas pins this), so it mixes X.  Each node compresses
       Z = X(W - I) - gamma G and applies C(Z) to its model and to every
-      replica of it, so the two stay exactly equal; Q = C(Z) - Z.  ``c``
-      needs a finite noise-to-signal bound.
+      replica of it; Q = C(Z) - Z.  ``c`` needs a finite noise-to-signal bound.
     * ecd sees the estimates X + E.  Each node broadcasts one compressed
       extrapolated value z_s = (1 - s/2) x_{s-1} + (s/2) x_s, s = t + 1,
       which receivers fold into E with weight 2/s, so the estimate error
@@ -294,18 +289,17 @@ def round_step(
         G = problem._samples(np.repeat(X, state.n, axis=-1), state.sample_streams)
         bits = 2 * (state.n - 1) * compression.FULL_PRECISION_BITS * problem.dim
         return _commit(state, X - gamma * G.mean(axis=-1, keepdims=True), None, G, bits)
+    # dpsgd and dcd see X (dcd's replicas equal it); dcd's Q_t stays zero for
+    # a trial that diverges before the exchange
+    seen, Q = X, None
     if algorithm == "dpsgd":
         c = compression.identity()
-        seen, Q = X, None
     elif algorithm == "naive":
         seen = compression._compress(c, X, state.compress_streams)
         Q = seen - X
-    elif algorithm == "dcd":
-        # Q_t is zero for a trial that diverges before the exchange
-        seen, Q = state.replicas, None
     elif algorithm == "ecd":
         seen, Q = X + state.estimate_err, W.mix(state.estimate_err)
-    else:
+    elif algorithm != "dcd":
         raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     G = problem._samples(X, state.sample_streams)
     # seen W - gamma * G - X, left to right, in one buffer
@@ -326,29 +320,20 @@ def round_step(
     n_bad = np.count_nonzero(bad)
     if n_bad == bad.size:
         return _commit(state, X_new, Q, G, bits, bad)
+    # the other trials exchange; a bad trial compresses zeros (its draws are
+    # discarded with it) and Z stands in for its message, so dcd commits it
+    # X + delta like the path above
+    CZ = compression._compress(c, np.where(bad[..., None, None], 0.0, Z) if n_bad else Z,
+                               state.compress_streams)
     if n_bad:
-        # the other trials exchange; a bad trial compresses zeros (its draws
-        # are discarded with it) and Z stands in for its message, so dcd
-        # commits it X + delta like the path above
-        CZ = compression._compress(c, np.where(bad[..., None, None], 0.0, Z),
-                                   state.compress_streams)
         CZ[bad] = Z[bad]
-    else:
-        CZ = compression._compress(c, Z, state.compress_streams)
     if algorithm == "ecd":
         state.estimate_err = _fold(state.estimate_err, CZ - Z, s)
         return _commit(state, X_new, Q, G, bits, bad)
-    state.replicas = state.replicas + CZ
     Q = CZ - Z
     if n_bad:
         Q[bad] = 0.0
-    _commit(state, X + CZ, Q, G, bits, bad)
-    drift = np.abs(state.replicas - state.X)
-    if state.status == "diverged":
-        drift = drift[~state.diverged]
-    if drift.size and drift.max() != 0.0:
-        raise AssertionError(f"replica drifted from its owner by {drift.max()}")
-    return state
+    return _commit(state, X + CZ, Q, G, bits, bad)
 
 
 def _commit(state: WorldState, X_new, Q, G, bits: int, diverged=False) -> WorldState:
@@ -517,8 +502,6 @@ def run(config):
 def _keep_trials(state: WorldState, keep: np.ndarray) -> None:
     """Drop the trials not flagged in ``keep`` from a stacked state."""
     state.X = state.X[keep]
-    if state.replicas is not None:
-        state.replicas = state.replicas[keep]
     if state.estimate_err is not None:
         state.estimate_err = state.estimate_err[keep]
     state.sample_streams.keep(keep)
@@ -547,14 +530,15 @@ def estimate_error_trace(
     noise of variance at most v per call, the mean of err2[t-1] is bounded
     by 2 v / t.
     """
+    if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 1:
+        raise InputError(f"T must be an integer >= 1, got {T!r}")
     x_seq = np.asarray(x_seq, dtype=float)
     if x_seq.ndim == 1:
         x_seq = np.repeat(x_seq[None, :], T, axis=0)
     if x_seq.shape[0] < T:
         raise InputError(f"need at least T={T} models, got {x_seq.shape[0]}")
     estimate = x_seq[0].copy()
-    err2 = np.empty(T)
-    err2[0] = 0.0
+    err2 = np.zeros(T)
     for t in range(2, T + 1):
         z = _extrapolate(x_seq[t - 2], x_seq[t - 1], t)
         estimate = _fold(estimate, compress(c, z, rng), t)

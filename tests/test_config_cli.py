@@ -1,5 +1,6 @@
 """Config parsing/validation, CLI subcommands, sweeps, CSV determinism."""
 
+import csv
 import dataclasses
 import gc
 import json
@@ -94,6 +95,11 @@ def cost_reference(bandwidths, latencies):
 def _tuples(value):
     """Lists as tuples, at every depth, as a parsed config holds them."""
     return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+
+
+def csv_rows(path):
+    """The rows of a dcsgd CSV below its comment block, as the csv module reads them."""
+    return list(csv.reader(l for l in path.read_text().splitlines() if not l.startswith("#")))
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -308,9 +314,9 @@ class TestCliRun:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", path, "--axis", "seed",
                      "--values=-1,2", "--out", str(out)]) == 0
-        rows = [l for l in out.read_text().splitlines() if l.startswith("seed,")]
-        assert rows[0].startswith("seed,-1,-1,config_error: seed")
-        assert ",completed," in rows[1]
+        rows = csv_rows(out)[1:]
+        assert rows[0][:3] == ["seed", "-1", "-1"] and rows[0][3].startswith("config_error: seed")
+        assert rows[1][3] == "completed"
 
     def test_argument_errors_exit_1_in_one_line(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE)
@@ -363,6 +369,21 @@ class TestCliRun:
                 assert out == "" and err.startswith("configuration error: ") and reason in err
                 assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["sweep", "--axis", "seed", "--values", "0,1"]], ids=["run", "sweep"])
+    def test_empty_out_is_a_config_error(self, tmp_path, capsys, monkeypatch, command):
+        # rejected before the first round, not taken as "no trace" (run) or
+        # found unwritable after every entry has run (sweep)
+        def no_run(config):
+            raise AssertionError("engine.run called with an empty --out")
+
+        monkeypatch.setattr(engine, "run", no_run)
+        path = write_config(tmp_path, {**BASE, "T": 20})
+        assert main(command + ["--config", path, "--out", ""]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "configuration error: --out must be a file path or '-', got an empty string\n")
 
     def test_out_checked_without_creating_or_truncating_it(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, {**BASE, "T": 20})
@@ -605,12 +626,29 @@ class TestSweep:
         assert main(["sweep", "--config", path, "--axis", axis,
                      "--values", f"2.0,{bad},3.0", "--out", str(out)]) == 0
         # the status column onwards; an error message may hold a comma
-        rows = [l.split(",", 3)[3] for l in out.read_text().splitlines()
-                if l.startswith(f"{axis},")]
+        rows = [r[3:] for r in csv_rows(out)[1:]]
         assert len(rows) == 2 + bad.count(",") + 1
-        assert rows[0].startswith("completed,") and rows[-1].startswith("completed,")
+        assert rows[0][0] == "completed" and rows[-1][0] == "completed"
         for r in rows[1:-1]:
-            assert r.startswith(f"config_error: {message}") and r.endswith(",,,")
+            assert r[0].startswith(f"config_error: {message}") and r[1:] == ["", "", ""]
+
+    @pytest.mark.parametrize("axis,values,doc,message", [
+        ("bandwidth", "2.0,nan", COST_DOC,
+         "network bandwidths entry must be a finite number > 0, got nan"),
+        ("gamma", "0.1,nan", BASE, "gamma must be a finite number > 0 or 'theory', got nan"),
+    ])
+    def test_error_rows_with_commas_are_quoted(self, tmp_path, axis, values, doc, message):
+        # a cell holding a comma is quoted, so a csv reader sees every row as
+        # wide as the header; the completed row keeps its bytes
+        path = write_config(tmp_path, {**doc, "T": 20})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", path, "--axis", axis,
+                     "--values", values, "--out", str(out)]) == 0
+        header, done, failed = csv_rows(out)
+        assert len(done) == len(header) and len(failed) == len(header)
+        assert dict(zip(header, failed))["status"] == f"config_error: {message}"
+        assert f'"config_error: {message}"' in out.read_text()
+        assert ",".join(done) in out.read_text().splitlines()
 
     @pytest.mark.parametrize("axis", ["seed", "bandwidth", "latency"])
     def test_seeds_rejected_on_axes_that_do_not_take_them(self, tmp_path, capsys, axis):

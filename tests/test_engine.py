@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dcsgd import (
-    ConfigError, DivergedError, InputError, estimate_error_trace, identity, init_state,
+    ConfigError, DivergedError, InputError, compress, estimate_error_trace, identity, init_state,
     make_quadratic, metrics, round_step, run, stochastic_quantize, streams, synthetic_noise,
 )
 from dcsgd import compression, engine
@@ -134,7 +134,6 @@ class TestDcdStep:
         W = build_fully_connected(2)
         state = init_state(problem, 2, "dcd", 0)
         state.X = np.array([[2.0, -4.0]])
-        state.replicas = state.X.copy()
         g = problem.gradients(state.X)
         gamma = 0.25
         # x_half(i) = (x1 + x2)/2 - gamma g_i ; z = x_half - x ; x' = x + z
@@ -144,16 +143,43 @@ class TestDcdStep:
         ])
         round_step(state, W, identity(), problem, gamma)
         assert np.allclose(state.X[0], x_half, atol=1e-14)
-        assert np.array_equal(state.replicas, state.X)
 
-    def test_replicas_exact_under_quantization(self):
-        problem = quad_problem(6, 8, het=1.0, noise=0.2, seed=10)
-        W = build_ring(8)
-        c = stochastic_quantize(7)
-        state = init_state(problem, 8, "dcd", 21)
+    @pytest.mark.parametrize("trials", [1, 3], ids=["solo", "stacked"])
+    def test_reference_round_with_explicit_replicas(self, trials):
+        # DCD as the paper states it: the neighbours of each node keep a
+        # replica R of its model and mix the replicas; each node compresses
+        # Z = R W - gamma G - X and adds C(Z) to its model and to R.
+        # round_step keeps no replicas and mixes X: every round the engine's
+        # X, the reference X and R agree bit for bit
+        W, c = build_ring(8), stochastic_quantize(7)
+        problems = [quad_problem(6, 8, het=1.0, noise=0.2, seed=10 + k) for k in range(trials)]
+        if trials == 1:
+            problem, seed, gamma = problems[0], 21, 0.02
+        else:
+            problem, seed = stack_problems(problems), [21, 22, 23]
+            gamma = np.array([0.02, 0.01, 0.03])[:, None, None]
+        state = init_state(problem, 8, "dcd", seed)
+        ref = init_state(problem, 8, "dcd", seed)  # the reference draws from its streams
+        X, R = ref.X.copy(), ref.X.copy()
         for _ in range(300):
-            round_step(state, W, c, problem, 0.02)
-            assert np.max(np.abs(state.replicas - state.X)) == 0.0
+            round_step(state, W, c, problem, gamma)
+            G = problem.stochastic_gradients(X, ref.sample_streams)
+            CZ = compress(c, W.mix(R) - gamma * G - X, ref.compress_streams)
+            X, R = X + CZ, R + CZ
+            assert np.array_equal(state.X, X) and np.array_equal(R, X)
+        assert state.status == "running" and np.count_nonzero(state.last_step.q_norm2)
+
+    def test_models_set_by_hand_step_like_dpsgd(self):
+        # a dcd state has no replicas to set beside X: given X by hand, it
+        # steps from that X exactly as dpsgd does
+        problem = quad_problem(4, 8, het=0.7, noise=0.3, seed=8)
+        W = build_ring(8)
+        X0 = np.random.default_rng(1).standard_normal((4, 8))
+        s1, s2 = init_state(problem, 8, "dpsgd", 13), init_state(problem, 8, "dcd", 13)
+        s1.X, s2.X = X0.copy(), X0.copy()
+        round_step(s1, W, identity(), problem, 0.05)
+        round_step(s2, W, identity(), problem, 0.05)
+        assert np.array_equal(s1.X, s2.X) and not np.array_equal(s1.X, X0)
 
     def test_unbounded_alpha_rejected(self):
         problem = quad_problem(4, 8, seed=11)
@@ -212,6 +238,11 @@ class TestEcdStep:
         errs /= n_seeds
         for t in (10, 100, 1000):
             assert errs[t - 1] <= 1.2 * sigma_tilde2 / t
+
+    @pytest.mark.parametrize("T", [0, -2, 2.0, True])
+    def test_estimate_error_trace_needs_a_horizon_of_one_or_more(self, T):
+        with pytest.raises(InputError, match="T must be an integer >= 1"):
+            estimate_error_trace(np.ones(3), identity(), T, np.random.default_rng(0))
 
     def test_live_estimate_error_decay(self):
         # during actual optimization with bounded compression noise, the
