@@ -306,7 +306,7 @@ def _cmd_theory(args) -> int:
         "rho": W.rho, "mu": W.mu, "alpha": alpha if math.isfinite(alpha) else "unbounded",
         "L": problem.L, "sigma2": problem.sigma2, "zeta2": problem.zeta2,
         "dcd_feasible": feasible,
-        "alpha_budget": (1.0 - W.rho) / (2.0 * W.mu),
+        "alpha_budget": theory.alpha_budget(W.rho, W.mu),
     }
     try:
         doc["gamma"] = resolve_gamma(
@@ -322,16 +322,16 @@ def _cmd_theory(args) -> int:
 
 def _cmd_cost(args) -> int:
     cfg = _load_config(args)
+    _check_out(args.out)
     write_rows_csv(args.out, cfg, _grid(cfg), GRID_FIELDS)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    values = _parse_values(args.axis, args.values)
-    seeds = None
-    if args.seeds:
-        seeds = [_parse_number(int, s, "--seeds") for s in args.seeds.split(",")]
+    kind = int if args.axis in ("levels", "n", "seed") else float
+    values = _parse_list("--values", args.values, kind)
+    seeds = None if args.seeds is None else _parse_list("--seeds", args.seeds, int)
     _check_out(args.out)
     rows = sweep(cfg, args.axis, values, seeds)
     fields = COST_ROW_FIELDS if args.axis in COST_AXES else RUN_ROW_FIELDS
@@ -339,20 +339,17 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _parse_values(axis: str, text: str) -> list:
-    items = [s for s in text.split(",") if s]
-    if not items:
-        raise ConfigError("--values must be a nonempty comma-separated list")
-    kind = int if axis in ("levels", "n", "seed") else float
-    return [_parse_number(kind, s, "--values") for s in items]
-
-
-def _parse_number(kind, text: str, flag: str):
-    try:
-        return kind(text)
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{flag} entry {text!r} is not {what}") from None
+def _parse_list(flag: str, text: str, kind) -> list:
+    """The comma-separated entries of ``flag``, each parsed as ``kind`` (int or
+    float); an entry that is empty or not such a number is a ConfigError."""
+    values = []
+    for entry in text.split(","):
+        try:
+            values.append(kind(entry))
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{flag} entry {entry!r} is not {what}") from None
+    return values
 
 
 class _Parser(argparse.ArgumentParser):
@@ -403,8 +400,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (*_CONFIG_ERRORS, OSError, UnicodeDecodeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except (*_CONFIG_ERRORS, OSError, UnicodeDecodeError, MemoryError) as exc:
+        message = str(exc) or "out of memory"  # a bare MemoryError() has no text
+        print(f"configuration error: {message}", file=sys.stderr)
         return 1
 
 

@@ -327,27 +327,21 @@ def build_compressor(spec: CompressorSpec) -> Compressor:
 def resolve_gamma(cfg: RunConfig, problem, W, c: Compressor) -> float:
     """Explicit gamma, or the algorithm's theoretical step size.
 
-    Algorithms without a step-size rule of their own (dpsgd, naive, centralized) use
-    the uncompressed difference-family value (alpha = 0; rho = 0 as well for
-    the centralized baseline).
+    ecd takes the extrapolation-family rule; every other algorithm takes the
+    difference-family rule at its own (rho, alpha): alpha is the
+    compressor's bound for dcd and 0 otherwise, rho is 0 for the
+    centralized baseline.
     """
     if not isinstance(cfg.gamma, str):
         return float(cfg.gamma)
-    sigma = math.sqrt(problem.sigma2)
-    zeta = math.sqrt(problem.zeta2)
-    T = max(cfg.T, 1)
+    rho = 0.0 if cfg.algorithm == "centralized" else W.rho
+    alpha = effective_alpha(c, problem.dim) if cfg.algorithm == "dcd" else 0.0
+    consts = theory.constants(rho, W.mu, alpha, problem.L, gamma=0.0)
+    args = (problem.L, math.sqrt(problem.sigma2), math.sqrt(problem.zeta2), W.n, max(cfg.T, 1))
     if cfg.algorithm == "ecd":
-        gamma = theory.gamma_ecd(problem.L, sigma, zeta, W.n, T, C1=1.0 / (1.0 - W.rho) ** 2)
-    elif cfg.algorithm == "dcd":
-        alpha = effective_alpha(c, problem.dim)
-        consts = theory.constants(W.rho, W.mu, alpha, problem.L, gamma=0.0)
-        gamma = theory.gamma_dcd(problem.L, sigma, zeta, W.n, T, D1=consts.D1, D2=consts.D2)
-    elif cfg.algorithm == "centralized":
-        gamma = theory.gamma_dcd(problem.L, sigma, zeta, W.n, T, D1=1.0, D2=0.0)
-    else:  # dpsgd / naive: uncompressed decentralized value
-        gamma = theory.gamma_dcd(
-            problem.L, sigma, zeta, W.n, T, D1=1.0 / (1.0 - W.rho) ** 2, D2=0.0
-        )
+        gamma = theory.gamma_ecd(*args, C1=consts.C1)
+    else:
+        gamma = theory.gamma_dcd(*args, D1=consts.D1, D2=consts.D2)
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ConfigError(
             f"theory step size gamma resolved to {gamma!r}, not a finite number > 0; "

@@ -421,7 +421,7 @@ def run(config):
         if not theory.dcd_feasible(W.rho, W.mu, alpha):
             warnings.warn(
                 f"difference compression budget violated: alpha = {alpha:.4g} "
-                f">= (1-rho)/(2 mu) = {(1 - W.rho) / (2 * W.mu):.4g}; "
+                f">= (1-rho)/(2 mu) = {theory.alpha_budget(W.rho, W.mu):.4g}; "
                 "proceeding to demonstrate divergence",
                 stacklevel=2,
             )

@@ -169,12 +169,10 @@ class LogisticProblem(Problem):
 
     def _samples(self, X, rngs):
         picks = as_streams(rngs).take("integers", 1, self.labels.shape[-1])
-        trials = tuple(np.arange(k)[:, None] for k in X.shape[:-2])  # () or the trial axis
-        at = trials + (np.arange(self.n), picks.reshape(X.shape[:-2] + (-1,)))
-        d, y = self.data[at], self.labels[at]  # (..., n, dim), (..., n)
-        Xt = np.swapaxes(X, -1, -2)
-        s = _sigmoid(-y * (d[..., None, :] @ Xt[..., None])[..., 0, 0])
-        return np.ascontiguousarray(np.swapaxes((-y * s)[..., None] * d + self.reg * Xt, -1, -2))
+        trials = tuple(np.arange(k)[:, None, None] for k in X.shape[:-2])  # () or trials
+        # each node's drawn row as a one-sample dataset: (..., n, 1, dim) and (..., n, 1)
+        at = trials + (np.arange(self.n)[:, None], picks.reshape(X.shape[:-2] + (-1, 1)))
+        return _logistic_gradients(self.data[at], self.labels[at], self.reg, X)
 
 
 def stack_problems(problems) -> Problem:

@@ -7,9 +7,12 @@ Two constant families describe the two compressed algorithms:
 * extrapolation compression: C1..C4, no budget on the operator.
 
 With alpha = 0 the difference constants collapse onto the uncompressed
-case: D1 = C1 and D2 = 0.  The step-size formulas return an error rather
-than clamping when their preconditions fail, so misconfigured experiments
-fail loudly.
+case, D1 = C1 = 1/(1 - rho)^2 and D2 = 0, and rho = 0 as well gives the
+centralized D1 = 1: the uncompressed and centralized step sizes are the
+difference-family rule at those points, and the difference envelope is the
+extrapolation one at sigma_tilde2 = 0.  The step-size formulas return an
+error rather than clamping when their preconditions fail, so misconfigured
+experiments fail loudly.
 """
 
 from __future__ import annotations
@@ -22,14 +25,13 @@ from .errors import InfeasibleError
 
 @dataclass(frozen=True)
 class RateConstants:
-    """Evaluated constants for one (rho, mu, alpha, L, gamma, sigma_tilde2) tuple."""
+    """Evaluated constants for one (rho, mu, alpha, L, gamma) tuple."""
 
     rho: float
     mu: float
     alpha: float
     L: float
     gamma: float
-    sigma_tilde2: float
     D1: float
     D2: float
     D3: float
@@ -57,14 +59,13 @@ def dcd_feasible(rho: float, mu: float, alpha: float) -> bool:
     return (1.0 - rho) ** 2 - 4.0 * mu * mu * alpha * alpha > 0.0
 
 
-def constants(
-    rho: float,
-    mu: float,
-    alpha: float,
-    L: float,
-    gamma: float,
-    sigma_tilde2: float = 0.0,
-) -> RateConstants:
+def alpha_budget(rho: float, mu: float) -> float:
+    """The bound (1 - rho) / (2 mu) that alpha must stay below for the
+    difference-compression budget to hold."""
+    return (1.0 - rho) / (2.0 * mu)
+
+
+def constants(rho: float, mu: float, alpha: float, L: float, gamma: float) -> RateConstants:
     """Evaluate D1..D4 and C1..C4 at one parameter tuple.
 
     Raises InfeasibleError when alpha violates the difference-compression
@@ -93,7 +94,7 @@ def constants(
     C3 = 12.0 * L * L * C2 * C1 * gamma * gamma
     C4 = 1.0 - L * gamma
     return RateConstants(
-        rho=rho, mu=mu, alpha=alpha, L=L, gamma=gamma, sigma_tilde2=sigma_tilde2,
+        rho=rho, mu=mu, alpha=alpha, L=L, gamma=gamma,
         D1=D1, D2=D2, D3=D3, D4=D4, C1=C1, C2=C2, C3=C3, C4=C4,
     )
 
@@ -160,21 +161,21 @@ def rate_envelope(
     Only meaningful for ordering and trend assertions (does the envelope
     shrink with n, with T, ...), never for absolute-value checks.
 
-    difference family:    sigma/sqrt(nT) + zeta^(2/3)/T^(2/3) + 1/T
-    extrapolation family: the same three terms with the first two inflated
-    by (1 + sigma_tilde2 log T / n), plus sigma_tilde2 log T / T.
+    extrapolation family: sigma/sqrt(nT) + zeta^(2/3)/T^(2/3) + 1/T with the
+    first two terms inflated by (1 + sigma_tilde2 log T / n), plus
+    sigma_tilde2 log T / T; the difference family is the same expression
+    at sigma_tilde2 = 0.
     """
     if T < 1 or n < 1:
         raise InfeasibleError(f"need T >= 1 and n >= 1, got T={T}, n={n}")
-    base = sigma / math.sqrt(n * T) + zeta ** (2.0 / 3.0) / T ** (2.0 / 3.0) + 1.0 / T
+    if kind not in ("dcd", "ecd"):
+        raise InfeasibleError(f"unknown envelope kind {kind!r}; choose 'dcd' or 'ecd'")
     if kind == "dcd":
-        return base
-    if kind == "ecd":
-        inflate = 1.0 + sigma_tilde2 * math.log(T) / n
-        return (
-            sigma * inflate / math.sqrt(n * T)
-            + zeta ** (2.0 / 3.0) * inflate / T ** (2.0 / 3.0)
-            + 1.0 / T
-            + sigma_tilde2 * math.log(T) / T
-        )
-    raise InfeasibleError(f"unknown envelope kind {kind!r}; choose 'dcd' or 'ecd'")
+        sigma_tilde2 = 0.0
+    inflate = 1.0 + sigma_tilde2 * math.log(T) / n
+    return (
+        sigma * inflate / math.sqrt(n * T)
+        + zeta ** (2.0 / 3.0) * inflate / T ** (2.0 / 3.0)
+        + 1.0 / T
+        + sigma_tilde2 * math.log(T) / T
+    )

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 from dcsgd import ConfigError, RunConfig, parse_config, serialize_config
-from dcsgd import cli, engine, topology
+from dcsgd import cli, config, engine, topology
 from dcsgd.cli import main, sweep
 from dcsgd.config import config_from_dict, resolve_gamma, build_topology, build_problem, build_compressor
+from dcsgd.compression import effective_alpha
 from dcsgd.costmodel import cost_grid
+from dcsgd.theory import constants, gamma_dcd, gamma_ecd
 
 BASE = {
     "algorithm": "dpsgd",
@@ -218,15 +220,37 @@ class TestGammaResolution:
         cfg, problem, W, c = self.make_objects(BASE)
         assert resolve_gamma(cfg, problem, W, c) == 0.1
 
-    def test_theory_noiseless_values(self):
-        doc = {**BASE, "gamma": "theory",
-               "topology": {"kind": "complete", "n": 8}}
+    @staticmethod
+    def gamma_by_branch(algorithm, problem, W, c, T):
+        """The theory step size as four hand-written branches gave it."""
+        args = (problem.L, math.sqrt(problem.sigma2), math.sqrt(problem.zeta2), W.n, T)
+        if algorithm == "ecd":
+            return gamma_ecd(*args, C1=1.0 / (1.0 - W.rho) ** 2)
+        if algorithm == "dcd":
+            consts = constants(W.rho, W.mu, effective_alpha(c, problem.dim), problem.L, gamma=0.0)
+            return gamma_dcd(*args, D1=consts.D1, D2=consts.D2)
+        if algorithm == "centralized":
+            return gamma_dcd(*args, D1=1.0, D2=0.0)
+        return gamma_dcd(*args, D1=1.0 / (1.0 - W.rho) ** 2, D2=0.0)
+
+    @pytest.mark.parametrize("algorithm", engine.ALGORITHMS)
+    @pytest.mark.parametrize("topo", [
+        {"kind": "ring", "n": 8}, {"kind": "complete", "n": 5},
+        {"kind": "ring", "n": 256},  # closed-form spectrum
+    ], ids=["ring8", "complete5", "ring256"])
+    @pytest.mark.parametrize("problem_doc", [
+        {"kind": "quadratic", "dim": 6, "heterogeneity": 0.0, "noise": 0.0},
+        {"kind": "logistic", "dim": 6, "samples_per_node": 8},
+    ], ids=["quadratic", "logistic"])
+    def test_theory_noiseless_values(self, algorithm, topo, problem_doc):
+        # one difference-family rule at each algorithm's (rho, alpha) gives the
+        # bits of the per-algorithm branches; levels 10^5 keep dcd inside
+        # the budget on ring 256
+        doc = {**BASE, "algorithm": algorithm, "gamma": "theory", "topology": topo,
+               "problem": problem_doc, "compressor": {"kind": "quantize", "levels": 100_000}}
         cfg, problem, W, c = self.make_objects(doc)
-        assert resolve_gamma(cfg, problem, W, c) == pytest.approx(
-            1.0 / (6.0 * problem.L), rel=1e-12)
-        cfg_e, problem, W, c = self.make_objects({**doc, "algorithm": "ecd"})
-        assert resolve_gamma(cfg_e, problem, W, c) == pytest.approx(
-            1.0 / (12.0 * problem.L), rel=1e-12)
+        assert resolve_gamma(cfg, problem, W, c) == self.gamma_by_branch(
+            algorithm, problem, W, c, cfg.T)
 
     def test_theory_echoed_in_metadata(self, tmp_path, capsys):
         path = write_config(tmp_path, {**BASE, "gamma": "theory", "T": 20})
@@ -371,10 +395,12 @@ class TestCliRun:
         assert not (tmp_path / "missing").exists()
 
     @pytest.mark.parametrize("command", [
-        ["run"], ["sweep", "--axis", "seed", "--values", "0,1"]], ids=["run", "sweep"])
+        ["run"], ["sweep", "--axis", "seed", "--values", "0,1"], ["cost"]],
+        ids=["run", "sweep", "cost"])
     def test_empty_out_is_a_config_error(self, tmp_path, capsys, monkeypatch, command):
-        # rejected before the first round, not taken as "no trace" (run) or
-        # found unwritable after every entry has run (sweep)
+        # rejected before the first round, not taken as "no trace" (run),
+        # found unwritable after every entry has run (sweep) or reported as
+        # the OSError of opening '' (cost)
         def no_run(config):
             raise AssertionError("engine.run called with an empty --out")
 
@@ -384,6 +410,26 @@ class TestCliRun:
         out, err = capsys.readouterr()
         assert out == "" and err == (
             "configuration error: --out must be a file path or '-', got an empty string\n")
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["theory"], ["sweep", "--axis", "seed", "--values", "0,1"]],
+        ids=["run", "theory", "sweep"])
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 298. GiB for an array"),
+         "Unable to allocate 298. GiB for an array"),
+        (MemoryError(), "out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                            command, exc, message):
+        # a config too large to allocate ends in one line, not a traceback
+        def no_memory(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(config, "build_problem", no_memory)
+        path = write_config(tmp_path, {**BASE, "T": 20})
+        assert main(command + ["--config", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"configuration error: {message}\n"
 
     def test_out_checked_without_creating_or_truncating_it(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, {**BASE, "T": 20})
@@ -710,14 +756,20 @@ class TestBatchedSweep:
 
     def test_non_numeric_values_and_seeds_are_config_errors(self, tmp_path, capsys):
         path = write_config(tmp_path, {**BASE, "T": 5})
-        for args in (["--axis", "seed", "--values", "1,x"],
-                     ["--axis", "seed", "--values", "1", "--seeds", "a"],
-                     ["--axis", "gamma", "--values", "0.1,abc"],
-                     ["--axis", "gamma", "--values", "0.1", "--seeds", "0,1.5"]):
+        for args, message in (
+                (["--axis", "seed", "--values", "1,x"], "--values entry 'x' is not an integer"),
+                (["--axis", "seed", "--values", "1", "--seeds", "a"],
+                 "--seeds entry 'a' is not an integer"),
+                (["--axis", "gamma", "--values", "0.1,abc"], "--values entry 'abc' is not a number"),
+                (["--axis", "gamma", "--values", "0.1", "--seeds", "0,1.5"],
+                 "--seeds entry '1.5' is not an integer"),
+                # an empty entry is not dropped, on either flag
+                (["--axis", "gamma", "--values", "0.1,,0.2"], "--values entry '' is not a number"),
+                (["--axis", "gamma", "--values", "0.1,"], "--values entry '' is not a number"),
+                (["--axis", "gamma", "--values", "0.1", "--seeds", "1,,2"],
+                 "--seeds entry '' is not an integer")):
             assert main(["sweep", "--config", path, *args]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("configuration error: --")
-            assert "Traceback" not in err and err.count("\n") == 1
+            assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     def test_bad_gamma_values_become_row_errors(self):
         cfg = config_from_dict({**BASE, "T": 20})

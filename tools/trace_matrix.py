@@ -6,12 +6,13 @@ x 3 step sizes (T 120, seed 3, trace_every 1, z_norm_cap 50) through
 
     <index> <exit code> <sha256 of the trace CSV followed by stdout>
 
-With ``--theory`` it runs ``dcsgd theory`` on the logistic configs instead
-and prints the sha256 of its JSON.  With ``--large`` it runs 13 wide states
-instead: dpsgd, dcd and ecd (quantize 127) x ring 1024 with dim 64 and
-ring 256 with dim 256 x two step sizes, on a noisy quadratic for T 12, then
-dpsgd on ring 2048 with dim 8 and the theory step size, which resolves from
-the ring's closed-form spectrum.  The small configs draw their random
+With ``--theory`` it runs ``dcsgd theory`` on the same configs instead and
+prints the sha256 of its stdout followed by its stderr, so the exit-1
+messages are pinned with the JSON.  With ``--large`` it runs 13 wide
+states instead: dpsgd, dcd and ecd (quantize 127) x ring 1024 with dim 64
+and ring 256 with dim 256 x two step sizes, on a noisy quadratic for T 12,
+then dpsgd on ring 2048 with dim 8 and the theory step size, which resolves
+from the ring's closed-form spectrum.  The small configs draw their random
 streams in blocks of up to ``streams.MAX_BLOCK_ROUNDS`` rounds; the large
 ones are where the value budget ``streams.BLOCK_VALUES`` sets the block
 length instead.  A change that must keep traces byte-identical runs this on
@@ -104,11 +105,12 @@ def large_configs():
 
 
 def digest(argv: list[str], csv_path: str | None = None,
-           keep: str | None = None) -> tuple[int, str]:
-    """Exit code of one dcsgd invocation and sha256 of its CSV plus stdout.
+           keep: str | None = None, stderr: bool = False) -> tuple[int, str]:
+    """Exit code of one dcsgd invocation and sha256 of its CSV plus stdout,
+    and plus stderr if ``stderr`` is set.
 
-    With ``keep`` (a path without suffix) the CSV is moved to keep.csv and
-    stdout written to keep.out.
+    With ``keep`` (a path without suffix) the CSV is moved to keep.csv,
+    stdout written to keep.out and a digested stderr to keep.err.
     """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
@@ -123,10 +125,14 @@ def digest(argv: list[str], csv_path: str | None = None,
             shutil.move(csv_path, keep + ".csv")
         else:
             os.remove(csv_path)
-    h.update(out.getvalue().encode())
-    if keep:
-        with open(keep + ".out", "w") as fh:
-            fh.write(out.getvalue())
+    texts = {".out": out.getvalue()}
+    if stderr:
+        texts[".err"] = err.getvalue()
+    for suffix, text in texts.items():
+        h.update(text.encode())
+        if keep:
+            with open(keep + suffix, "w") as fh:
+                fh.write(text)
     return code, h.hexdigest()
 
 
@@ -170,7 +176,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--theory", action="store_true",
-                      help="digest `dcsgd theory` on the logistic configs instead")
+                      help="digest `dcsgd theory` on the same configs instead")
     mode.add_argument("--large", action="store_true",
                       help="digest `dcsgd run` on the 13 wide-state configs instead")
     mode.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
@@ -186,13 +192,11 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path, csv_path = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "trace.csv")
         for index, cfg in enumerate(large_configs() if args.large else configs()):
-            if args.theory and cfg["problem"]["kind"] != "logistic":
-                continue
             with open(cfg_path, "w") as fh:
                 json.dump(cfg, fh)
             keep = os.path.join(args.keep, str(index)) if args.keep else None
             if args.theory:
-                code, sha = digest(["theory", "--config", cfg_path], keep=keep)
+                code, sha = digest(["theory", "--config", cfg_path], keep=keep, stderr=True)
             else:
                 code, sha = digest(["run", "--config", cfg_path, "--out", csv_path],
                                    csv_path, keep)
