@@ -141,17 +141,18 @@ def _trial_bytes(cfg: RunConfig) -> int:
 def _run_rows(entries: list) -> None:
     """Run (row, config) entries as one trial batch and fill their rows.
 
-    When a trial's set-up fails, the entries run one by one, so only the
-    failing rows get the ``config_error`` status.
+    When a trial's set-up fails or the batch runs out of memory, the entries
+    run one by one, so only the failing rows get the ``config_error``
+    status, with the message ``main`` would print.
     """
     try:
         results = engine.run([derived for _, derived in entries])
-    except _CONFIG_ERRORS as exc:
+    except (*_CONFIG_ERRORS, MemoryError) as exc:
         if len(entries) > 1:
             for entry in entries:
                 _run_rows([entry])
         else:
-            entries[0][0]["status"] = f"config_error: {exc}"
+            entries[0][0]["status"] = f"config_error: {_message(exc)}"
         return
     for (row, _), result in zip(entries, results):
         s = result.summary
@@ -401,9 +402,13 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (*_CONFIG_ERRORS, OSError, UnicodeDecodeError, MemoryError) as exc:
-        message = str(exc) or "out of memory"  # a bare MemoryError() has no text
-        print(f"configuration error: {message}", file=sys.stderr)
+        print(f"configuration error: {_message(exc)}", file=sys.stderr)
         return 1
+
+
+def _message(exc: Exception) -> str:
+    """The one-line text of an error; a bare MemoryError() has none."""
+    return str(exc) or "out of memory"
 
 
 if __name__ == "__main__":

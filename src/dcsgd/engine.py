@@ -22,17 +22,31 @@ only in ``seed`` and ``gamma``, and runs the batch as one stacked state, X
 of shape (S, dim, n) over a stacked problem (``problems.stack_problems``)
 with one gamma per trial.  Each round is one ``round_step``: one
 ``W.mix(seen)`` over the (S, dim, n) stack, one oracle call and one
-compression call; after round T, one last pass of the loop measures the
-trials still running and completes them.  ``MixingMatrix.mix`` applies a
+compression call.  ``run`` measures the rounds in blocks of up to K
+passes: it steps the rounds of all but the block's last pass, keeping each
+pass's models, calls ``metrics`` once on the (P, S, dim, n) stack of the
+block's passes, whose every slice gives the bits of a one-pass
+measurement, settles the block, and then steps the last pass's round for
+the trials still running.  K is ``METRIC_BLOCK_VALUES`` over one pass's
+S * dim * n values, at most ``MAX_METRIC_PASSES``: 64 for 3 trials of ring
+8 x dim 8, one pass for a ring of 1024 at dim 64, which is measured as a
+view, right after the round that wrote it, as one pass at a time would.
+A block ends early at a pass where a trial's state is non-finite, and at
+pass T + 1, which measures the trials still running and completes them.
+The loss cap, ``min_grad_norm2``, ``time_to_threshold`` and the trace rows
+are settled per block, each trial from the passes before its stop; a trial
+past the loss cap with finite models steps on to the block's last pass,
+and what those rounds draw is dropped with it.  ``MixingMatrix.mix`` applies a
 W with few nonzero diagonals against n (a ring of n >= 192) as a sum over
 those diagonals, elementwise, and any other W as the stacked dense
 product ``seen @ W`` (the BLAS call a solo run makes, once per trial);
 either way each trial gets the bits of its solo run.  Every reduction is
 taken per trial, so each trial's records and summary are bit for bit
-those of its solo run; a trial that diverges is summarized and dropped,
-so its streams are never drawn again.  A single config is the S = 1 case
-of the same loop.  ``dcsgd sweep`` runs its seed and gamma axes
-as such batches; its n and levels axes change shapes and run one by one.
+those of its solo run; a trial that diverges is summarized and dropped
+when its block ends, and its streams are not drawn after that.  A single
+config is the S = 1 case of the same loop.  ``dcsgd sweep`` runs its seed
+and gamma axes as such batches; its n and levels axes change shapes and
+run one by one.
 
 Randomness: every (trial, node, purpose) triple owns an independent
 counter-based stream (Philox) derived from the trial's master seed, so
@@ -59,10 +73,11 @@ disjoint columns.
 Non-finite values: on ``run``'s path they are caught inside
 ``round_step``, at two sites.  For dcd and ecd the broadcast Z is scanned
 before it is compressed (ecd also caps its norm), and ``_commit`` scans the
-new X; either marks the trial diverged, and ``run`` retires it at its next
-pass before it steps again.  So the oracle (``Problem._samples``) and the
-compressor (``compression._compress``) only see inputs already known to be
-finite, or zeroed for a bad trial, and do not scan them again.  The library
+new X; either marks the trial diverged, ``run`` ends the block there, and
+the trial retires before it steps again.  So the oracle
+(``Problem._samples``) and the compressor (``compression._compress``) only
+see inputs already known to be finite, or zeroed for a bad trial, and do
+not scan them again.  The library
 entry points keep their own checks: ``Problem.stochastic_gradients`` raises
 DivergedError and ``compress`` raises InputError on non-finite input, and
 ``round_step`` raises DivergedError on a state already marked diverged.  A
@@ -72,11 +87,13 @@ round's ``_commit``, and the next ``round_step`` raises.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import math
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -88,6 +105,15 @@ from .streams import StreamSet
 from .topology import MixingMatrix
 
 LOSS_CAP = 1e12  # a run whose loss passes this is declared diverged
+
+# Values one metric block holds across its passes' models (S * dim * n a
+# pass), and the most passes it covers: ``run`` measures up to K passes in
+# one ``metrics`` call, whose interpreter cost no longer grows with K.
+# small_sweep (3 trials of ring 8 x dim 8) takes 64-pass blocks of 12,288
+# values; wide_ring1024 (65,536 values a pass) measures each pass alone, as
+# a view.  Paired benchmark runs of both: BENCH_metric_blocks.json.
+METRIC_BLOCK_VALUES = 2**15
+MAX_METRIC_PASSES = 64
 
 
 @dataclass
@@ -315,7 +341,7 @@ def round_step(
     Z = delta if algorithm == "dcd" else _extrapolate(X, X_new, s)
     # nothing sane to broadcast: overflowed or past the input-norm guard
     bad = ~np.logical_and.reduce(_per_trial(np.isfinite(Z)), axis=-1)
-    if algorithm == "ecd":
+    if algorithm == "ecd" and z_norm_cap < math.inf:  # nothing is past an infinite cap
         bad |= np.maximum.reduce(np.add.reduce(Z * Z, axis=-2), axis=-1) > z_norm_cap * z_norm_cap
     n_bad = np.count_nonzero(bad)
     if n_bad == bad.size:
@@ -374,6 +400,9 @@ def metrics(state: WorldState, problem: Problem) -> tuple[float, float, float]:
     """(loss, squared gradient norm, consensus error) at the current average model.
 
     For a stacked state and problem each is an array with one entry per trial.
+    Only ``state.X`` is read, and any axis before the trial axis broadcasts:
+    ``run`` measures a block of P passes as one (P, S, dim, n) stack and gets
+    (P, S) arrays, each entry bit for bit that pass's own measurement.
     """
     x_bar = _mean(state.X)
     loss = problem.loss(x_bar)
@@ -398,6 +427,11 @@ def run(config):
     its per-node simulation streams, so identical configs give
     bit-identical traces.  Divergence (non-finite iterates or loss above
     1e12) stops that trial with its partial trace retained.
+
+    Rounds are measured in blocks of up to K passes, one ``metrics`` call
+    each (module docstring).  A trial whose loss passes the cap while its
+    models are finite steps on to its block's last pass; those rounds draw
+    only from its own streams and are dropped with it, so no output changes.
     """
     from .config import build_run, resolve_gamma
 
@@ -428,7 +462,7 @@ def run(config):
     z_norm_cap = float(cfg.z_norm_cap) if c.kind == "sparsify" else math.inf
 
     # batch indices of the running trials, in state order, and per running
-    # trial its least gradient norm so far and first round under the threshold
+    # trial its least gradient norm so far and first pass under the threshold
     S = len(batch)
     trials = np.arange(S)
     slots = slice(None)  # trials' columns of the trace buffer: all, until one retires
@@ -441,61 +475,112 @@ def run(config):
     # trial records every round from the first until it stops
     rounds, round_bits = [], []
     values = np.empty((min(cfg.T, 64), S, 5))
-    rows = np.zeros(S, int)  # recorded rounds per trial, set when it stops
+    ends = [0] * S  # each trial's stop pass: it records the rounds before it
     summaries = [None] * S
 
-    def retire(done, status, iterations, finals=None):
-        """Summarize the running trials flagged in ``done`` and drop them from the state."""
-        nonlocal trials, slots, gamma, problem, min_grad_norm2, time_to_threshold
-        for k in np.flatnonzero(done):
-            i, ttt = trials[k], int(time_to_threshold[k])
-            summaries[i] = RunSummary(
-                status, iterations, gammas[i], batch[i].seed,
-                *((float(f[k]) for f in finals) if finals else (math.inf,) * 3),
-                min_grad_norm2=float(min_grad_norm2[k]),
-                time_to_threshold=None if ttt < 0 else ttt, total_bits=state.bits_total,
-            )
-        rows[trials[done]] = len(rounds)
-        keep = ~done
-        trials = trials[keep]
-        if trials.size:
-            slots = trials
-            problem = take_trials(problem, keep)
-            gamma = gamma[keep]
-            min_grad_norm2, time_to_threshold = min_grad_norm2[keep], time_to_threshold[keep]
-            _keep_trials(state, keep)
-
     # numpy's overflow warnings are noise: blow-up is detected from the values.
-    # Pass t stops trials that diverged in round t - 1 or passed the loss cap.
+    # Pass t measures the models after round t - 1 and steps round t.  A
+    # block of P passes steps the rounds of all but its last pass, keeping
+    # each pass's models by reference (round_step never writes X in place),
+    # and ends early once a round marks a trial diverged.  After one metrics
+    # call and the retirement of the stopped trials, the others step the
+    # last pass's round, so round_step never sees a diverged state, and a
+    # block of one pass measures the models its previous round just wrote.
+    t = 1  # the block's first pass
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, cfg.T + 2):
-            losses, grads, cons = metrics(state, problem)
-            stop = state.diverged | ~(losses <= LOSS_CAP)  # a NaN loss stops too
-            if np.count_nonzero(stop):
-                retire(stop, "diverged", t - 1)
-                if not trials.size:
-                    break
-                losses, grads, cons = losses[~stop], grads[~stop], cons[~stop]
-            np.fmin(min_grad_norm2, grads, out=min_grad_norm2)  # a NaN never counts
-            under = grads <= cfg.grad_threshold
-            if np.count_nonzero(under):
-                np.putmask(time_to_threshold, under & (time_to_threshold < 0), t)
-            if t > cfg.T:
-                retire(np.ones(trials.size, bool), "completed", cfg.T, (losses, grads, cons))
-                break
-            round_step(state, W, c, problem, gamma, z_norm_cap)
-            if (t - 1) % cfg.trace_every == 0 or t == cfg.T:
-                if len(rounds) == len(values):
-                    values = np.concatenate([values, np.empty_like(values)])
-                # no local keeps last_step, whose G round_step frees before the next
-                row = values[len(rounds)].T  # (5, S)
-                for j, v in enumerate((losses, grads, cons, state.last_step.q_norm2,
-                                       state.last_step.g_norm2)):
-                    row[j, slots] = v
-                rounds.append(t)
-                round_bits.append(state.bits_total)
+        while trials.size:
+            K = max(1, min(MAX_METRIC_PASSES, METRIC_BLOCK_VALUES // state.X.size))
+            models, q_norm2, g_norm2, bits = [state.X], [], [], [state.bits_total]
+            while (len(models) < K and t + len(q_norm2) <= cfg.T
+                   and not np.count_nonzero(state.diverged)):
+                round_step(state, W, c, problem, gamma, z_norm_cap)
+                q_norm2.append(state.last_step.q_norm2)
+                g_norm2.append(state.last_step.g_norm2)
+                bits.append(state.bits_total)  # bits[j]: the total at pass t + j
+                models.append(state.X)
+            P = len(models)
+            last = t + P - 1
+            # (P, S) arrays, one row per pass; a one-pass block is measured as a view
+            stacked = SimpleNamespace(X=models[0][None] if P == 1 else np.stack(models))
+            del models  # the passes' models go before metrics allocates
+            losses, grads, cons = metrics(stacked, problem)
+            del stacked
 
-    results = [RunResult(summaries[i], rounds, round_bits, values[:rows[i], i]) for i in range(S)]
+            # a trial stops at its first pass over the loss cap (a NaN loss
+            # stops too), or at the last if its last round marked it diverged
+            # (non-finite, or past ecd's norm cap); only the passes before the
+            # stop count
+            over = ~(losses <= LOSS_CAP)
+            over[-1] |= state.diverged
+            stopped = np.logical_or.reduce(over, axis=0)
+            counted = grads
+            if np.count_nonzero(stopped):
+                stop = np.argmax(over, axis=0)
+                counted = np.where(np.arange(P)[:, None] < np.where(stopped, stop, P),
+                                   grads, math.nan)
+            # a NaN never counts towards either
+            np.fmin(min_grad_norm2, np.fmin.reduce(counted, axis=0), out=min_grad_norm2)
+            under = counted <= cfg.grad_threshold
+            if np.count_nonzero(under):
+                np.putmask(time_to_threshold,
+                           np.logical_or.reduce(under, axis=0) & (time_to_threshold < 0),
+                           t + np.argmax(under, axis=0))
+            # summarize the stopped trials, and after round T every trial, and
+            # drop them from the batch
+            cols = slots  # the block's trace columns
+            done = stopped if last <= cfg.T else np.ones(trials.size, bool)
+            for k in np.flatnonzero(done):
+                j = int(stop[k]) if stopped[k] else P - 1  # the trial's stop pass, t + j
+                i, ttt = trials[k], int(time_to_threshold[k])
+                summaries[i] = RunSummary(
+                    "diverged" if stopped[k] else "completed", t + j - 1, gammas[i],
+                    batch[i].seed,
+                    *((math.inf,) * 3 if stopped[k]
+                      else (float(losses[j, k]), float(grads[j, k]), float(cons[j, k]))),
+                    min_grad_norm2=float(min_grad_norm2[k]),
+                    time_to_threshold=None if ttt < 0 else ttt, total_bits=bits[j],
+                )
+                ends[i] = t + j
+            retired = np.count_nonzero(done)
+            if retired:
+                keep = ~done
+                trials = trials[keep]
+                if trials.size:
+                    slots = trials
+                    problem = take_trials(problem, keep)
+                    gamma = gamma[keep]
+                    min_grad_norm2 = min_grad_norm2[keep]
+                    time_to_threshold = time_to_threshold[keep]
+                    _keep_trials(state, keep)
+
+            if trials.size:  # the last pass's round
+                round_step(state, W, c, problem, gamma, z_norm_cap)
+                # no local keeps last_step, whose G round_step frees before the next
+                q_last, g_last = state.last_step.q_norm2, state.last_step.g_norm2
+                if retired:  # in the block's columns
+                    spread = np.full((2, keep.size), math.nan)
+                    spread[:, keep] = q_last, g_last
+                    q_last, g_last = spread
+                q_norm2.append(q_last)
+                g_norm2.append(g_last)
+                bits.append(state.bits_total)
+            stepped = len(q_norm2)
+            recorded = [j for j in range(stepped)
+                        if (t + j - 1) % cfg.trace_every == 0 or t + j == cfg.T]
+            if recorded:
+                end = len(rounds) + len(recorded)
+                if end > len(values):
+                    values = np.concatenate(
+                        [values, np.empty((max(len(values), end - len(values)), S, 5))])
+                stats = np.stack((losses[:stepped], grads[:stepped], cons[:stepped],
+                                  np.array(q_norm2), np.array(g_norm2)), axis=-1)
+                values[len(rounds):end, cols] = stats[recorded]
+                rounds.extend(t + j for j in recorded)
+                round_bits.extend(bits[j + 1] for j in recorded)
+            t = last + 1
+
+    results = [RunResult(summaries[i], rounds, round_bits,
+                         values[:bisect.bisect_left(rounds, ends[i]), i]) for i in range(S)]
     return results if isinstance(config, list) else results[0]
 
 

@@ -421,12 +421,19 @@ class TestCliRun:
     ], ids=["numpy", "bare"])
     def test_memory_error_is_a_config_error(self, tmp_path, capsys, monkeypatch,
                                             command, exc, message):
-        # a config too large to allocate ends in one line, not a traceback
+        # a config too large to allocate ends in one line, not a traceback;
+        # a sweep puts that line in the status of each entry that failed
         def no_memory(*args, **kwargs):
             raise exc
 
         monkeypatch.setattr(config, "build_problem", no_memory)
         path = write_config(tmp_path, {**BASE, "T": 20})
+        if command[0] == "sweep":
+            out_path = tmp_path / "sweep.csv"
+            assert main(command + ["--config", path, "--out", str(out_path)]) == 0
+            assert capsys.readouterr() == ("", "")
+            assert [row[3] for row in csv_rows(out_path)[1:]] == [f"config_error: {message}"] * 2
+            return
         assert main(command + ["--config", path]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == f"configuration error: {message}\n"
@@ -778,6 +785,31 @@ class TestBatchedSweep:
         assert all(s.startswith("config_error: gamma must be a finite number")
                    for s in statuses[:8])
         assert statuses[8:] == ["completed", "completed"]
+
+    @pytest.mark.parametrize("axis,values,failing,error", [
+        # a seed batch fails as a whole, then runs one entry at a time
+        ("seed", "3,7,11", 7, MemoryError()),
+        # the n axis runs one entry at a time from the start
+        ("n", "6,9,12", 9, MemoryError("Unable to allocate 298. GiB")),
+    ])
+    def test_out_of_memory_entry_becomes_a_row_error(
+            self, tmp_path, monkeypatch, axis, values, failing, error):
+        run = engine.run
+
+        def run_or_fail(configs):
+            if any((c.seed if axis == "seed" else c.topology.n) == failing for c in configs):
+                raise error
+            return run(configs)
+
+        whole = self.sweep_lines(tmp_path, "--axis", axis, "--values", values)
+        monkeypatch.setattr(engine, "run", run_or_fail)
+        lines = self.sweep_lines(tmp_path, "--axis", axis, "--values", values)
+        message = str(error) or "out of memory"
+        rows = [line.split(b",") for line in lines[-3:]]
+        assert [r[3] for r in rows] == [b"completed", f"config_error: {message}".encode(),
+                                        b"completed"]
+        for k in (0, 2):  # the other rows are the rows of the sweep that did not fail
+            assert lines[-3 + k] == whole[-3 + k]
 
     def test_sweep_split_into_several_batches_equals_solo_rows(self, tmp_path, monkeypatch):
         # 12 seeds and 9 gamma entries in batches of at most 5 trials; a

@@ -854,6 +854,62 @@ class TestBlockDraws:
                     summary.final_loss, summary.final_grad_norm2, summary.final_consensus)]
         return records
 
+    @pytest.mark.parametrize("trace_every", [1, 7])
+    @pytest.mark.parametrize("alg", ["dpsgd", "naive", "dcd", "ecd", "centralized"])
+    def test_results_do_not_depend_on_the_metric_block(self, alg, trace_every, monkeypatch):
+        # run measures up to K passes in one metrics call.  Step size 1e308
+        # leaves its trial non-finite in round 1, which ends the first block
+        # early; 1.5 passes the loss cap mid-run with finite models, and its
+        # trial steps on to the end of the block; 0.05 completes.  T = 101
+        # is a multiple of no K below.
+        doc = {"algorithm": alg, "topology": {"kind": "ring", "n": 6}, "T": 101, "seed": 7,
+               "trace_every": trace_every, "problem": TRIAL_PROBLEMS["quadratic"],
+               "compressor": TRIAL_COMPRESSORS["quantize127"]}
+        configs = [config_from_dict({**doc, "gamma": g}) for g in (0.05, 1e308, 1.5)]
+        cols = 1 if alg == "centralized" else 6
+        solo = [result_bits(run(cfg)) for cfg in configs]
+        assert [row["status"][1] for row in (r[-1] for r in solo)] == [
+            "completed", "diverged", "diverged"]
+        capped_at = solo[2][-1]["iterations"][1]
+        assert solo[1][-1]["iterations"][1] == 1 and 1 < capped_at < 101
+        # K passes a block throughout, then K passes at 3 trials and more as
+        # trials retire, then the default (64 passes)
+        blocks = [{"MAX_METRIC_PASSES": K} for K in (1, 2, 3, 7)]
+        blocks += [{"METRIC_BLOCK_VALUES": K * 3 * 6 * cols} for K in (1, 2, 3, 7)]
+        for patch in blocks + [{}]:
+            with monkeypatch.context() as m:
+                for name, value in patch.items():
+                    m.setattr(engine, name, value)
+                assert [result_bits(r) for r in run(configs)] == solo
+                assert [result_bits(run(cfg)) for cfg in configs] == solo
+        # after the first block, one pass, blocks start at pass 2: the capped
+        # trial's stop pass, capped_at + 1, is inside a block of K passes for
+        # some K, so the trial stepped on past it
+        assert any((capped_at - 1) % K for K in (2, 3, 7))
+        # the per-round reference loop agrees with solo runs in 3-pass blocks
+        monkeypatch.setattr(engine, "METRIC_BLOCK_VALUES", 3 * 6 * cols)
+        for cfg in configs[::2]:  # the reference replays one record per round
+            self.check_against_step_loop(dataclasses.replace(cfg, trace_every=1))
+
+    def test_no_pass_from_the_stop_on_counts(self, monkeypatch):
+        # a loss cap between the seeds' initial losses (0.83, 0.79, 0.22)
+        # stops seed 0 at pass 1: neither that pass nor the later ones its
+        # block measured count towards its least gradient norm or its
+        # threshold crossing, which every counted pass makes
+        monkeypatch.setattr(engine, "LOSS_CAP", 0.8)
+        doc = {"algorithm": "dcd", "topology": {"kind": "ring", "n": 6}, "T": 30,
+               "gamma": 0.05, "grad_threshold": 1e300, "problem": TRIAL_PROBLEMS["quadratic"],
+               "compressor": TRIAL_COMPRESSORS["quantize127"]}
+        configs = [config_from_dict({**doc, "seed": s}) for s in (0, 4, 2)]
+        for K in (1, 2, 64):
+            monkeypatch.setattr(engine, "MAX_METRIC_PASSES", K)
+            capped, *others = run(configs)
+            s = capped.summary
+            assert (s.status, s.iterations, capped.records) == ("diverged", 0, [])
+            assert s.min_grad_norm2 == math.inf and s.time_to_threshold is None
+            assert [(r.summary.status, r.summary.time_to_threshold) for r in others] == [
+                ("completed", 1)] * 2
+
     @pytest.mark.parametrize("alg", ["naive", "dcd", "ecd"])
     def test_trial_retiring_mid_block_leaves_the_others_unchanged(self, alg):
         # step size 0.45 diverges near round 90, inside the second 64-round
@@ -897,6 +953,9 @@ class TestBlockDraws:
             solo = [run(cfg) for cfg in configs]
             monkeypatch.setattr(streams, "BLOCK_VALUES", self.AHEAD_BUDGET)
             assert streams.block_rounds(3 * 8, 8, 160) == 40
+            # run retires a trial after the metric block of its stop pass;
+            # 8-pass blocks retire it before the fourth block is taken
+            monkeypatch.setattr(engine, "METRIC_BLOCK_VALUES", 8 * 3 * 8 * 8)
             ahead = []  # per keep call: is a block drawn ahead, is it still being drawn
             keep = streams.StreamSet.keep
 
