@@ -78,8 +78,9 @@ def sweep(cfg: RunConfig, axis: str, values, seeds=None) -> list[dict]:
     Per-entry failures land in the status column instead of aborting the
     sweep.  The seed and gamma axes only change a trial's seed and step
     size, so their entries run as trial batches through one ``engine.run``
-    call each, every row bit for bit what a solo run gives; the n and levels
-    axes change shapes and run one entry at a time.  The bandwidth / latency
+    call each, every row bit for bit what a solo run gives; the n axis
+    changes shapes and the levels axis the compressor, which a batch
+    shares, so they run one entry at a time.  The bandwidth / latency
     axes evaluate the communication model of a one-point network grid rather
     than running the simulator.  ``seeds`` applies to ``SEEDED_AXES`` only.
     """

@@ -182,8 +182,12 @@ def validate_config(cfg: RunConfig) -> None:
 
     _check_int("topology n", cfg.topology.n, 2)
     for name in ("edges", "self_weights"):
-        if not isinstance(getattr(cfg.topology, name), tuple):
+        value = getattr(cfg.topology, name)
+        if not isinstance(value, tuple):
             raise ConfigError(f"topology {name} must be a list")
+        if value and cfg.topology.kind in ("ring", "complete"):
+            raise ConfigError(f"topology {name} applies to kind 'custom' only, "
+                              f"not {cfg.topology.kind!r}")
     for edge in cfg.topology.edges:
         if not (isinstance(edge, tuple) and len(edge) == 2):
             raise ConfigError(f"each topology edge must be a pair [i, j], got {edge!r}")

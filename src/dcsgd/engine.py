@@ -22,31 +22,32 @@ only in ``seed`` and ``gamma``, and runs the batch as one stacked state, X
 of shape (S, dim, n) over a stacked problem (``problems.stack_problems``)
 with one gamma per trial.  Each round is one ``round_step``: one
 ``W.mix(seen)`` over the (S, dim, n) stack, one oracle call and one
-compression call.  ``run`` measures the rounds in blocks of up to K
-passes: it steps the rounds of all but the block's last pass, keeping each
-pass's models, calls ``metrics`` once on the (P, S, dim, n) stack of the
-block's passes, whose every slice gives the bits of a one-pass
-measurement, settles the block, and then steps the last pass's round for
-the trials still running.  K is ``METRIC_BLOCK_VALUES`` over one pass's
-S * dim * n values, at most ``MAX_METRIC_PASSES``: 64 for 3 trials of ring
-8 x dim 8, one pass for a ring of 1024 at dim 64, which is measured as a
-view, right after the round that wrote it, as one pass at a time would.
-A block ends early at a pass where a trial's state is non-finite, and at
-pass T + 1, which measures the trials still running and completes them.
-The loss cap, ``min_grad_norm2``, ``time_to_threshold`` and the trace rows
-are settled per block, each trial from the passes before its stop; a trial
-past the loss cap with finite models steps on to the block's last pass,
-and what those rounds draw is dropped with it.  ``MixingMatrix.mix`` applies a
-W with few nonzero diagonals against n (a ring of n >= 192) as a sum over
-those diagonals, elementwise, and any other W as the stacked dense
-product ``seen @ W`` (the BLAS call a solo run makes, once per trial);
-either way each trial gets the bits of its solo run.  Every reduction is
-taken per trial, so each trial's records and summary are bit for bit
-those of its solo run; a trial that diverges is summarized and dropped
-when its block ends, and its streams are not drawn after that.  A single
-config is the S = 1 case of the same loop.  ``dcsgd sweep`` runs its seed
-and gamma axes as such batches; its n and levels axes change shapes and
-run one by one.
+compression call.  ``run`` measures the rounds in blocks: a block steps up
+to K rounds, keeping the models each round starts from, and ends early
+after a round that marks a trial diverged.  One ``metrics`` call then
+measures those models as a (P, S, dim, n) stack, whose every slice gives
+the bits of a one-pass measurement; the models after the block's last
+round start the next block, and the block that reaches pass T + 1
+measures them too, which completes the trials still running.  K is
+``METRIC_BLOCK_VALUES`` over one pass's S * dim * n values, at most
+``MAX_METRIC_PASSES``: 64 for 3 trials of ring 8 x dim 8, one round for a
+ring of 1024 at dim 64, whose models are measured as a view.  The loss cap,
+``min_grad_norm2``, ``time_to_threshold`` and the trace rows are settled
+per block, each trial from the passes before its stop; a trial past the
+loss cap with finite models steps on to the block's last round, and what
+those rounds draw is dropped with it.  A trial marked diverged stops at
+the pass after its last round, whose summary is ``inf`` and needs no
+measurement.  ``MixingMatrix.mix`` applies a W with few nonzero diagonals
+against n (a ring of n >= 192) as a sum over those diagonals,
+elementwise, and any other W as the stacked dense product ``seen @ W``
+(the BLAS call a solo run makes, once per trial); either way each trial
+gets the bits of its solo run.  Every reduction is taken per trial, so
+each trial's records and summary are bit for bit those of its solo run; a
+trial that stops is summarized and dropped when its block ends, and its
+streams are not drawn after that.  A single config is the S = 1 case of
+the same loop.  ``dcsgd sweep`` runs its seed and gamma axes as such
+batches; its n axis changes shapes and its levels axis the compressor,
+which a batch shares, so they run one by one.
 
 Randomness: every (trial, node, purpose) triple owns an independent
 counter-based stream (Philox) derived from the trial's master seed, so
@@ -114,6 +115,8 @@ LOSS_CAP = 1e12  # a run whose loss passes this is declared diverged
 # a view.  Paired benchmark runs of both: BENCH_metric_blocks.json.
 METRIC_BLOCK_VALUES = 2**15
 MAX_METRIC_PASSES = 64
+
+FULL_PRECISION = compression.identity()  # how dpsgd's messages are priced
 
 
 @dataclass
@@ -319,7 +322,7 @@ def round_step(
     # a trial that diverges before the exchange
     seen, Q = X, None
     if algorithm == "dpsgd":
-        c = compression.identity()
+        c = FULL_PRECISION
     elif algorithm == "naive":
         seen = compression._compress(c, X, state.compress_streams)
         Q = seen - X
@@ -428,10 +431,11 @@ def run(config):
     bit-identical traces.  Divergence (non-finite iterates or loss above
     1e12) stops that trial with its partial trace retained.
 
-    Rounds are measured in blocks of up to K passes, one ``metrics`` call
-    each (module docstring).  A trial whose loss passes the cap while its
-    models are finite steps on to its block's last pass; those rounds draw
-    only from its own streams and are dropped with it, so no output changes.
+    Rounds are stepped in blocks of up to K, and the models each round
+    starts from are measured in one ``metrics`` call a block (module
+    docstring).  A trial whose loss passes the cap while its models are
+    finite steps on to its block's last round; those rounds draw only from
+    its own streams and are dropped with it, so no output changes.
     """
     from .config import build_run, resolve_gamma
 
@@ -465,7 +469,6 @@ def run(config):
     # trial its least gradient norm so far and first pass under the threshold
     S = len(batch)
     trials = np.arange(S)
-    slots = slice(None)  # trials' columns of the trace buffer: all, until one retires
     gamma = np.array(gammas)[:, None, None]
     state = init_state(problem, W.n, cfg.algorithm, seeds, cfg.T)
     min_grad_norm2 = np.full(S, math.inf)
@@ -479,44 +482,47 @@ def run(config):
     summaries = [None] * S
 
     # numpy's overflow warnings are noise: blow-up is detected from the values.
-    # Pass t measures the models after round t - 1 and steps round t.  A
-    # block of P passes steps the rounds of all but its last pass, keeping
-    # each pass's models by reference (round_step never writes X in place),
-    # and ends early once a round marks a trial diverged.  After one metrics
-    # call and the retirement of the stopped trials, the others step the
-    # last pass's round, so round_step never sees a diverged state, and a
-    # block of one pass measures the models its previous round just wrote.
-    t = 1  # the block's first pass
+    # Pass t measures the models round t starts from (after round t - 1).  A
+    # block steps up to K rounds t, t + 1, ..., keeping each round's starting
+    # models by reference (round_step never writes X in place), and ends
+    # early after a round that marks a trial diverged, so round_step never
+    # sees a diverged state.  One metrics call measures the passes of the
+    # stepped rounds, and pass T + 1 too in the block that reaches it; the
+    # models after the block's last round are the next block's first pass.
+    t = 1  # the block's first round
     with np.errstate(over="ignore", invalid="ignore"):
         while trials.size:
             K = max(1, min(MAX_METRIC_PASSES, METRIC_BLOCK_VALUES // state.X.size))
-            models, q_norm2, g_norm2, bits = [state.X], [], [], [state.bits_total]
-            while (len(models) < K and t + len(q_norm2) <= cfg.T
+            models, q_norm2, g_norm2, bits = [], [], [], [state.bits_total]
+            while (len(models) < K and t + len(models) <= cfg.T
                    and not np.count_nonzero(state.diverged)):
+                models.append(state.X)
                 round_step(state, W, c, problem, gamma, z_norm_cap)
                 q_norm2.append(state.last_step.q_norm2)
                 g_norm2.append(state.last_step.g_norm2)
                 bits.append(state.bits_total)  # bits[j]: the total at pass t + j
+            P = len(models)  # the block's rounds, t .. t + P - 1
+            final = t + P > cfg.T  # the block reaches pass T + 1
+            if final:
                 models.append(state.X)
-            P = len(models)
-            last = t + P - 1
-            # (P, S) arrays, one row per pass; a one-pass block is measured as a view
-            stacked = SimpleNamespace(X=models[0][None] if P == 1 else np.stack(models))
+            # (passes, S) arrays, one row per pass; one pass is measured as a view
+            stacked = SimpleNamespace(X=models[0][None] if len(models) == 1 else np.stack(models))
             del models  # the passes' models go before metrics allocates
             losses, grads, cons = metrics(stacked, problem)
             del stacked
 
             # a trial stops at its first pass over the loss cap (a NaN loss
-            # stops too), or at the last if its last round marked it diverged
-            # (non-finite, or past ecd's norm cap); only the passes before the
-            # stop count
-            over = ~(losses <= LOSS_CAP)
-            over[-1] |= state.diverged
+            # stops too), or at pass t + P if the block's last round marked
+            # it diverged (non-finite, or past ecd's norm cap); only the
+            # passes before the stop count
+            over = np.zeros((P + 1, trials.size), bool)
+            over[:len(losses)] = ~(losses <= LOSS_CAP)
+            over[P] |= state.diverged
             stopped = np.logical_or.reduce(over, axis=0)
             counted = grads
             if np.count_nonzero(stopped):
                 stop = np.argmax(over, axis=0)
-                counted = np.where(np.arange(P)[:, None] < np.where(stopped, stop, P),
+                counted = np.where(np.arange(len(grads))[:, None] < np.where(stopped, stop, P + 1),
                                    grads, math.nan)
             # a NaN never counts towards either
             np.fmin(min_grad_norm2, np.fmin.reduce(counted, axis=0), out=min_grad_norm2)
@@ -525,12 +531,24 @@ def run(config):
                 np.putmask(time_to_threshold,
                            np.logical_or.reduce(under, axis=0) & (time_to_threshold < 0),
                            t + np.argmax(under, axis=0))
+            # the block's rounds, in the columns of its trials
+            recorded = [j for j in range(P)
+                        if (t + j - 1) % cfg.trace_every == 0 or t + j == cfg.T]
+            if recorded:
+                end = len(rounds) + len(recorded)
+                if end > len(values):
+                    values = np.concatenate(
+                        [values, np.empty((max(len(values), end - len(values)), S, 5))])
+                stats = np.stack((losses[:P], grads[:P], cons[:P],
+                                  np.array(q_norm2), np.array(g_norm2)), axis=-1)
+                values[len(rounds):end, trials] = stats[recorded]
+                rounds.extend(t + j for j in recorded)
+                round_bits.extend(bits[j + 1] for j in recorded)
             # summarize the stopped trials, and after round T every trial, and
             # drop them from the batch
-            cols = slots  # the block's trace columns
-            done = stopped if last <= cfg.T else np.ones(trials.size, bool)
+            done = np.ones(trials.size, bool) if final else stopped
             for k in np.flatnonzero(done):
-                j = int(stop[k]) if stopped[k] else P - 1  # the trial's stop pass, t + j
+                j = int(stop[k]) if stopped[k] else P  # the trial's stop pass, t + j
                 i, ttt = trials[k], int(time_to_threshold[k])
                 summaries[i] = RunSummary(
                     "diverged" if stopped[k] else "completed", t + j - 1, gammas[i],
@@ -541,43 +559,16 @@ def run(config):
                     time_to_threshold=None if ttt < 0 else ttt, total_bits=bits[j],
                 )
                 ends[i] = t + j
-            retired = np.count_nonzero(done)
-            if retired:
+            if np.count_nonzero(done):
                 keep = ~done
                 trials = trials[keep]
                 if trials.size:
-                    slots = trials
                     problem = take_trials(problem, keep)
                     gamma = gamma[keep]
                     min_grad_norm2 = min_grad_norm2[keep]
                     time_to_threshold = time_to_threshold[keep]
                     _keep_trials(state, keep)
-
-            if trials.size:  # the last pass's round
-                round_step(state, W, c, problem, gamma, z_norm_cap)
-                # no local keeps last_step, whose G round_step frees before the next
-                q_last, g_last = state.last_step.q_norm2, state.last_step.g_norm2
-                if retired:  # in the block's columns
-                    spread = np.full((2, keep.size), math.nan)
-                    spread[:, keep] = q_last, g_last
-                    q_last, g_last = spread
-                q_norm2.append(q_last)
-                g_norm2.append(g_last)
-                bits.append(state.bits_total)
-            stepped = len(q_norm2)
-            recorded = [j for j in range(stepped)
-                        if (t + j - 1) % cfg.trace_every == 0 or t + j == cfg.T]
-            if recorded:
-                end = len(rounds) + len(recorded)
-                if end > len(values):
-                    values = np.concatenate(
-                        [values, np.empty((max(len(values), end - len(values)), S, 5))])
-                stats = np.stack((losses[:stepped], grads[:stepped], cons[:stepped],
-                                  np.array(q_norm2), np.array(g_norm2)), axis=-1)
-                values[len(rounds):end, cols] = stats[recorded]
-                rounds.extend(t + j for j in recorded)
-                round_bits.extend(bits[j + 1] for j in recorded)
-            t = last + 1
+            t += P
 
     results = [RunResult(summaries[i], rounds, round_bits,
                          values[:bisect.bisect_left(rounds, ends[i]), i]) for i in range(S)]
@@ -619,7 +610,7 @@ def estimate_error_trace(
         raise InputError(f"T must be an integer >= 1, got {T!r}")
     x_seq = np.asarray(x_seq, dtype=float)
     if x_seq.ndim == 1:
-        x_seq = np.repeat(x_seq[None, :], T, axis=0)
+        x_seq = np.broadcast_to(x_seq, (T,) + x_seq.shape)
     if x_seq.shape[0] < T:
         raise InputError(f"need at least T={T} models, got {x_seq.shape[0]}")
     estimate = x_seq[0].copy()

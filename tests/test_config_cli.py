@@ -50,6 +50,10 @@ BAD_RUN_FIELDS = [
     ("edge", {"topology": {"kind": "custom", "n": 4, "edges": [[0, 1], [1]]}}),
     ("edge", {"topology": {"kind": "custom", "n": 4, "edges": [[0, 1], [1, "2"]]}}),
     ("edges", {"topology": {"kind": "custom", "n": 4, "edges": 5}}),
+    ("edges", {"topology": {"kind": "ring", "n": 5, "edges": [[0, 1]]}}),
+    ("edges", {"topology": {"kind": "complete", "n": 4, "edges": [[0, 1], [1, 2]]}}),
+    ("self_weights", {"topology": {"kind": "ring", "n": 4, "self_weights": [0.5] * 4}}),
+    ("self_weights", {"topology": {"kind": "complete", "n": 3, "self_weights": [0.2]}}),
     ("levels", {"compressor": {"kind": "quantize", "levels": 2.5}}),
     ("keep_prob", {"compressor": {"kind": "sparsify", "keep_prob": "x"}}),
     ("noise_bound", {"compressor": {"kind": "synthetic", "noise_bound": "x"}}),

@@ -857,21 +857,50 @@ class TestBlockDraws:
     @pytest.mark.parametrize("trace_every", [1, 7])
     @pytest.mark.parametrize("alg", ["dpsgd", "naive", "dcd", "ecd", "centralized"])
     def test_results_do_not_depend_on_the_metric_block(self, alg, trace_every, monkeypatch):
-        # run measures up to K passes in one metrics call.  Step size 1e308
-        # leaves its trial non-finite in round 1, which ends the first block
-        # early; 1.5 passes the loss cap mid-run with finite models, and its
-        # trial steps on to the end of the block; 0.05 completes.  T = 101
-        # is a multiple of no K below.
-        doc = {"algorithm": alg, "topology": {"kind": "ring", "n": 6}, "T": 101, "seed": 7,
+        # run steps up to K rounds a block, then measures them in one
+        # metrics call.  Step size 1e308 leaves its trial non-finite in
+        # round 1, which ends the first block early; 1.5 passes the loss cap
+        # mid-run with finite models, and its trial steps on to the end of
+        # the block; 0.05 completes.  T = 101 is a multiple of no K below.
+        configs, solo = self.block_independent_results(alg, trace_every, 101, monkeypatch)
+        assert [row["status"][1] for row in (r[-1] for r in solo)] == [
+            "completed", "diverged", "diverged"]
+        capped_at = solo[2][-1]["iterations"][1]
+        assert solo[1][-1]["iterations"][1] == 1 and 1 < capped_at < 101
+        # after the first block, one round, blocks start at pass 2: the
+        # capped trial's stop pass, capped_at + 1, is inside a block of K
+        # passes for some K, so the trial stepped on past it
+        assert any((capped_at - 1) % K for K in (2, 3, 7))
+
+        # the edges of the block loop.  42 is a multiple of every K, so a
+        # solo run's last block steps no round and only measures pass T + 1,
+        # and so does the batch's at T = 43, whose blocks start at pass 2.
+        # At T = 1 the non-finite trial stops at pass T + 1 beside two that
+        # complete there; T = 0 only measures pass 1.
+        for T in (42, 43):
+            _, solo = self.block_independent_results(alg, trace_every, T, monkeypatch)
+            assert [(r[-1]["status"][1], r[-1]["iterations"][1]) for r in solo] == [
+                ("completed", T), ("diverged", 1), ("diverged", capped_at)]
+        for T, status in ((1, "diverged"), (0, "completed")):
+            _, solo = self.block_independent_results(alg, trace_every, T, monkeypatch)
+            assert [(r[-1]["status"][1], r[-1]["iterations"][1]) for r in solo] == [
+                ("completed", T), (status, T), ("completed", T)]
+
+        # the per-round reference loop agrees with solo runs in 3-pass blocks
+        cols = 1 if alg == "centralized" else 6
+        monkeypatch.setattr(engine, "METRIC_BLOCK_VALUES", 3 * 6 * cols)
+        for cfg in configs[::2]:  # the reference replays one record per round
+            self.check_against_step_loop(dataclasses.replace(cfg, trace_every=1))
+
+    def block_independent_results(self, alg, trace_every, T, monkeypatch):
+        """The test configs at horizon T, and their solo results, which the
+        batch and solo runs must give at every metric block length."""
+        doc = {"algorithm": alg, "topology": {"kind": "ring", "n": 6}, "T": T, "seed": 7,
                "trace_every": trace_every, "problem": TRIAL_PROBLEMS["quadratic"],
                "compressor": TRIAL_COMPRESSORS["quantize127"]}
         configs = [config_from_dict({**doc, "gamma": g}) for g in (0.05, 1e308, 1.5)]
         cols = 1 if alg == "centralized" else 6
         solo = [result_bits(run(cfg)) for cfg in configs]
-        assert [row["status"][1] for row in (r[-1] for r in solo)] == [
-            "completed", "diverged", "diverged"]
-        capped_at = solo[2][-1]["iterations"][1]
-        assert solo[1][-1]["iterations"][1] == 1 and 1 < capped_at < 101
         # K passes a block throughout, then K passes at 3 trials and more as
         # trials retire, then the default (64 passes)
         blocks = [{"MAX_METRIC_PASSES": K} for K in (1, 2, 3, 7)]
@@ -882,14 +911,7 @@ class TestBlockDraws:
                     m.setattr(engine, name, value)
                 assert [result_bits(r) for r in run(configs)] == solo
                 assert [result_bits(run(cfg)) for cfg in configs] == solo
-        # after the first block, one pass, blocks start at pass 2: the capped
-        # trial's stop pass, capped_at + 1, is inside a block of K passes for
-        # some K, so the trial stepped on past it
-        assert any((capped_at - 1) % K for K in (2, 3, 7))
-        # the per-round reference loop agrees with solo runs in 3-pass blocks
-        monkeypatch.setattr(engine, "METRIC_BLOCK_VALUES", 3 * 6 * cols)
-        for cfg in configs[::2]:  # the reference replays one record per round
-            self.check_against_step_loop(dataclasses.replace(cfg, trace_every=1))
+        return configs, solo
 
     def test_no_pass_from_the_stop_on_counts(self, monkeypatch):
         # a loss cap between the seeds' initial losses (0.83, 0.79, 0.22)
