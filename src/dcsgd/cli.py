@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from . import costmodel, engine, streams, theory
 from .compression import FULL_PRECISION_BITS, bits_transmitted, effective_alpha
@@ -399,12 +400,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except (*_CONFIG_ERRORS, OSError, UnicodeDecodeError, MemoryError) as exc:
-        print(f"configuration error: {_message(exc)}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # a warning is one stderr line, not a source excerpt
+        warnings.showwarning = _print_warning
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except (*_CONFIG_ERRORS, OSError, UnicodeDecodeError, MemoryError) as exc:
+            print(f"configuration error: {_message(exc)}", file=sys.stderr)
+            return 1
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _message(exc: Exception) -> str:

@@ -133,6 +133,7 @@ def _compress(c: Compressor, z: np.ndarray, rng) -> np.ndarray:
     """:func:`compress` of a float array z that its checks have passed.
 
     The simulator calls this on inputs it has already scanned (or zeroed),
+    or on the models of a trial that has stopped and whose output it drops,
     so the round does not scan them again."""
     if z.size == 0 or c.kind == "identity":
         return z.copy()

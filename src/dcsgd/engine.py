@@ -20,27 +20,28 @@ streams, because their compression terms vanish exactly.
 Trial axis: :func:`run` takes one config or a batch of configs that differ
 only in ``seed`` and ``gamma``, and runs the batch as one stacked state, X
 of shape (S, dim, n) over a stacked problem (``problems.stack_problems``)
-with one gamma per trial.  Each round is one ``round_step``: one
-``W.mix(seen)`` over the (S, dim, n) stack, one oracle call and one
-compression call.  ``run`` measures the rounds in blocks: a block steps up
-to K rounds, keeping the models each round starts from, and ends early
-after a round that marks a trial diverged.  One ``metrics`` call then
-measures those models as a (P, S, dim, n) stack, whose every slice gives
-the bits of a one-pass measurement; the models after the block's last
-round start the next block, and the block that reaches pass T + 1
-measures them too, which completes the trials still running.  K is
-``METRIC_BLOCK_VALUES`` over one pass's S * dim * n values, at most
-``MAX_METRIC_PASSES``: 64 for 3 trials of ring 8 x dim 8, one round for a
-ring of 1024 at dim 64, whose models are measured as a view.  The loss cap,
-``min_grad_norm2``, ``time_to_threshold`` and the trace rows are settled
-per block, each trial from the passes before its stop; a trial past the
-loss cap with finite models steps on to the block's last round, and what
-those rounds draw is dropped with it.  A trial marked diverged stops at
-the pass after its last round, whose summary is ``inf`` and needs no
-measurement.  ``MixingMatrix.mix`` applies a W with few nonzero diagonals
-against n (a ring of n >= 192) as a sum over those diagonals,
-elementwise, and any other W as the stacked dense product ``seen @ W``
-(the BLAS call a solo run makes, once per trial); either way each trial
+with one gamma per trial.  Each round is one step of the kernel behind
+``round_step``, without its per-run checks: one ``W.mix(seen)`` over the
+(S, dim, n) stack, one oracle call and one compression call.  ``run``
+measures the rounds in blocks: a block steps up to K rounds, keeping the
+models each round starts from and its Q and G, and ends early after a
+round whose broadcast guard marks a trial diverged.  One ``metrics`` call
+then measures those models as a (P, S, dim, n) stack, and one reduction
+each gives the rounds' squared norms; every slice gives the bits of a
+one-pass computation.  The models after the block's last round start the
+next block, and the block that reaches pass T + 1 measures them too,
+which completes the trials still running.  K is ``METRIC_BLOCK_VALUES``
+over what one pass holds and allocates, at most ``MAX_METRIC_PASSES``.
+The loss cap, the non-finite stop, ``min_grad_norm2``,
+``time_to_threshold`` and the trace rows are settled per block, each trial
+from the passes before its stop; a stopped trial that no guard marked
+steps on to the block's last round, and what those rounds draw is dropped
+with it.  A trial marked diverged stops at the pass after its last round,
+whose summary is ``inf`` and needs no measurement.  ``MixingMatrix.mix``
+applies a W with few nonzero diagonals against n (a ring of n >= 192) as
+a sum over those diagonals, elementwise, and any other W as the stacked
+dense product ``seen @ W`` (the BLAS call a solo run makes, once per
+trial); either way each trial
 gets the bits of its solo run.  Every reduction is taken per trial, so
 each trial's records and summary are bit for bit those of its solo run; a
 trial that stops is summarized and dropped when its block ends, and its
@@ -71,19 +72,21 @@ column reading its node's row of the slab.  Rounds are synchronous by
 construction; each step reads the frozen previous round and writes
 disjoint columns.
 
-Non-finite values: on ``run``'s path they are caught inside
-``round_step``, at two sites.  For dcd and ecd the broadcast Z is scanned
-before it is compressed (ecd also caps its norm), and ``_commit`` scans the
-new X; either marks the trial diverged, ``run`` ends the block there, and
-the trial retires before it steps again.  So the oracle
-(``Problem._samples``) and the compressor (``compression._compress``) only
-see inputs already known to be finite, or zeroed for a bad trial, and do
-not scan them again.  The library
-entry points keep their own checks: ``Problem.stochastic_gradients`` raises
-DivergedError and ``compress`` raises InputError on non-finite input, and
-``round_step`` raises DivergedError on a state already marked diverged.  A
-state whose X a caller made non-finite by hand is marked diverged by that
-round's ``_commit``, and the next ``round_step`` raises.
+Non-finite values are caught at three sites.  Each round the kernel scans
+dcd's and ecd's broadcast Z before it is compressed (ecd also caps its
+norm): a bad trial's message is zeroed, the trial is marked diverged and
+``run`` ends the block.  ``round_step`` also scans the new X, so a library
+caller sees ``state.diverged`` at once.  ``run`` instead scans the models
+of a block's passes once, when the block ends, and a trial stops at its
+first non-finite pass, where ``round_step`` would have stopped it.  The
+guard stays per round because a compressed non-finite Z could give dcd a
+finite X + C(Z).  So the oracle (``Problem._samples``) and the compressor
+(``compression._compress``) see finite inputs, zeroed messages, or a
+stopped trial's models, whose outputs are dropped, and do not scan them.
+The library entry points keep their own checks:
+``Problem.stochastic_gradients`` raises DivergedError and ``compress``
+raises InputError on non-finite input, and ``round_step`` raises
+DivergedError on a state already marked diverged.
 """
 
 from __future__ import annotations
@@ -107,13 +110,13 @@ from .topology import MixingMatrix
 
 LOSS_CAP = 1e12  # a run whose loss passes this is declared diverged
 
-# Values one metric block holds across its passes' models (S * dim * n a
-# pass), and the most passes it covers: ``run`` measures up to K passes in
-# one ``metrics`` call, whose interpreter cost no longer grows with K.
-# small_sweep (3 trials of ring 8 x dim 8) takes 64-pass blocks of 12,288
-# values; wide_ring1024 (65,536 values a pass) measures each pass alone, as
-# a view.  Paired benchmark runs of both: BENCH_metric_blocks.json.
-METRIC_BLOCK_VALUES = 2**15
+# Values one metric block holds and allocates (``_pass_values`` per trial
+# and pass), and the most passes it covers: ``run`` measures up to K passes
+# in one ``metrics`` call, whose interpreter cost no longer grows with K.
+# small_sweep (3 trials of ring 8 x dim 8) takes 56-pass blocks,
+# logistic_ring16 19-pass ones, and wide_ring1024 one-pass ones, reduced as
+# views.  Paired benchmark runs: BENCH_lean_rounds.json.
+METRIC_BLOCK_VALUES = 2**16
 MAX_METRIC_PASSES = 64
 
 FULL_PRECISION = compression.identity()  # how dpsgd's messages are priced
@@ -127,14 +130,22 @@ class StepStats:
     common update form X_{t+1} = X_t W - gamma G + Q_t; g_norm2 / g_bar
     describe the stochastic gradient matrix.  bits is the total traffic of
     the round over all links.  For a stacked state each statistic holds one
-    entry per trial.  Q is None when Q_t = 0.
+    entry per trial.  Q is None when Q_t = 0.  The norms are reduced on
+    first use; ``run`` reduces a block's rounds at once, with the same bits.
     """
 
-    q_norm2: float
-    g_norm2: float
     bits: int
     Q: np.ndarray | None = field(repr=False)
     G: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def q_norm2(self) -> np.ndarray:
+        # Q_t = 0 is +0.0 per trial (a scalar for a solo state)
+        return np.zeros(self.G.shape[:-2])[()] if self.Q is None else _norm2(self.Q)
+
+    @functools.cached_property
+    def g_norm2(self) -> np.ndarray:
+        return _norm2(self.G)
 
     @property
     def q_bar(self) -> np.ndarray:
@@ -298,6 +309,9 @@ def round_step(
     non-finite values (module docstring).  On a stacked
     state ``gamma`` broadcasts against X, one value per trial; unless each
     is finite and >= 0 the round raises InputError before drawing anything.
+
+    These checks, dcd's finite-alpha check and the scan of the new X wrap a
+    private round kernel that ``run`` steps directly (module docstring).
     """
     if W.n != state.n:
         raise ConfigError(f"topology has {W.n} nodes but state has {state.n}")
@@ -306,29 +320,43 @@ def round_step(
         raise InputError(f"gamma must be finite and >= 0, got {gamma}")
     if state.status == "diverged":
         raise DivergedError("state has already diverged")
-    algorithm = state.algorithm
-    if algorithm == "dcd" and not math.isfinite(effective_alpha(c, problem.dim)):
+    if state.algorithm == "dcd" and not math.isfinite(effective_alpha(c, problem.dim)):
         raise ConfigError(f"difference compression needs a finite noise-to-signal "
                           f"bound; {c.kind!r} has none")
+    _advance(state, W, c, problem, gamma, z_norm_cap, _round_bits(state.algorithm, W, c, problem))
+    state.diverged = state.diverged | _non_finite(state.X)
+    return state
+
+
+def _round_bits(algorithm: str, W: MixingMatrix, c: Compressor, problem: Problem) -> int:
+    """Traffic of one round over all links: one message per edge end, or
+    the centralized baseline's gather and broadcast at full precision."""
+    if algorithm == "centralized":
+        return 2 * (W.n - 1) * compression.FULL_PRECISION_BITS * problem.dim
+    return 2 * W.num_edges * bits_transmitted(FULL_PRECISION if algorithm == "dpsgd" else c,
+                                              problem.dim)
+
+
+def _advance(state: WorldState, W: MixingMatrix, c: Compressor, problem: Problem,
+             gamma, z_norm_cap: float, bits: int) -> None:
+    """:func:`round_step` without its checks and without the scan of the new
+    X: ``state.diverged`` marks only the trials the broadcast guard stops."""
     # the previous round's Q and G are two state-sized arrays; free them
     # before this round allocates its own
     state.last_step = None
-    X = state.X
+    algorithm, X = state.algorithm, state.X
     if algorithm == "centralized":  # X is (..., dim, 1)
         G = problem._samples(np.repeat(X, state.n, axis=-1), state.sample_streams)
-        bits = 2 * (state.n - 1) * compression.FULL_PRECISION_BITS * problem.dim
         return _commit(state, X - gamma * G.mean(axis=-1, keepdims=True), None, G, bits)
     # dpsgd and dcd see X (dcd's replicas equal it); dcd's Q_t stays zero for
     # a trial that diverges before the exchange
     seen, Q = X, None
-    if algorithm == "dpsgd":
-        c = FULL_PRECISION
-    elif algorithm == "naive":
+    if algorithm == "naive":
         seen = compression._compress(c, X, state.compress_streams)
         Q = seen - X
     elif algorithm == "ecd":
         seen, Q = X + state.estimate_err, W.mix(state.estimate_err)
-    elif algorithm != "dcd":
+    elif algorithm not in ("dpsgd", "dcd"):
         raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     G = problem._samples(X, state.sample_streams)
     # seen W - gamma * G - X, left to right, in one buffer
@@ -336,14 +364,13 @@ def round_step(
     delta -= gamma * G
     delta -= X
     X_new = X + delta
-    bits = 2 * W.num_edges * bits_transmitted(c, problem.dim)  # one message per edge end
     if algorithm in ("dpsgd", "naive"):
         return _commit(state, X_new, Q, G, bits)
 
     s = state.t + 1
     Z = delta if algorithm == "dcd" else _extrapolate(X, X_new, s)
     # nothing sane to broadcast: overflowed or past the input-norm guard
-    bad = ~np.logical_and.reduce(_per_trial(np.isfinite(Z)), axis=-1)
+    bad = _non_finite(Z)
     if algorithm == "ecd" and z_norm_cap < math.inf:  # nothing is past an infinite cap
         bad |= np.maximum.reduce(np.add.reduce(Z * Z, axis=-2), axis=-1) > z_norm_cap * z_norm_cap
     n_bad = np.count_nonzero(bad)
@@ -365,23 +392,37 @@ def round_step(
     return _commit(state, X + CZ, Q, G, bits, bad)
 
 
-def _commit(state: WorldState, X_new, Q, G, bits: int, diverged=False) -> WorldState:
-    # Q None is Q_t = 0: q_norm2 is +0.0 per trial (a scalar for a solo state)
-    # np.add.reduce and np.logical_and.reduce are what .sum() and .all() call
-    q_norm2 = (np.zeros(G.shape[:-2])[()] if Q is None
-               else np.add.reduce(_per_trial(Q * Q), axis=-1))
-    state.last_step = StepStats(q_norm2, np.add.reduce(_per_trial(G * G), axis=-1), bits, Q, G)
+def _commit(state: WorldState, X_new, Q, G, bits: int, bad=None) -> None:
+    """Write the round's models and statistics; ``bad`` marks the trials the
+    broadcast guard stopped (the algorithms without one leave the mark)."""
+    state.last_step = StepStats(bits, Q, G)
     state.X = X_new
     state.t += 1
     state.bits_total += bits
-    state.diverged = diverged | ~np.logical_and.reduce(_per_trial(np.isfinite(X_new)), axis=-1)
-    return state
+    if bad is not None:
+        state.diverged = bad
 
 
 def _per_trial(a: np.ndarray) -> np.ndarray:
     """(..., dim, k) as (..., dim * k): a reduction over the last axis is one
     per trial, adding in the order a whole-matrix reduction of a solo run does."""
-    return a.reshape(a.shape[:-2] + (-1,))
+    return a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
+
+
+def _norm2(a: np.ndarray) -> np.ndarray:
+    """Squared norm per trial of a (..., dim, k) array; np.add.reduce and
+    np.logical_and.reduce (below) are what .sum() and .all() call."""
+    return np.add.reduce(_per_trial(a * a), axis=-1)
+
+
+def _non_finite(a: np.ndarray) -> np.ndarray:
+    """Per trial of a (..., dim, k) array: is any entry not finite?"""
+    return ~np.logical_and.reduce(_per_trial(np.isfinite(a)), axis=-1)
+
+
+def _stack(arrays: list) -> np.ndarray:
+    """The arrays stacked on a new first axis; one array as a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _extrapolate(x_prev: np.ndarray, x: np.ndarray, s: int) -> np.ndarray:
@@ -431,11 +472,13 @@ def run(config):
     bit-identical traces.  Divergence (non-finite iterates or loss above
     1e12) stops that trial with its partial trace retained.
 
-    Rounds are stepped in blocks of up to K, and the models each round
-    starts from are measured in one ``metrics`` call a block (module
-    docstring).  A trial whose loss passes the cap while its models are
-    finite steps on to its block's last round; those rounds draw only from
-    its own streams and are dropped with it, so no output changes.
+    Rounds are stepped in blocks of up to K through the kernel behind
+    ``round_step``, without its checks: ``RunConfig`` validates gamma and
+    dcd's compressor, and ``resolve_gamma`` returns a finite gamma > 0.  A
+    block's models, squared norms and non-finite scan are each reduced in
+    one call (module docstring).  A trial past the loss cap, or non-finite
+    without tripping a broadcast guard, steps on to its block's last round;
+    those rounds draw only from its own streams and are dropped with it.
     """
     from .config import build_run, resolve_gamma
 
@@ -484,40 +527,52 @@ def run(config):
     # numpy's overflow warnings are noise: blow-up is detected from the values.
     # Pass t measures the models round t starts from (after round t - 1).  A
     # block steps up to K rounds t, t + 1, ..., keeping each round's starting
-    # models by reference (round_step never writes X in place), and ends
-    # early after a round that marks a trial diverged, so round_step never
-    # sees a diverged state.  One metrics call measures the passes of the
-    # stepped rounds, and pass T + 1 too in the block that reaches it; the
-    # models after the block's last round are the next block's first pass.
+    # models and its Q and G by reference (the kernel never writes them in
+    # place), and ends early after a round whose broadcast guard marks a
+    # trial diverged.  One metrics call measures the passes of the stepped
+    # rounds, and pass T + 1 too in the block that reaches it; the models
+    # after the block's last round are the next block's first pass.
+    step_bits = _round_bits(cfg.algorithm, W, c, problem)
+    pass_values = _pass_values(problem, W.n)
     t = 1  # the block's first round
     with np.errstate(over="ignore", invalid="ignore"):
         while trials.size:
-            K = max(1, min(MAX_METRIC_PASSES, METRIC_BLOCK_VALUES // state.X.size))
-            models, q_norm2, g_norm2, bits = [], [], [], [state.bits_total]
+            K = max(1, min(MAX_METRIC_PASSES, METRIC_BLOCK_VALUES // (trials.size * pass_values)))
+            models, qs, gs, bits = [], [], [], [state.bits_total]
             while (len(models) < K and t + len(models) <= cfg.T
                    and not np.count_nonzero(state.diverged)):
                 models.append(state.X)
-                round_step(state, W, c, problem, gamma, z_norm_cap)
-                q_norm2.append(state.last_step.q_norm2)
-                g_norm2.append(state.last_step.g_norm2)
+                _advance(state, W, c, problem, gamma, z_norm_cap, step_bits)
+                qs.append(state.last_step.Q)
+                gs.append(state.last_step.G)
                 bits.append(state.bits_total)  # bits[j]: the total at pass t + j
             P = len(models)  # the block's rounds, t .. t + P - 1
             final = t + P > cfg.T  # the block reaches pass T + 1
             if final:
                 models.append(state.X)
+            # the recorded rounds' squared norms; Q_t = 0 reads +0.0
+            recorded = [j for j in range(P)
+                        if (t + j - 1) % cfg.trace_every == 0 or t + j == cfg.T]
+            if recorded:
+                g_norm2 = _norm2(_stack([gs[j] for j in recorded]))
+                q_norm2 = (_norm2(_stack([np.zeros_like(gs[j]) if qs[j] is None else qs[j]
+                                          for j in recorded]))
+                           if any(qs[j] is not None for j in recorded) else np.zeros_like(g_norm2))
+            del qs, gs
             # (passes, S) arrays, one row per pass; one pass is measured as a view
-            stacked = SimpleNamespace(X=models[0][None] if len(models) == 1 else np.stack(models))
+            stacked = _stack(models)
             del models  # the passes' models go before metrics allocates
-            losses, grads, cons = metrics(stacked, problem)
-            del stacked
+            losses, grads, cons = metrics(SimpleNamespace(X=stacked), problem)
 
             # a trial stops at its first pass over the loss cap (a NaN loss
-            # stops too), or at pass t + P if the block's last round marked
-            # it diverged (non-finite, or past ecd's norm cap); only the
-            # passes before the stop count
+            # stops too) or with non-finite models (passes t + 1 .. t + P: rows
+            # of the stack, then the state), or at pass t + P if the block's
+            # last round marked it diverged; only the passes before it count
             over = np.zeros((P + 1, trials.size), bool)
             over[:len(losses)] = ~(losses <= LOSS_CAP)
-            over[P] |= state.diverged
+            over[1:P] |= _non_finite(stacked[1:P])
+            over[P] |= state.diverged | _non_finite(state.X)
+            del stacked
             stopped = np.logical_or.reduce(over, axis=0)
             counted = grads
             if np.count_nonzero(stopped):
@@ -531,17 +586,14 @@ def run(config):
                 np.putmask(time_to_threshold,
                            np.logical_or.reduce(under, axis=0) & (time_to_threshold < 0),
                            t + np.argmax(under, axis=0))
-            # the block's rounds, in the columns of its trials
-            recorded = [j for j in range(P)
-                        if (t + j - 1) % cfg.trace_every == 0 or t + j == cfg.T]
+            # the block's recorded rounds, in the columns of its trials
             if recorded:
                 end = len(rounds) + len(recorded)
                 if end > len(values):
                     values = np.concatenate(
                         [values, np.empty((max(len(values), end - len(values)), S, 5))])
-                stats = np.stack((losses[:P], grads[:P], cons[:P],
-                                  np.array(q_norm2), np.array(g_norm2)), axis=-1)
-                values[len(rounds):end, trials] = stats[recorded]
+                values[len(rounds):end, trials] = np.stack(
+                    (losses[recorded], grads[recorded], cons[recorded], q_norm2, g_norm2), axis=-1)
                 rounds.extend(t + j for j in recorded)
                 round_bits.extend(bits[j + 1] for j in recorded)
             # summarize the stopped trials, and after round T every trial, and
@@ -573,6 +625,12 @@ def run(config):
     results = [RunResult(summaries[i], rounds, round_bits,
                          values[:bisect.bisect_left(rounds, ends[i]), i]) for i in range(S)]
     return results if isinstance(config, list) else results[0]
+
+
+def _pass_values(problem: Problem, n: int) -> int:
+    """Values one pass of a metric block holds and allocates per trial: its
+    models, its round's Q and G, and what measuring it allocates."""
+    return 3 * problem.dim * n + problem._metric_values()
 
 
 def _keep_trials(state: WorldState, keep: np.ndarray) -> None:

@@ -289,6 +289,23 @@ class TestCliRun:
         assert main(["run", "--config", path, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    BUDGET_WARNING = ("warning: difference compression budget violated: alpha = {} "
+                      ">= (1-rho)/(2 mu) = 0.07322; proceeding to demonstrate divergence")
+
+    def test_budget_warning_is_one_stderr_line(self, tmp_path, capsys):
+        # dcd at levels 7 on ring 8 violates the budget; engine.run warns,
+        # and the CLI prints the warning alone, not as a source excerpt
+        doc = {**BASE, "algorithm": "dcd", "T": 20, "trace_every": 1,
+               "compressor": {"kind": "quantize", "levels": 7}}
+        path = write_config(tmp_path, doc)
+        assert main(["run", "--config", path]) == 0
+        assert capsys.readouterr().err.splitlines() == [self.BUDGET_WARNING.format(0.3499)]
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", path, "--axis", "levels", "--values", "5,7",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            self.BUDGET_WARNING.format(a) for a in (0.4899, 0.3499)]
+
     def test_diverged_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {**BASE, "gamma": 5.0})
         assert main(["run", "--config", path]) == 2

@@ -325,6 +325,26 @@ class TestZeroNoise:
                 assert np.all(step.q_norm2 == 0.0) and not np.any(np.signbit(step.q_norm2))
                 assert np.array_equal(step.q_bar, np.zeros(step.G.shape[:-1]))
 
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_norms_read_late_equal_the_sums_taken_at_the_round(self, alg):
+        # StepStats reduces q_norm2 and g_norm2 on first use.  Read after
+        # later rounds, they must equal each trial's whole-matrix sums taken
+        # as its round committed, so no later round writes a kept Q or G
+        problem = stack_problems([quad_problem(6, 6, het=0.5, noise=0.2, seed=s) for s in (1, 2)])
+        W, c = build_ring(6), stochastic_quantize(7)
+        state = init_state(problem, 6, alg, [3, 4])
+        steps, eager = [], []
+        for _ in range(4):
+            round_step(state, W, c, problem, np.array([0.05, 0.2])[:, None, None])
+            step = state.last_step
+            Q = np.zeros_like(step.G) if step.Q is None else step.Q
+            eager.append([(float((Q[s] * Q[s]).sum()).hex(), float((step.G[s] * step.G[s]).sum()).hex())
+                          for s in range(2)])
+            steps.append(step)
+        late = [[(float(step.q_norm2[s]).hex(), float(step.g_norm2[s]).hex()) for s in range(2)]
+                for step in steps]
+        assert late == eager
+
 
 class TestConsensusInequality:
     def test_deterministic_identity_bound(self):
@@ -691,13 +711,16 @@ class TestTrialBatch:
 
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_run_calls_no_checked_entry_point(self, alg, monkeypatch):
-        # run's rounds scan for non-finite values in round_step alone; its
-        # oracle and compressor are the primitives behind the checked entry
-        # points.  Gamma 1e308 overflows in the first round, so in the batch
-        # one trial compresses zeros while the others exchange.
+        # run steps its rounds through the kernel behind round_step, and
+        # its oracle and compressor are the primitives behind the checked
+        # entry points; the scans for non-finite values are the kernel's
+        # broadcast guard and run's own per-block scan of the models.  Gamma
+        # 1e308 overflows in the first round, so in the batch one trial
+        # compresses zeros while the others exchange.
         def checked(*args, **kwargs):
             raise AssertionError("run called a checked entry point")
 
+        monkeypatch.setattr(engine, "round_step", checked)
         monkeypatch.setattr(Problem, "stochastic_gradients", checked)
         monkeypatch.setattr(engine, "compress", checked)
         monkeypatch.setattr(compression, "compress", checked)
@@ -859,9 +882,12 @@ class TestBlockDraws:
     def test_results_do_not_depend_on_the_metric_block(self, alg, trace_every, monkeypatch):
         # run steps up to K rounds a block, then measures them in one
         # metrics call.  Step size 1e308 leaves its trial non-finite in
-        # round 1, which ends the first block early; 1.5 passes the loss cap
-        # mid-run with finite models, and its trial steps on to the end of
-        # the block; 0.05 completes.  T = 101 is a multiple of no K below.
+        # round 1: dcd's and ecd's broadcast guard ends the first block
+        # there, and under the other algorithms the trial steps on to the
+        # block's end and stops at pass 2, its first non-finite one; 1.5
+        # passes the loss cap mid-run with finite models, and its trial steps
+        # on to the end of the block; 0.05 completes.  T = 101 is a multiple
+        # of no K below.
         configs, solo = self.block_independent_results(alg, trace_every, 101, monkeypatch)
         assert [row["status"][1] for row in (r[-1] for r in solo)] == [
             "completed", "diverged", "diverged"]
@@ -887,8 +913,8 @@ class TestBlockDraws:
                 ("completed", T), (status, T), ("completed", T)]
 
         # the per-round reference loop agrees with solo runs in 3-pass blocks
-        cols = 1 if alg == "centralized" else 6
-        monkeypatch.setattr(engine, "METRIC_BLOCK_VALUES", 3 * 6 * cols)
+        problem = build_run(configs[0])[1]
+        monkeypatch.setattr(engine, "METRIC_BLOCK_VALUES", 3 * engine._pass_values(problem, 6))
         for cfg in configs[::2]:  # the reference replays one record per round
             self.check_against_step_loop(dataclasses.replace(cfg, trace_every=1))
 
@@ -899,12 +925,12 @@ class TestBlockDraws:
                "trace_every": trace_every, "problem": TRIAL_PROBLEMS["quadratic"],
                "compressor": TRIAL_COMPRESSORS["quantize127"]}
         configs = [config_from_dict({**doc, "gamma": g}) for g in (0.05, 1e308, 1.5)]
-        cols = 1 if alg == "centralized" else 6
+        pass_values = engine._pass_values(build_run(configs[0])[1], 6)
         solo = [result_bits(run(cfg)) for cfg in configs]
         # K passes a block throughout, then K passes at 3 trials and more as
         # trials retire, then the default (64 passes)
         blocks = [{"MAX_METRIC_PASSES": K} for K in (1, 2, 3, 7)]
-        blocks += [{"METRIC_BLOCK_VALUES": K * 3 * 6 * cols} for K in (1, 2, 3, 7)]
+        blocks += [{"METRIC_BLOCK_VALUES": K * 3 * pass_values} for K in (1, 2, 3, 7)]
         for patch in blocks + [{}]:
             with monkeypatch.context() as m:
                 for name, value in patch.items():
@@ -931,6 +957,43 @@ class TestBlockDraws:
             assert s.min_grad_norm2 == math.inf and s.time_to_threshold is None
             assert [(r.summary.status, r.summary.time_to_threshold) for r in others] == [
                 ("completed", 1)] * 2
+
+    @pytest.mark.parametrize("alg", ["dpsgd", "naive", "centralized"])
+    def test_trial_non_finite_mid_block_stops_at_its_first_non_finite_pass(
+            self, alg, monkeypatch):
+        # these algorithms have no broadcast guard, so run finds non-finite
+        # models only by its per-block scan.  Step size 1e60 overflows the
+        # models after a few rounds, not in round 1.  At dim 1 the
+        # overflowed models share one sign, so their loss is inf, not NaN;
+        # with the loss cap lifted that stops no trial, and the scan must
+        # stop it at the pass after the round in which round_step marks it
+        # diverged (one pass later, its models are NaN)
+        monkeypatch.setattr(engine, "LOSS_CAP", math.inf)
+        doc = {"algorithm": alg, "topology": {"kind": "ring", "n": 6}, "T": 30, "seed": 7,
+               "trace_every": 1, "compressor": TRIAL_COMPRESSORS["quantize127"],
+               "problem": {"kind": "quadratic", "dim": 1, "heterogeneity": 0.5, "noise": 0.2}}
+        configs = [config_from_dict({**doc, "gamma": g}) for g in (0.05, 1e60, 0.1)]
+        W, problem, c, state_ss = build_run(configs[1])
+        state = init_state(problem, W.n, alg, state_ss)
+        with np.errstate(over="ignore", invalid="ignore"):
+            while state.status == "running":
+                round_step(state, W, c, problem, 1e60)
+        diverged_at = state.t - 1
+        solo = [result_bits(run(cfg)) for cfg in configs]
+        assert [(r[-1]["status"][1], r[-1]["iterations"][1]) for r in solo] == [
+            ("completed", 30), ("diverged", diverged_at), ("completed", 30)]
+        # the stop pass, diverged_at + 1, is the state after a block's last
+        # round for some K below, and a row of the stacked models for others
+        assert 1 < diverged_at < 30
+        assert {diverged_at % K == 0 for K in (1, 3, 7)} == {True, False}
+        for patch in [{"MAX_METRIC_PASSES": K} for K in (1, 3, 7)] + [{}]:
+            with monkeypatch.context() as m:
+                for name, value in patch.items():
+                    m.setattr(engine, name, value)
+                assert [result_bits(r) for r in run(configs)] == solo
+                assert [result_bits(run(cfg)) for cfg in configs] == solo
+        for cfg in configs:
+            self.check_against_step_loop(cfg)
 
     @pytest.mark.parametrize("alg", ["naive", "dcd", "ecd"])
     def test_trial_retiring_mid_block_leaves_the_others_unchanged(self, alg):
@@ -977,7 +1040,8 @@ class TestBlockDraws:
             assert streams.block_rounds(3 * 8, 8, 160) == 40
             # run retires a trial after the metric block of its stop pass;
             # 8-pass blocks retire it before the fourth block is taken
-            monkeypatch.setattr(engine, "METRIC_BLOCK_VALUES", 8 * 3 * 8 * 8)
+            pass_values = engine._pass_values(build_run(configs[0])[1], 8)
+            monkeypatch.setattr(engine, "METRIC_BLOCK_VALUES", 8 * 3 * pass_values)
             ahead = []  # per keep call: is a block drawn ahead, is it still being drawn
             keep = streams.StreamSet.keep
 
