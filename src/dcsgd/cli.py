@@ -19,7 +19,7 @@ import os
 import sys
 import warnings
 
-from . import costmodel, engine, streams, theory
+from . import costmodel, engine, theory
 from .compression import FULL_PRECISION_BITS, bits_transmitted, effective_alpha
 from .config import RunConfig, build_compressor, build_run, parse_config, resolve_gamma
 from .errors import ConfigError, InfeasibleError, InputError, TopologyError
@@ -40,8 +40,7 @@ GRID_FIELDS = ("bandwidth", "latency", "allreduce_s", "decen_full_s", "decen_com
 _CONFIG_ERRORS = (ConfigError, InfeasibleError, TopologyError, InputError)
 
 # A seed or gamma sweep runs its entries as trial batches of at most
-# MAX_TRIALS trials and BATCH_BYTES bytes: per-trial data (_trial_bytes) plus
-# the batch's blocks of random draws (DRAW_BYTES).
+# MAX_TRIALS trials and BATCH_BYTES bytes of per-trial data (_trial_bytes).
 # Measured on 2-core x86, one BLAS thread, seed sweeps by batch size: ring 8
 # x dim 8 goes from 6,300 trial-rounds/s at 1 trial to 54,100 at 64 (47,100
 # at 128); dim 64 x ring 16 and logistic dim 16 x ring 16 gain about 1.8x by
@@ -54,18 +53,8 @@ _CONFIG_ERRORS = (ConfigError, InfeasibleError, TopologyError, InputError)
 # except on the dim-1024 sweep (1 trial per batch), whose QR and eigvalsh
 # set-up kept it within 5%.
 MAX_TRIALS = 64
-# A batch buffers at most max(streams.BLOCK_VALUES, one round) draws for each
-# of its two purposes, the oracle and compression, and a purpose that draws
-# ahead holds a second such block, the next one, drawn in the background;
-# _trial_bytes counts one round, this the block budget of both purposes
-# drawing ahead.  Measured buffers: a 3-seed ring 8 x dim 8 sweep with a
-# noise-free oracle holds one 96 KiB compression block (64 rounds), 64 seeds
-# with oracle noise two 2 MiB blocks (64 rounds, too narrow to draw ahead),
-# and a ring 1024 x dim 64 dpsgd run two 2 MiB oracle blocks (4 rounds each,
-# the current and the next).
-DRAW_BYTES = 2 * 2 * 8 * streams.BLOCK_VALUES
-# 7 MiB of per-trial data plus the draw blocks
-BATCH_BYTES = 7 * 2**20 + DRAW_BYTES
+# per-trial bytes; the batch's blocks of random draws (streams.BLOCK_VALUES) come on top
+BATCH_BYTES = 7 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +106,7 @@ def sweep(cfg: RunConfig, axis: str, values, seeds=None) -> list[dict]:
 
 def _batch_size(cfg: RunConfig) -> int:
     """Trials per batch of a seed or gamma sweep of ``cfg``."""
-    return max(1, min(MAX_TRIALS, (BATCH_BYTES - DRAW_BYTES) // _trial_bytes(cfg)))
+    return max(1, min(MAX_TRIALS, BATCH_BYTES // _trial_bytes(cfg)))
 
 
 def _trial_bytes(cfg: RunConfig) -> int:

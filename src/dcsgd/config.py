@@ -156,7 +156,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse a JSON config document into a validated RunConfig."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return config_from_dict(doc)
 

@@ -21,23 +21,23 @@ Trial axis: :func:`run` takes one config or a batch of configs that differ
 only in ``seed`` and ``gamma``, and runs the batch as one stacked state, X
 of shape (S, dim, n) over a stacked problem (``problems.stack_problems``)
 with one gamma per trial.  Each round is one step of the kernel behind
-``round_step``, without its per-run checks: one ``W.mix(seen)`` over the
-(S, dim, n) stack, one oracle call and one compression call.  ``run``
-measures the rounds in blocks: a block steps up to K rounds, keeping the
-models each round starts from and its Q and G, and ends early after a
-round whose broadcast guard marks a trial diverged.  One ``metrics`` call
-then measures those models as a (P, S, dim, n) stack, and one reduction
-each gives the rounds' squared norms; every slice gives the bits of a
-one-pass computation.  The models after the block's last round start the
-next block, and the block that reaches pass T + 1 measures them too,
-which completes the trials still running.  K is ``METRIC_BLOCK_VALUES``
-over what one pass holds and allocates, at most ``MAX_METRIC_PASSES``.
-The loss cap, the non-finite stop, ``min_grad_norm2``,
-``time_to_threshold`` and the trace rows are settled per block, each trial
-from the passes before its stop; a stopped trial that no guard marked
-steps on to the block's last round, and what those rounds draw is dropped
-with it.  A trial marked diverged stops at the pass after its last round,
-whose summary is ``inf`` and needs no measurement.  ``MixingMatrix.mix``
+``round_step``, without its checks and bookkeeping: one ``W.mix(seen)``
+over the (S, dim, n) stack, one oracle call and one compression call.
+``run`` measures the rounds in blocks: a block steps K rounds, or the
+rounds left, keeping the models each round starts from, its Q and G, and
+the trials its broadcast guard marks.  One ``metrics`` call then measures
+those models as a (P, S, dim, n) stack, and one reduction each gives the
+rounds' squared norms; every slice gives the bits of a one-pass
+computation.  The models after the block's last round start the next
+block, and the block that reaches pass T + 1 measures them too, which
+completes the trials still running.  K is ``METRIC_BLOCK_VALUES`` over
+what one pass holds and allocates, at most ``MAX_METRIC_PASSES``.  Every
+stop (the broadcast guard, the loss cap, non-finite models),
+``min_grad_norm2``, ``time_to_threshold`` and the trace rows are settled
+per block, each trial from the passes before its stop; a stopped trial
+steps on to the block's last round, and what those rounds draw is
+dropped with it.  Every round sends the same bits, so round r has sent r
+rounds' bits.  ``MixingMatrix.mix``
 applies a W with few nonzero diagonals against n (a ring of n >= 192) as
 a sum over those diagonals, elementwise, and any other W as the stacked
 dense product ``seen @ W`` (the BLAS call a solo run makes, once per
@@ -72,15 +72,17 @@ column reading its node's row of the slab.  Rounds are synchronous by
 construction; each step reads the frozen previous round and writes
 disjoint columns.
 
-Non-finite values are caught at three sites.  Each round the kernel scans
+Non-finite values are caught at two sites.  Each round the kernel scans
 dcd's and ecd's broadcast Z before it is compressed (ecd also caps its
-norm): a bad trial's message is zeroed, the trial is marked diverged and
-``run`` ends the block.  ``round_step`` also scans the new X, so a library
-caller sees ``state.diverged`` at once.  ``run`` instead scans the models
-of a block's passes once, when the block ends, and a trial stops at its
-first non-finite pass, where ``round_step`` would have stopped it.  The
-guard stays per round because a compressed non-finite Z could give dcd a
-finite X + C(Z).  So the oracle (``Problem._samples``) and the compressor
+norm): a bad trial's message is zeroed and the kernel returns the trial
+marked.  Then ``round_step`` marks the state diverged there and where the
+new X is not finite, so a library caller sees ``state.diverged`` at once.
+``run`` instead settles the rounds' marks and the scan of the models of
+a block's passes once, when the block ends: a trial stops at the pass
+after its guard's round or at its first non-finite pass, whichever comes
+first, where ``round_step`` would have stopped it.  The guard stays per
+round because a compressed non-finite Z could give dcd a finite
+X + C(Z).  So the oracle (``Problem._samples``) and the compressor
 (``compression._compress``) see finite inputs, zeroed messages, or a
 stopped trial's models, whose outputs are dropped, and do not scan them.
 The library entry points keep their own checks:
@@ -131,7 +133,8 @@ class StepStats:
     describe the stochastic gradient matrix.  bits is the total traffic of
     the round over all links.  For a stacked state each statistic holds one
     entry per trial.  Q is None when Q_t = 0.  The norms are reduced on
-    first use; ``run`` reduces a block's rounds at once, with the same bits.
+    first use.  ``run`` keeps none: it reduces the Q and G of a block's
+    recorded rounds at once, with the same bits.
     """
 
     bits: int
@@ -226,17 +229,18 @@ class RunResult:
     that reads only summaries, as a sweep does, never builds it.
     """
 
-    def __init__(self, summary: RunSummary, rounds: list, bits: list, values: np.ndarray):
+    def __init__(self, summary: RunSummary, rounds: list, step_bits: int, values: np.ndarray):
         self.summary = summary
-        # the trial's recorded rounds: t and cumulative bits, and a
+        # the trial's recorded rounds, the bits every round sends, and a
         # (rows, 5) array of loss, grad_norm2, consensus, q_norm2, g_norm2
-        self._rounds, self._bits, self._values = rounds, bits, values
+        self._rounds, self._step_bits, self._values = rounds, step_bits, values
 
     @functools.cached_property
     def records(self) -> list:
-        """TraceRecords of the trial's recorded rounds."""
-        return [TraceRecord(t, *row, bits)
-                for t, bits, row in zip(self._rounds, self._bits, self._values.tolist())]
+        """TraceRecords of the trial's recorded rounds; round t has sent
+        t rounds' bits."""
+        return [TraceRecord(t, *row, t * self._step_bits)
+                for t, row in zip(self._rounds, self._values.tolist())]
 
 
 ALGORITHMS = ("dpsgd", "naive", "dcd", "ecd", "centralized")
@@ -310,8 +314,10 @@ def round_step(
     state ``gamma`` broadcasts against X, one value per trial; unless each
     is finite and >= 0 the round raises InputError before drawing anything.
 
-    These checks, dcd's finite-alpha check and the scan of the new X wrap a
-    private round kernel that ``run`` steps directly (module docstring).
+    These checks and dcd's finite-alpha check come before a private round
+    kernel, which ``run`` steps directly (module docstring); then
+    ``round_step`` writes the round's X, t, ``bits_total``, ``last_step``
+    and ``diverged``.
     """
     if W.n != state.n:
         raise ConfigError(f"topology has {W.n} nodes but state has {state.n}")
@@ -323,8 +329,15 @@ def round_step(
     if state.algorithm == "dcd" and not math.isfinite(effective_alpha(c, problem.dim)):
         raise ConfigError(f"difference compression needs a finite noise-to-signal "
                           f"bound; {c.kind!r} has none")
-    _advance(state, W, c, problem, gamma, z_norm_cap, _round_bits(state.algorithm, W, c, problem))
-    state.diverged = state.diverged | _non_finite(state.X)
+    # the previous round's Q and G are two state-sized arrays; free them
+    # before this round allocates its own
+    state.last_step = None
+    X, Q, G, bad = _advance(state, W, c, problem, gamma, z_norm_cap)
+    bits = _round_bits(state.algorithm, W, c, problem)
+    state.X, state.t = X, state.t + 1
+    state.bits_total += bits
+    state.last_step = StepStats(bits, Q, G)
+    state.diverged = _non_finite(X) if bad is None else bad | _non_finite(X)
     return state
 
 
@@ -338,16 +351,15 @@ def _round_bits(algorithm: str, W: MixingMatrix, c: Compressor, problem: Problem
 
 
 def _advance(state: WorldState, W: MixingMatrix, c: Compressor, problem: Problem,
-             gamma, z_norm_cap: float, bits: int) -> None:
-    """:func:`round_step` without its checks and without the scan of the new
-    X: ``state.diverged`` marks only the trials the broadcast guard stops."""
-    # the previous round's Q and G are two state-sized arrays; free them
-    # before this round allocates its own
-    state.last_step = None
+             gamma, z_norm_cap: float) -> tuple:
+    """One round of :func:`round_step` without its checks or bookkeeping:
+    returns the new models, Q (None when Q_t = 0), G, and the trials that
+    dcd's and ecd's broadcast guard marks (None for the other algorithms).
+    It writes only ecd's estimate error, and draws from the state's streams."""
     algorithm, X = state.algorithm, state.X
     if algorithm == "centralized":  # X is (..., dim, 1)
         G = problem._samples(np.repeat(X, state.n, axis=-1), state.sample_streams)
-        return _commit(state, X - gamma * G.mean(axis=-1, keepdims=True), None, G, bits)
+        return X - gamma * G.mean(axis=-1, keepdims=True), None, G, None
     # dpsgd and dcd see X (dcd's replicas equal it); dcd's Q_t stays zero for
     # a trial that diverges before the exchange
     seen, Q = X, None
@@ -365,7 +377,7 @@ def _advance(state: WorldState, W: MixingMatrix, c: Compressor, problem: Problem
     delta -= X
     X_new = X + delta
     if algorithm in ("dpsgd", "naive"):
-        return _commit(state, X_new, Q, G, bits)
+        return X_new, Q, G, None
 
     s = state.t + 1
     Z = delta if algorithm == "dcd" else _extrapolate(X, X_new, s)
@@ -375,7 +387,7 @@ def _advance(state: WorldState, W: MixingMatrix, c: Compressor, problem: Problem
         bad |= np.maximum.reduce(np.add.reduce(Z * Z, axis=-2), axis=-1) > z_norm_cap * z_norm_cap
     n_bad = np.count_nonzero(bad)
     if n_bad == bad.size:
-        return _commit(state, X_new, Q, G, bits, bad)
+        return X_new, Q, G, bad
     # the other trials exchange; a bad trial compresses zeros (its draws are
     # discarded with it) and Z stands in for its message, so dcd commits it
     # X + delta like the path above
@@ -385,22 +397,11 @@ def _advance(state: WorldState, W: MixingMatrix, c: Compressor, problem: Problem
         CZ[bad] = Z[bad]
     if algorithm == "ecd":
         state.estimate_err = _fold(state.estimate_err, CZ - Z, s)
-        return _commit(state, X_new, Q, G, bits, bad)
+        return X_new, Q, G, bad
     Q = CZ - Z
     if n_bad:
         Q[bad] = 0.0
-    return _commit(state, X + CZ, Q, G, bits, bad)
-
-
-def _commit(state: WorldState, X_new, Q, G, bits: int, bad=None) -> None:
-    """Write the round's models and statistics; ``bad`` marks the trials the
-    broadcast guard stopped (the algorithms without one leave the mark)."""
-    state.last_step = StepStats(bits, Q, G)
-    state.X = X_new
-    state.t += 1
-    state.bits_total += bits
-    if bad is not None:
-        state.diverged = bad
+    return X + CZ, Q, G, bad
 
 
 def _per_trial(a: np.ndarray) -> np.ndarray:
@@ -472,13 +473,14 @@ def run(config):
     bit-identical traces.  Divergence (non-finite iterates or loss above
     1e12) stops that trial with its partial trace retained.
 
-    Rounds are stepped in blocks of up to K through the kernel behind
-    ``round_step``, without its checks: ``RunConfig`` validates gamma and
-    dcd's compressor, and ``resolve_gamma`` returns a finite gamma > 0.  A
-    block's models, squared norms and non-finite scan are each reduced in
-    one call (module docstring).  A trial past the loss cap, or non-finite
-    without tripping a broadcast guard, steps on to its block's last round;
-    those rounds draw only from its own streams and are dropped with it.
+    Rounds are stepped in blocks of K, or the rounds left, through the
+    kernel behind ``round_step``, without its checks or bookkeeping:
+    ``RunConfig`` validates gamma and dcd's compressor, and
+    ``resolve_gamma`` returns a finite gamma > 0.  A block's models, squared
+    norms, guard marks and non-finite scan are each reduced in one call, and
+    every stop is settled when the block ends (module docstring): a stopped
+    trial steps on to its block's last round, and those rounds draw only
+    from its own streams and are dropped with it.
     """
     from .config import build_run, resolve_gamma
 
@@ -516,20 +518,19 @@ def run(config):
     state = init_state(problem, W.n, cfg.algorithm, seeds, cfg.T)
     min_grad_norm2 = np.full(S, math.inf)
     time_to_threshold = np.full(S, -1)
-    # recorded rounds: t and cumulative bits (shared by the batch), and per
-    # trial one row of loss, grad_norm2, consensus, q_norm2, g_norm2; a
-    # trial records every round from the first until it stops
-    rounds, round_bits = [], []
+    # recorded rounds (shared by the batch), and per trial one row of loss,
+    # grad_norm2, consensus, q_norm2, g_norm2; a trial records every round
+    # from the first until it stops
+    rounds = []
     values = np.empty((min(cfg.T, 64), S, 5))
     ends = [0] * S  # each trial's stop pass: it records the rounds before it
     summaries = [None] * S
 
     # numpy's overflow warnings are noise: blow-up is detected from the values.
     # Pass t measures the models round t starts from (after round t - 1).  A
-    # block steps up to K rounds t, t + 1, ..., keeping each round's starting
-    # models and its Q and G by reference (the kernel never writes them in
-    # place), and ends early after a round whose broadcast guard marks a
-    # trial diverged.  One metrics call measures the passes of the stepped
+    # block steps rounds t, t + 1, ..., keeping each round's starting models,
+    # its Q and G by reference (the kernel never writes them in place) and
+    # its guard's marks.  One metrics call measures the passes of the stepped
     # rounds, and pass T + 1 too in the block that reaches it; the models
     # after the block's last round are the next block's first pass.
     step_bits = _round_bits(cfg.algorithm, W, c, problem)
@@ -538,15 +539,16 @@ def run(config):
     with np.errstate(over="ignore", invalid="ignore"):
         while trials.size:
             K = max(1, min(MAX_METRIC_PASSES, METRIC_BLOCK_VALUES // (trials.size * pass_values)))
-            models, qs, gs, bits = [], [], [], [state.bits_total]
-            while (len(models) < K and t + len(models) <= cfg.T
-                   and not np.count_nonzero(state.diverged)):
+            P = min(K, cfg.T + 1 - t)  # the block's rounds, t .. t + P - 1
+            models, steps = [], []  # steps[j]: round t + j's (X_new, Q, G, bad)
+            for j in range(P):
                 models.append(state.X)
-                _advance(state, W, c, problem, gamma, z_norm_cap, step_bits)
-                qs.append(state.last_step.Q)
-                gs.append(state.last_step.G)
-                bits.append(state.bits_total)  # bits[j]: the total at pass t + j
-            P = len(models)  # the block's rounds, t .. t + P - 1
+                steps.append(_advance(state, W, c, problem, gamma, z_norm_cap))
+                state.X, state.t = steps[j][0], state.t + 1
+            qs, gs = [step[1] for step in steps], [step[2] for step in steps]
+            # the trials each round's broadcast guard marked, if it has one
+            guarded = [step[3] for step in steps if step[3] is not None]
+            del steps
             final = t + P > cfg.T  # the block reaches pass T + 1
             if final:
                 models.append(state.X)
@@ -565,13 +567,15 @@ def run(config):
             losses, grads, cons = metrics(SimpleNamespace(X=stacked), problem)
 
             # a trial stops at its first pass over the loss cap (a NaN loss
-            # stops too) or with non-finite models (passes t + 1 .. t + P: rows
-            # of the stack, then the state), or at pass t + P if the block's
-            # last round marked it diverged; only the passes before it count
+            # stops too), with non-finite models (passes t + 1 .. t + P: rows
+            # of the stack, then the state), or after a round whose broadcast
+            # guard marked it; only the passes before it count
             over = np.zeros((P + 1, trials.size), bool)
             over[:len(losses)] = ~(losses <= LOSS_CAP)
             over[1:P] |= _non_finite(stacked[1:P])
-            over[P] |= state.diverged | _non_finite(state.X)
+            over[P] |= _non_finite(state.X)
+            if guarded:
+                over[1:] |= np.stack(guarded)
             del stacked
             stopped = np.logical_or.reduce(over, axis=0)
             counted = grads
@@ -595,20 +599,20 @@ def run(config):
                 values[len(rounds):end, trials] = np.stack(
                     (losses[recorded], grads[recorded], cons[recorded], q_norm2, g_norm2), axis=-1)
                 rounds.extend(t + j for j in recorded)
-                round_bits.extend(bits[j + 1] for j in recorded)
             # summarize the stopped trials, and after round T every trial, and
             # drop them from the batch
             done = np.ones(trials.size, bool) if final else stopped
             for k in np.flatnonzero(done):
                 j = int(stop[k]) if stopped[k] else P  # the trial's stop pass, t + j
-                i, ttt = trials[k], int(time_to_threshold[k])
+                i, ttt, iterations = trials[k], int(time_to_threshold[k]), t + j - 1
                 summaries[i] = RunSummary(
-                    "diverged" if stopped[k] else "completed", t + j - 1, gammas[i],
+                    "diverged" if stopped[k] else "completed", iterations, gammas[i],
                     batch[i].seed,
                     *((math.inf,) * 3 if stopped[k]
                       else (float(losses[j, k]), float(grads[j, k]), float(cons[j, k]))),
                     min_grad_norm2=float(min_grad_norm2[k]),
-                    time_to_threshold=None if ttt < 0 else ttt, total_bits=bits[j],
+                    time_to_threshold=None if ttt < 0 else ttt,
+                    total_bits=iterations * step_bits,
                 )
                 ends[i] = t + j
             if np.count_nonzero(done):
@@ -622,7 +626,7 @@ def run(config):
                     _keep_trials(state, keep)
             t += P
 
-    results = [RunResult(summaries[i], rounds, round_bits,
+    results = [RunResult(summaries[i], rounds, step_bits,
                          values[:bisect.bisect_left(rounds, ends[i]), i]) for i in range(S)]
     return results if isinstance(config, list) else results[0]
 

@@ -207,9 +207,22 @@ class TestParseValidate:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: topology: ") and err.count("\n") == 1
 
-    def test_invalid_json(self):
-        with pytest.raises(ConfigError, match="JSON"):
-            parse_config("{algorithm: dpsgd}")
+    def test_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        for text in [
+            "{algorithm: dpsgd}",
+            # nested past the decoder's recursion limit
+            "[" * 200_000 + "]" * 200_000,
+            # past Python's limit on the digits of an int
+            '{"algorithm": "dpsgd", "T": 1' + "0" * 5000 + "}",
+        ]:
+            with pytest.raises(ConfigError, match="JSON"):
+                parse_config(text)
+            path.write_text(text)
+            assert main(["run", "--config", str(path)]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("configuration error: config is not valid JSON")
+            assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestGammaResolution:
@@ -859,15 +872,15 @@ class TestBatchedSweep:
         assert 1 < trials < cli.MAX_TRIALS and trials * footprint <= cli.BATCH_BYTES
 
     def test_batch_size_of_the_measured_shapes(self):
-        # the shapes of the MAX_TRIALS comment keep their batch sizes when the
-        # draw block budget grows: BATCH_BYTES grows by the same bytes
+        # the shapes of the MAX_TRIALS comment keep their batch sizes: the
+        # per-trial budget does not count the draw blocks, which come on top
         sizes = [cli._batch_size(config_from_dict({
             **BASE, "algorithm": "dcd", "topology": {"kind": "ring", "n": n},
             "problem": {"kind": "quadratic", "dim": dim},
             "compressor": {"kind": "quantize", "levels": 127}}))
             for n, dim in ((8, 8), (16, 64), (256, 16), (8, 1024))]
         assert sizes == [64, 36, 9, 1]
-        assert cli.BATCH_BYTES - cli.DRAW_BYTES == 7 * 2**20
+        assert cli.BATCH_BYTES == 7 * 2**20
 
     def test_huge_levels_value_becomes_a_row_error(self):
         cfg = config_from_dict({**self.DOC, "T": 10})

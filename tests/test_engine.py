@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -434,6 +435,25 @@ class TestRun:
         assert 0 < len(res.records) < 500
         assert res.summary.final_loss == math.inf
         assert all(r.loss <= LOSS_CAP for r in res.records)
+
+    def test_huge_horizon_diverging_at_once_costs_nothing(self):
+        # the run sizes nothing from T: at step size 1e150 the loss passes
+        # the cap at pass 2, and the trace buffer, the metric block and the
+        # draw blocks stay as small as a short run's
+        cfg = config_from_dict({
+            **self.BASE, "gamma": 1e150, "T": 10**6, "trace_every": 1,
+            "problem": {"kind": "quadratic", "dim": 8, "heterogeneity": 0.5, "noise": 0.2}})
+        tracemalloc.start()
+        try:
+            res = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.summary.status, res.summary.iterations) == ("diverged", 1)
+        assert [r.t for r in res.records] == [1]
+        # ring of 8: 16 directed messages of 32 * 8 bits per round
+        assert res.summary.total_bits == 1 * 4096 == res.records[0].bits
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("alg", ["dcd", "ecd", "naive"])
     def test_compressed_runs_diverge_cleanly_at_huge_gamma(self, alg):
@@ -882,25 +902,26 @@ class TestBlockDraws:
     def test_results_do_not_depend_on_the_metric_block(self, alg, trace_every, monkeypatch):
         # run steps up to K rounds a block, then measures them in one
         # metrics call.  Step size 1e308 leaves its trial non-finite in
-        # round 1: dcd's and ecd's broadcast guard ends the first block
-        # there, and under the other algorithms the trial steps on to the
-        # block's end and stops at pass 2, its first non-finite one; 1.5
-        # passes the loss cap mid-run with finite models, and its trial steps
-        # on to the end of the block; 0.05 completes.  T = 101 is a multiple
-        # of no K below.
+        # round 1, where dcd's and ecd's broadcast guard marks it: under
+        # every algorithm the trial steps on to the block's end and stops at
+        # pass 2, the pass after the guard's round and its first non-finite
+        # one; 1.5 passes the loss cap mid-run with finite models, and its
+        # trial steps on to the end of the block; 0.05 completes.  T = 101
+        # is a multiple of no K below.
         configs, solo = self.block_independent_results(alg, trace_every, 101, monkeypatch)
         assert [row["status"][1] for row in (r[-1] for r in solo)] == [
             "completed", "diverged", "diverged"]
         capped_at = solo[2][-1]["iterations"][1]
         assert solo[1][-1]["iterations"][1] == 1 and 1 < capped_at < 101
-        # after the first block, one round, blocks start at pass 2: the
-        # capped trial's stop pass, capped_at + 1, is inside a block of K
-        # passes for some K, so the trial stepped on past it
+        # blocks of K passes start at passes 1, K + 1, ...: the capped
+        # trial's stop pass, capped_at + 1, is inside a block for some K, so
+        # the trial stepped on past it; so it is for blocks from pass 2
+        assert any(capped_at % K for K in (2, 3, 7))
         assert any((capped_at - 1) % K for K in (2, 3, 7))
 
-        # the edges of the block loop.  42 is a multiple of every K, so a
-        # solo run's last block steps no round and only measures pass T + 1,
-        # and so does the batch's at T = 43, whose blocks start at pass 2.
+        # the edges of the block loop.  42 is a multiple of every fixed K,
+        # so a run's last block at T = 42 steps no round and only measures
+        # pass T + 1; at T = 43 it steps one.
         # At T = 1 the non-finite trial stops at pass T + 1 beside two that
         # complete there; T = 0 only measures pass 1.
         for T in (42, 43):
@@ -986,6 +1007,51 @@ class TestBlockDraws:
         # round for some K below, and a row of the stacked models for others
         assert 1 < diverged_at < 30
         assert {diverged_at % K == 0 for K in (1, 3, 7)} == {True, False}
+        for patch in [{"MAX_METRIC_PASSES": K} for K in (1, 3, 7)] + [{}]:
+            with monkeypatch.context() as m:
+                for name, value in patch.items():
+                    m.setattr(engine, name, value)
+                assert [result_bits(r) for r in run(configs)] == solo
+                assert [result_bits(run(cfg)) for cfg in configs] == solo
+        for cfg in configs:
+            self.check_against_step_loop(cfg)
+
+    @pytest.mark.parametrize("alg,compressor,dim,gamma,z_norm_cap", [
+        ("dcd", "quantize127", 1, 1e60, 1e9),
+        ("ecd", "quantize127", 1, 1e60, 1e9),
+        ("ecd", "sparsify", 4, 0.3, 10.0),
+    ], ids=["dcd", "ecd", "ecd-sparsify"])
+    def test_trial_guarded_mid_block_stops_after_its_guard_round(
+            self, alg, compressor, dim, gamma, z_norm_cap, monkeypatch):
+        # dcd's and ecd's broadcast guard marks a trial whose Z is non-finite
+        # (step size 1e60 overflows in round 6) or, for the sparsifier, past
+        # z_norm_cap in norm (round 11, with finite models).  run settles the
+        # guard once per block like every other stop: the marked trial steps
+        # on to its block's last round, its message zeroed while its Z is
+        # bad, and stops at the pass after the guard's round.  The loss cap
+        # is lifted so that only the guard and the non-finite scan stop it.
+        monkeypatch.setattr(engine, "LOSS_CAP", math.inf)
+        doc = {"algorithm": alg, "topology": {"kind": "ring", "n": 6}, "T": 30, "seed": 7,
+               "trace_every": 1, "compressor": TRIAL_COMPRESSORS[compressor],
+               "z_norm_cap": z_norm_cap,
+               "problem": {"kind": "quadratic", "dim": dim, "heterogeneity": 0.5, "noise": 0.2}}
+        configs = [config_from_dict({**doc, "gamma": g}) for g in (0.05, gamma, 0.1)]
+        W, problem, c, state_ss = build_run(configs[1])
+        state = init_state(problem, W.n, alg, state_ss)
+        with np.errstate(over="ignore", invalid="ignore"):
+            while state.status == "running":
+                round_step(state, W, c, problem, gamma,
+                           z_norm_cap if c.kind == "sparsify" else math.inf)
+        guarded_at = state.t - 1
+        # the sparsifier's trial is stopped by its guard alone
+        assert np.isfinite(state.X).all() == (compressor == "sparsify")
+        solo = [result_bits(run(cfg)) for cfg in configs]
+        assert [(r[-1]["status"][1], r[-1]["iterations"][1]) for r in solo] == [
+            ("completed", 30), ("diverged", guarded_at), ("completed", 30)]
+        # the stop pass, guarded_at + 1, is the state after a block's last
+        # round for some K below, and a row of the stacked models for others
+        assert 1 < guarded_at < 30
+        assert {guarded_at % K == 0 for K in (1, 3, 7)} == {True, False}
         for patch in [{"MAX_METRIC_PASSES": K} for K in (1, 3, 7)] + [{}]:
             with monkeypatch.context() as m:
                 for name, value in patch.items():
