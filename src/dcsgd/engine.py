@@ -52,7 +52,11 @@ which a batch shares, so they run one by one.
 
 Randomness: every (trial, node, purpose) triple owns an independent
 counter-based stream (Philox) derived from the trial's master seed, so
-node- or trial-parallel evaluation could never change results.  The
+node- or trial-parallel evaluation could never change results.  A trial's
+streams are seeded as the children of ``spawn(2 * n)`` on its stream seed
+would be, oracle streams first, then compression; their Philox keys are
+derived for every trial at once (``streams.spawn_keys``), with no
+SeedSequence made per stream, and ``run`` spawns no children.  The
 streams of one purpose, the oracle or compression, form a
 ``streams.StreamSet``: each refill draws every stream's next K rounds with
 one call into a (S * n, K, width) block, and each round reads one
@@ -107,7 +111,7 @@ from . import compression, theory
 from .compression import Compressor, bits_transmitted, compress, effective_alpha
 from .errors import ConfigError, DivergedError, InputError
 from .problems import Problem, _dot, _mean, stack_problems, take_trials
-from .streams import StreamSet
+from .streams import StreamSet, spawn_keys
 from .topology import MixingMatrix
 
 LOSS_CAP = 1e12  # a run whose loss passes this is declared diverged
@@ -251,29 +255,50 @@ def init_state(problem: Problem, n: int, algorithm: str, seed, rounds: int = 1) 
 
     ``seed`` is an int or a SeedSequence; a list of them gives a stacked
     state for a stacked problem, trial s drawing from the streams of
-    ``seed[s]``.  Node i's oracle stream is child i of ``seed.spawn(2 * n)``
-    and its compression stream child n + i, so a SeedSequence passed in is
-    advanced by 2 * n children; a child's Generator is built on its first
-    draw.  ``rounds`` is how many rounds the state is expected to run: the
-    streams draw up to that many rounds ahead in blocks (``dcsgd.streams``),
-    which changes no value drawn.
+    ``seed[s]``.  Node i's oracle stream is seeded as child i of
+    ``seed.spawn(2 * n)`` would be, and its compression stream as child
+    n + i: the Philox keys are derived from the sequence directly
+    (``streams.spawn_keys``) and a child's Generator is built on its first
+    draw.  A SeedSequence passed in is then advanced by ``spawn(2 * n)``, so
+    a sequence listed twice seeds its second trial from children 2n..4n-1,
+    and a later spawn hands out none of the children the state draws from.
+    ``rounds`` is how many rounds the state is expected to run: the streams
+    draw up to that many rounds ahead in blocks (``dcsgd.streams``), which
+    changes no value drawn.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     if n != problem.n:
         raise ConfigError(f"problem has {problem.n} nodes but topology has {n}")
-    seeds = seed if isinstance(seed, list) else [seed]
-    trials = (len(seeds),) if isinstance(seed, list) else ()
-    seqs = [s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)
-            for s in seeds]
-    children = [ss.spawn(2 * n) for ss in seqs]
-    sample = [c for cs in children for c in cs[:n]]
-    comp = [c for cs in children for c in cs[n:]]
+    seqs = []
+    for s in (seed if isinstance(seed, list) else [seed]):
+        if isinstance(s, np.random.SeedSequence):
+            # the sequence as it stands, before this listing's advance
+            seqs.append(np.random.SeedSequence(s.entropy, spawn_key=s.spawn_key,
+                                               pool_size=s.pool_size,
+                                               n_children_spawned=s.n_children_spawned))
+            s.spawn(2 * n)
+        else:
+            seqs.append(np.random.SeedSequence(s))
+    return _new_state(problem, n, algorithm, seqs if isinstance(seed, list) else seqs[0], rounds)
+
+
+def _new_state(problem: Problem, n: int, algorithm: str, seed, rounds: int) -> WorldState:
+    """:func:`init_state` without the advance: the streams of ``seed``'s
+    next 2n children, a SeedSequence or a list of them, none of which is
+    advanced.  ``run`` builds its state here from seeds that no caller sees,
+    for an algorithm and a problem its config has checked."""
+    seqs = seed if isinstance(seed, list) else [seed]
+    trials = (len(seqs),) if isinstance(seed, list) else ()
+    # per trial, n oracle keys, then n compression keys
+    keys = spawn_keys(seqs, 2 * n).reshape(len(seqs), 2, n, 2)
     cols = 1 if algorithm == "centralized" else n
     X = np.zeros(trials + (problem.dim, cols))
     return WorldState(
-        algorithm=algorithm, n=n, t=1, X=X, sample_streams=StreamSet(sample, rounds),
-        compress_streams=StreamSet(comp, rounds), diverged=np.zeros(trials, bool),
+        algorithm=algorithm, n=n, t=1, X=X,
+        sample_streams=StreamSet(keys[:, 0].reshape(-1, 2), rounds),
+        compress_streams=StreamSet(keys[:, 1].reshape(-1, 2), rounds),
+        diverged=np.zeros(trials, bool),
         estimate_err=np.zeros_like(X) if algorithm == "ecd" else None,
     )
 
@@ -515,7 +540,7 @@ def run(config):
     S = len(batch)
     trials = np.arange(S)
     gamma = np.array(gammas)[:, None, None]
-    state = init_state(problem, W.n, cfg.algorithm, seeds, cfg.T)
+    state = _new_state(problem, W.n, cfg.algorithm, seeds, cfg.T)
     min_grad_norm2 = np.full(S, math.inf)
     time_to_threshold = np.full(S, -1)
     # recorded rounds (shared by the batch), and per trial one row of loss,

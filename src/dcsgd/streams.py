@@ -23,10 +23,20 @@ round's large numpy calls, so the draws run on another core while the
 round computes.  The next fill, :meth:`StreamSet.keep` and the set's
 deletion join the thread, so none outlives the set.  Every set draws one
 kind of values: a drawn-ahead block has already advanced its streams.
+
+A stream is seeded by a Philox key.  :func:`spawn_keys` derives, in one
+vectorized pass over uint32 arrays, the keys that the children of
+``SeedSequence.spawn`` would seed, for every child of every sequence at
+once, with numpy's own SeedSequence algorithm: every stream gets the values
+of ``Philox(child)`` bit for bit, and no SeedSequence object is made per
+stream.  A set holds keys, SeedSequences or Generators, and builds a
+purpose's Philox Generators on its first draw, so a purpose that never
+draws builds none.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
@@ -48,6 +58,128 @@ BLOCK_VALUES = 2**18
 MAX_BLOCK_ROUNDS = 64
 
 
+# numpy's SeedSequence constants, fixed by its stream-compatibility policy
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy hashing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # state generation
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def spawn_keys(seqs, k: int) -> np.ndarray:
+    """The ``(len(seqs) * k, 2)`` uint64 Philox keys of the next ``k``
+    children of each SeedSequence, listed sequence by sequence: row
+    ``s * k + i`` is ``seqs[s].spawn(k)[i].generate_state(2, np.uint64)``.
+    No sequence is advanced.
+
+    A child's entropy words are its parent's entropy, zero-padded to the
+    pool size, then the parent's spawn key and the child's index.  The
+    children of sequences with as many words and the same pool size are
+    hashed together; entropy of 2**128 or more, or a longer spawn key, takes
+    more words.
+    """
+    groups = {}  # (pool size, width) -> [(sequence, its children's entropy words)]
+    for s, ss in enumerate(seqs):
+        head = _words(ss.entropy)
+        head += [0] * (ss.pool_size - len(head)) + _words(ss.spawn_key)
+        words = np.empty((k, len(head) + 1), np.uint32)
+        words[:, :-1] = head
+        # numpy counts a sequence's children in 32 bits: an index is one word
+        words[:, -1] = np.arange(ss.n_children_spawned, ss.n_children_spawned + k)
+        groups.setdefault((ss.pool_size, words.shape[1]), []).append((s, words))
+    keys = np.empty((len(seqs), k, 2), np.uint64)
+    for (pool_size, _), parts in groups.items():
+        state = _generate_state(_mix_entropy(np.concatenate([w for _, w in parts]), pool_size))
+        state = state.astype(np.uint64)
+        keys[[s for s, _ in parts]] = (state[:, 0::2] | state[:, 1::2] << 32).reshape(-1, k, 2)
+    return keys.reshape(-1, 2)
+
+
+def _words(x) -> list:
+    """An int or a sequence of ints as SeedSequence reads it: 32-bit words,
+    least significant first (0 is one word), parts concatenated."""
+    if isinstance(x, (int, np.integer)):
+        x, words = int(x), []
+        while True:
+            words.append(x & _MASK32)
+            x >>= 32
+            if not x:
+                return words
+    return [w for part in x for w in _words(part)]
+
+
+def _hash_steps(init: int, mult: int):
+    """The (xor, multiplier) pairs of numpy's successive hash steps: a step
+    xors its value with the running constant, multiplies the constant by
+    ``mult`` and the value by the new constant, then folds in the high half."""
+    while True:
+        step = init * mult & _MASK32
+        yield np.uint32(init), np.uint32(step)
+        init = step
+
+
+def _hash(value: np.ndarray, steps) -> np.ndarray:
+    """The next hash step of ``steps`` on a uint32 array (it wraps, as C does)."""
+    xor, mult = next(steps)
+    value = (value ^ xor) * mult
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's mix of two pool words, on uint32 arrays."""
+    result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return result ^ result >> 16
+
+
+def _mix_entropy(entropy: np.ndarray, pool_size: int) -> np.ndarray:
+    """SeedSequence's pool for each row of a (rows, width) uint32 entropy
+    array; a child's entropy is wider than the pool, whose padding it holds."""
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    pool = [_hash(entropy[:, i], steps) for i in range(pool_size)]
+    for src in range(pool_size):
+        for dst in range(pool_size):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], steps))
+    for src in range(pool_size, entropy.shape[1]):
+        for dst in range(pool_size):
+            pool[dst] = _mix(pool[dst], _hash(entropy[:, src], steps))
+    return np.stack(pool, axis=1)
+
+
+def _generate_state(pool: np.ndarray) -> np.ndarray:
+    """``generate_state(4)`` of each row of a (rows, pool size) pool, which
+    numpy makes at least 4 words: the four uint32 words of a Philox key,
+    low word first."""
+    steps = _hash_steps(_INIT_B, _MULT_B)
+    return np.stack([_hash(pool[:, i], steps) for i in range(4)], axis=1)
+
+
+@functools.cache
+def _key_seed():
+    """The seed a Philox takes its key from; numpy.random's bit_generator
+    module is imported on the first build, not with this module."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySeed(ISeedSequence):
+        __slots__ = ("key",)
+
+        def __init__(self, key):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key  # Philox asks for its key, two uint64 words
+
+    return KeySeed
+
+
+def _generator(source) -> np.random.Generator:
+    """A Generator as it is; a SeedSequence or a (2,) uint64 key as a Philox Generator."""
+    if isinstance(source, np.random.Generator):
+        return source
+    if isinstance(source, np.ndarray):
+        source = _key_seed()(source)
+    return np.random.Generator(np.random.Philox(source))
+
+
 def as_streams(rngs) -> "StreamSet":
     """A StreamSet as it is; a sequence of Generators as a one-round block."""
     return rngs if isinstance(rngs, StreamSet) else StreamSet(rngs)
@@ -61,9 +193,10 @@ def block_rounds(streams: int, width: int, rounds_left: int) -> int:
 class StreamSet:
     """Independent streams of one purpose, one per (trial, node), read a round at a time.
 
-    ``sources`` holds Generators or SeedSequences; a SeedSequence is built
-    into a Philox Generator on the first draw, so a purpose that never draws
-    builds no Generator.
+    ``sources`` holds Generators, SeedSequences or (2,) uint64 Philox keys
+    (rows of :func:`spawn_keys`); a SeedSequence or key is built into a
+    Philox Generator on the first draw, so a purpose that never draws builds
+    no Generator.
     ``rounds`` is how many rounds the holder expects to read; blocks never
     run past it, and one round is drawn at a time after it.
     """
@@ -114,9 +247,7 @@ class StreamSet:
     def _fill(self) -> None:
         self._block = None  # the consumed block goes before another is allocated
         if not self._built:
-            self._sources = [s if isinstance(s, np.random.Generator)
-                             else np.random.Generator(np.random.Philox(s))
-                             for s in self._sources]
+            self._sources = [_generator(s) for s in self._sources]
             self._built = True
         if self._ahead is not None:
             thread, block, errors = self._ahead

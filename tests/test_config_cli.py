@@ -795,6 +795,27 @@ class TestBatchedSweep:
         statuses = [line.split(b",")[3] for line in batched[-9:]]
         assert statuses.count(b"diverged") == 3 and statuses.count(b"completed") == 6
 
+    @pytest.mark.parametrize("algorithm", engine.ALGORITHMS)
+    def test_seeds_of_different_widths_in_one_batch_equal_solo_rows(self, tmp_path, algorithm):
+        # a C1-shaped run.  Seeds 2**32 and 10**23 take two and three 32-bit
+        # words, zero-padded to SeedSequence's 4-word pool as 7 is; 2**128
+        # takes five, so its streams' keys are hashed in a group of their own
+        doc = {**self.DOC, "algorithm": algorithm, "gamma": 0.05,
+               "problem": {"kind": "quadratic", "dim": 8, "heterogeneity": 0.5, "noise": 0.2}}
+        path = write_config(tmp_path, doc)
+        seeds = ["7", "4294967296", "100000000000000000000000", str(2**128)]
+
+        def lines(values):
+            out = tmp_path / "sweep.csv"
+            assert main(["sweep", "--config", path, "--axis", "seed", "--values", values,
+                         "--out", str(out)]) == 0
+            return out.read_bytes().splitlines(keepends=True)
+
+        batched = lines(",".join(seeds))
+        solo = [lines(s) for s in seeds]
+        assert batched == solo[0][:-1] + [rows[-1] for rows in solo]
+        assert len({line.split(b",")[6] for line in batched[-4:]}) == 4  # final losses differ
+
     def test_non_numeric_values_and_seeds_are_config_errors(self, tmp_path, capsys):
         path = write_config(tmp_path, {**BASE, "T": 5})
         for args, message in (

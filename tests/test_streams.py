@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dcsgd import InputError, init_state, make_quadratic, streams
+from dcsgd.problems import stack_problems
 from dcsgd.streams import StreamSet
 
 
@@ -46,7 +47,7 @@ def test_seed_children_are_the_spawned_ones_and_built_on_first_draw():
     state = init_state(problem, 5, "dpsgd", 11, rounds=10)
     state.sample_streams.take("random", 4)
     assert all(isinstance(s, np.random.Generator) for s in state.sample_streams._sources)
-    assert all(isinstance(s, np.random.SeedSequence) for s in state.compress_streams._sources)
+    assert not any(isinstance(s, np.random.Generator) for s in state.compress_streams._sources)
 
 
 def test_init_state_advances_a_seed_sequence():
@@ -61,6 +62,74 @@ def test_init_state_advances_a_seed_sequence():
     assert first.tobytes() == np.array([g.random(4) for g in want[:3]]).tobytes()
     assert second.tobytes() == np.array([g.random(4) for g in want[6:9]]).tobytes()
     assert ss.spawn(1)[0].spawn_key == (12,)
+
+
+@pytest.mark.parametrize("listing", ["twice", "mixed"])
+def test_init_state_with_repeated_and_mixed_seeds(listing):
+    # a sequence listed twice seeds its second trial from the children its
+    # first listing's advance left; an int seed makes a sequence of its own
+    problem = make_quadratic(4, 3, rng=np.random.default_rng(0))
+    ss = np.random.SeedSequence(9)
+    seeds = [ss, ss] if listing == "twice" else [5, ss]
+    state = init_state(stack_problems([problem, problem]), 3, "dcd", seeds)
+    if listing == "twice":
+        spawned = np.random.SeedSequence(9)
+        children = [spawned.spawn(6), spawned.spawn(6)]
+    else:
+        children = [np.random.SeedSequence(5).spawn(6), np.random.SeedSequence(9).spawn(6)]
+    gens = [[np.random.Generator(np.random.Philox(c)) for c in cs] for cs in children]
+    for purpose, nodes in ((state.sample_streams, slice(0, 3)),
+                           (state.compress_streams, slice(3, 6))):
+        assert purpose.take("random", 4).tobytes() == np.array(
+            [g.random(4) for trial in gens for g in trial[nodes]]).tobytes()
+    count = 12 if listing == "twice" else 6
+    assert ss.n_children_spawned == count
+    assert ss.spawn(1)[0].spawn_key == (count,)
+
+
+SEQUENCES = {
+    **{f"entropy-{entropy}": np.random.SeedSequence(entropy) for entropy in
+       (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**23, (1, 2**40))},
+    "entropy-os": np.random.SeedSequence(),  # 128 bits of OS entropy
+    **{f"spawn-key-{key}": np.random.SeedSequence(10**23, spawn_key=key)
+       for key in ((1,), (3, 2**40))},
+    "pool-8": np.random.SeedSequence(7, pool_size=8),
+    "pool-8-spawned-7": np.random.SeedSequence(2**64 + 5, spawn_key=(1,), pool_size=8,
+                                               n_children_spawned=7),
+    "spawned-7": np.random.SeedSequence(3, n_children_spawned=7),
+}
+
+
+def _fresh(ss):
+    return np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key, pool_size=ss.pool_size,
+                                  n_children_spawned=ss.n_children_spawned)
+
+
+@pytest.mark.parametrize("name", SEQUENCES)
+def test_spawn_keys_are_numpys(name):
+    ss = SEQUENCES[name]
+    want = np.array([c.generate_state(2, np.uint64) for c in _fresh(ss).spawn(5)])
+    keys = streams.spawn_keys([ss], 5)
+    assert keys.dtype == np.uint64 and keys.tobytes() == want.tobytes()
+    assert ss.n_children_spawned == _fresh(ss).n_children_spawned  # nothing advanced
+
+
+def test_spawn_keys_of_many_sequences_list_them_in_order():
+    # sequences of every width and pool size, hashed in groups, come back in order
+    want = np.concatenate([[c.generate_state(2, np.uint64) for c in _fresh(ss).spawn(3)]
+                           for ss in SEQUENCES.values()])
+    assert streams.spawn_keys(list(SEQUENCES.values()), 3).tobytes() == want.tobytes()
+
+
+def test_a_generator_built_from_a_key_is_philox_of_the_child():
+    ss = np.random.SeedSequence(10**23)
+    s = StreamSet(streams.spawn_keys([ss], 3), rounds=1)
+    s.take("standard_normal", 1)
+    for built, child in zip(s._sources, _fresh(ss).spawn(3)):
+        g = np.random.Generator(np.random.Philox(child))
+        g.standard_normal(1)
+        assert repr(built.bit_generator.state) == repr(g.bit_generator.state)
+        assert built.standard_normal(1000).tobytes() == g.standard_normal(1000).tobytes()
 
 
 def test_keep_slices_the_block_mid_way(slow_background_draws):
