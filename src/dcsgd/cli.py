@@ -118,9 +118,9 @@ def _trial_bytes(cfg: RunConfig) -> int:
     (five floats per recorded round, in a buffer that grows by doubling),
     one round of draws for each of the two purposes (at most dim values per
     node; past the block budget a block holds one round) and the 2 n random
-    streams at 640 bytes each.  A stream holds its Philox key, about 140
-    bytes, until its first draw, and about 820 bytes once its Generator is
-    built (tracemalloc, a ring of 1024 at dim 4, numpy 2.4).
+    streams at 640 bytes each.  A stream holds a 16-byte row of its set's key
+    array until its first draw and about 800 bytes once its Generator is
+    built (tracemalloc, three trials of a ring of 1024 at dim 4, numpy 2.4).
     """
     dim, n = cfg.problem.dim, cfg.topology.n
     if cfg.problem.kind == "logistic":

@@ -68,9 +68,10 @@ round at a time.  A set whose rounds are so wide that the budget sets K (a
 ring of 1024 at dim 64) draws its next block on a background thread while
 the current rounds compute.  Each stream still draws its values in order,
 so no value changes; the thread is joined at the next refill, when a trial
-retires, or when the state is dropped.  A purpose that never draws
-(identity compression, a noise-free quadratic oracle) never builds its
-Generators, and a retiring trial's rows are sliced out of the blocks.
+retires, or when the state is dropped.  A set holds its keys until its
+first draw builds their Generators, so a purpose that never draws (identity
+compression, a noise-free quadratic oracle) builds none; a retiring
+trial's rows are sliced out of the keys or the blocks.
 Compression runs once per round, over the whole message matrix, with each
 column reading its node's row of the slab.  Rounds are synchronous by
 construction; each step reads the frozen previous round and writes
@@ -253,15 +254,15 @@ ALGORITHMS = ("dpsgd", "naive", "dcd", "ecd", "centralized")
 def init_state(problem: Problem, n: int, algorithm: str, seed, rounds: int = 1) -> WorldState:
     """Fresh state at the common zero initial point with per-node streams.
 
-    ``seed`` is an int or a SeedSequence; a list of them gives a stacked
-    state for a stacked problem, trial s drawing from the streams of
+    ``seed`` is an int or a SeedSequence; a list of them, empty too, gives a
+    stacked state for a stacked problem, trial s drawing from the streams of
     ``seed[s]``.  Node i's oracle stream is seeded as child i of
     ``seed.spawn(2 * n)`` would be, and its compression stream as child
-    n + i: the Philox keys are derived from the sequence directly
-    (``streams.spawn_keys``) and a child's Generator is built on its first
-    draw.  A SeedSequence passed in is then advanced by ``spawn(2 * n)``, so
-    a sequence listed twice seeds its second trial from children 2n..4n-1,
-    and a later spawn hands out none of the children the state draws from.
+    n + i: their Philox keys are read from the sequence (``streams.spawn_keys``),
+    and only then is a SeedSequence passed in advanced by ``spawn(2 * n)``.  So
+    a sequence listed twice seeds its second trial from children 2n..4n-1, a
+    later spawn hands out none of the children the state draws from, and one
+    whose child count would reach 2**32 raises InputError unadvanced.
     ``rounds`` is how many rounds the state is expected to run: the streams
     draw up to that many rounds ahead in blocks (``dcsgd.streams``), which
     changes no value drawn.
@@ -270,28 +271,24 @@ def init_state(problem: Problem, n: int, algorithm: str, seed, rounds: int = 1) 
         raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     if n != problem.n:
         raise ConfigError(f"problem has {problem.n} nodes but topology has {n}")
-    seqs = []
-    for s in (seed if isinstance(seed, list) else [seed]):
-        if isinstance(s, np.random.SeedSequence):
-            # the sequence as it stands, before this listing's advance
-            seqs.append(np.random.SeedSequence(s.entropy, spawn_key=s.spawn_key,
-                                               pool_size=s.pool_size,
-                                               n_children_spawned=s.n_children_spawned))
-            s.spawn(2 * n)
-        else:
-            seqs.append(np.random.SeedSequence(s))
-    return _new_state(problem, n, algorithm, seqs if isinstance(seed, list) else seqs[0], rounds)
+    listed = seed if isinstance(seed, list) else [seed]
+    keys = np.empty((len(listed), 2 * n, 2), np.uint64)
+    for s, ss in enumerate(listed):
+        caller = isinstance(ss, np.random.SeedSequence)
+        keys[s] = spawn_keys([ss if caller else np.random.SeedSequence(ss)], 2 * n)
+        if caller:  # advanced after the read, which checks the counter's end
+            ss.spawn(2 * n)
+    return _new_state(problem, n, algorithm, keys, isinstance(seed, list), rounds)
 
 
-def _new_state(problem: Problem, n: int, algorithm: str, seed, rounds: int) -> WorldState:
-    """:func:`init_state` without the advance: the streams of ``seed``'s
-    next 2n children, a SeedSequence or a list of them, none of which is
-    advanced.  ``run`` builds its state here from seeds that no caller sees,
-    for an algorithm and a problem its config has checked."""
-    seqs = seed if isinstance(seed, list) else [seed]
-    trials = (len(seqs),) if isinstance(seed, list) else ()
-    # per trial, n oracle keys, then n compression keys
-    keys = spawn_keys(seqs, 2 * n).reshape(len(seqs), 2, n, 2)
+def _new_state(problem: Problem, n: int, algorithm: str, keys: np.ndarray, stacked: bool,
+               rounds: int) -> WorldState:
+    """:func:`init_state` from the stream keys (``streams.spawn_keys``),
+    2n per trial, trial by trial; ``stacked`` gives X its trial axis.
+    ``run`` builds its state here from seeds that no caller sees, for an
+    algorithm and a problem its config has checked."""
+    keys = keys.reshape(-1, 2, n, 2)  # per trial, n oracle keys, then n compression keys
+    trials = (len(keys),) if stacked else ()
     cols = 1 if algorithm == "centralized" else n
     X = np.zeros(trials + (problem.dim, cols))
     return WorldState(
@@ -540,7 +537,7 @@ def run(config):
     S = len(batch)
     trials = np.arange(S)
     gamma = np.array(gammas)[:, None, None]
-    state = _new_state(problem, W.n, cfg.algorithm, seeds, cfg.T)
+    state = _new_state(problem, W.n, cfg.algorithm, spawn_keys(seeds, 2 * W.n), True, cfg.T)
     min_grad_norm2 = np.full(S, math.inf)
     time_to_threshold = np.full(S, -1)
     # recorded rounds (shared by the batch), and per trial one row of loss,

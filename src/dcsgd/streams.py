@@ -29,9 +29,9 @@ vectorized pass over uint32 arrays, the keys that the children of
 ``SeedSequence.spawn`` would seed, for every child of every sequence at
 once, with numpy's own SeedSequence algorithm: every stream gets the values
 of ``Philox(child)`` bit for bit, and no SeedSequence object is made per
-stream.  A set holds keys, SeedSequences or Generators, and builds a
-purpose's Philox Generators on its first draw, so a purpose that never
-draws builds none.
+stream.  A set holds a ``(streams, 2)`` uint64 array of keys, whose
+Philox Generators it builds on its first draw (a purpose that never draws
+builds none), or a sequence of Generators, such as a list given to ``compress``.
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ def spawn_keys(seqs, k: int) -> np.ndarray:
     """The ``(len(seqs) * k, 2)`` uint64 Philox keys of the next ``k``
     children of each SeedSequence, listed sequence by sequence: row
     ``s * k + i`` is ``seqs[s].spawn(k)[i].generate_state(2, np.uint64)``.
-    No sequence is advanced.
+    No sequence is advanced, and one whose child count would reach 2**32,
+    where numpy's own ``spawn(k)`` never returns, raises InputError.
 
     A child's entropy words are its parent's entropy, zero-padded to the
     pool size, then the parent's spawn key and the child's index.  The
@@ -79,6 +80,8 @@ def spawn_keys(seqs, k: int) -> np.ndarray:
     """
     groups = {}  # (pool size, width) -> [(sequence, its children's entropy words)]
     for s, ss in enumerate(seqs):
+        if ss.n_children_spawned + k >= 2**32:
+            raise InputError(f"SeedSequence child count {ss.n_children_spawned} + {k} reaches 2**32")
         head = _words(ss.entropy)
         head += [0] * (ss.pool_size - len(head)) + _words(ss.spawn_key)
         words = np.empty((k, len(head) + 1), np.uint32)
@@ -171,15 +174,6 @@ def _key_seed():
     return KeySeed
 
 
-def _generator(source) -> np.random.Generator:
-    """A Generator as it is; a SeedSequence or a (2,) uint64 key as a Philox Generator."""
-    if isinstance(source, np.random.Generator):
-        return source
-    if isinstance(source, np.ndarray):
-        source = _key_seed()(source)
-    return np.random.Generator(np.random.Philox(source))
-
-
 def as_streams(rngs) -> "StreamSet":
     """A StreamSet as it is; a sequence of Generators as a one-round block."""
     return rngs if isinstance(rngs, StreamSet) else StreamSet(rngs)
@@ -193,10 +187,10 @@ def block_rounds(streams: int, width: int, rounds_left: int) -> int:
 class StreamSet:
     """Independent streams of one purpose, one per (trial, node), read a round at a time.
 
-    ``sources`` holds Generators, SeedSequences or (2,) uint64 Philox keys
-    (rows of :func:`spawn_keys`); a SeedSequence or key is built into a
-    Philox Generator on the first draw, so a purpose that never draws builds
-    no Generator.
+    ``sources`` is a ``(streams, 2)`` uint64 array of Philox keys (from
+    :func:`spawn_keys`), built into Philox Generators on the first draw so
+    that a purpose that never draws builds none, or a sequence of
+    Generators; anything else raises InputError.
     ``rounds`` is how many rounds the holder expects to read; blocks never
     run past it, and one round is drawn at a time after it.
     """
@@ -204,8 +198,14 @@ class StreamSet:
     _ahead = None  # (thread, block, errors) of the block drawn in the background
 
     def __init__(self, sources, rounds: int = 1):
-        self._sources = list(sources)
-        self._built = False
+        if isinstance(sources, np.ndarray) and sources.dtype == np.uint64:
+            valid = sources.shape[1:] == (2,)
+        else:
+            sources = list(sources)
+            valid = all(isinstance(g, np.random.Generator) for g in sources)
+        if not valid:
+            raise InputError("streams are a (streams, 2) uint64 key array or numpy Generators")
+        self._sources = sources  # keys until the first draw builds their Generators
         self._rounds_left = rounds
         self._kind = None  # (draw, width, args) of the first take; every take repeats it
         self._block = None  # (streams, K, width) draws of the current block
@@ -236,7 +236,8 @@ class StreamSet:
         """Keep only the streams of the trials flagged in a (S,) mask, the
         streams being listed trial by trial."""
         rows = np.repeat(trials, len(self) // trials.size)
-        self._sources = [s for s, kept in zip(self._sources, rows) if kept]
+        self._sources = (self._sources[rows] if isinstance(self._sources, np.ndarray)
+                         else [s for s, kept in zip(self._sources, rows) if kept])
         if self._block is not None:
             self._block = self._block[rows]
         if self._ahead is not None:
@@ -246,9 +247,9 @@ class StreamSet:
 
     def _fill(self) -> None:
         self._block = None  # the consumed block goes before another is allocated
-        if not self._built:
-            self._sources = [_generator(s) for s in self._sources]
-            self._built = True
+        if isinstance(self._sources, np.ndarray):
+            seed = _key_seed()
+            self._sources = [np.random.Generator(np.random.Philox(seed(k))) for k in self._sources]
         if self._ahead is not None:
             thread, block, errors = self._ahead
             self._ahead = None

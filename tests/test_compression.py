@@ -125,6 +125,9 @@ class TestPerColumnStreams:
             compress(stochastic_quantize(4), np.ones((4, 3)), node_streams(2))
         with pytest.raises(InputError):
             compress(stochastic_quantize(4), np.ones(4), node_streams(4))
+        # a list of SeedSequences is not a list of streams
+        with pytest.raises(InputError, match="Generators"):
+            compress(stochastic_quantize(4), np.ones((4, 3)), np.random.SeedSequence(7).spawn(3))
 
 
 class TestQuantizer:

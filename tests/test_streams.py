@@ -39,9 +39,15 @@ def test_blocks_equal_per_round_draws(draw, width, args, count):
 
 
 def test_seed_children_are_the_spawned_ones_and_built_on_first_draw():
-    lazy = StreamSet(np.random.SeedSequence(11).spawn(5), rounds=10)
+    keys = streams.spawn_keys([np.random.SeedSequence(11)], 5)
+    lazy = StreamSet(keys, rounds=10)
     assert lazy.take("random", 4).tobytes() == np.array(
         [g.random(4) for g in children(11, 5)]).tobytes()
+    # a set holds (streams, 2) uint64 keys or Generators, nothing else
+    for other in (np.random.SeedSequence(11).spawn(5), keys[:, :1], keys.astype(np.int64),
+                  list(keys)):
+        with pytest.raises(InputError, match="Generators"):
+            StreamSet(other)
     # init_state spawns the children; a purpose that never draws builds no Generator
     problem = make_quadratic(4, 5, rng=np.random.default_rng(0))
     state = init_state(problem, 5, "dpsgd", 11, rounds=10)
@@ -64,27 +70,52 @@ def test_init_state_advances_a_seed_sequence():
     assert ss.spawn(1)[0].spawn_key == (12,)
 
 
-@pytest.mark.parametrize("listing", ["twice", "mixed"])
+@pytest.mark.parametrize("listing", ["twice", "mixed", "empty"])
 def test_init_state_with_repeated_and_mixed_seeds(listing):
     # a sequence listed twice seeds its second trial from the children its
-    # first listing's advance left; an int seed makes a sequence of its own
+    # first listing's advance left; an int seed makes a sequence of its own;
+    # an empty listing is a stacked state of no trials
     problem = make_quadratic(4, 3, rng=np.random.default_rng(0))
     ss = np.random.SeedSequence(9)
-    seeds = [ss, ss] if listing == "twice" else [5, ss]
+    seeds = {"twice": [ss, ss], "mixed": [5, ss], "empty": []}[listing]
     state = init_state(stack_problems([problem, problem]), 3, "dcd", seeds)
+    assert state.X.shape == (len(seeds), 4, 3) and len(state.sample_streams) == 3 * len(seeds)
     if listing == "twice":
         spawned = np.random.SeedSequence(9)
         children = [spawned.spawn(6), spawned.spawn(6)]
-    else:
+    elif listing == "mixed":
         children = [np.random.SeedSequence(5).spawn(6), np.random.SeedSequence(9).spawn(6)]
+    else:
+        children = []
     gens = [[np.random.Generator(np.random.Philox(c)) for c in cs] for cs in children]
     for purpose, nodes in ((state.sample_streams, slice(0, 3)),
                            (state.compress_streams, slice(3, 6))):
         assert purpose.take("random", 4).tobytes() == np.array(
             [g.random(4) for trial in gens for g in trial[nodes]]).tobytes()
-    count = 12 if listing == "twice" else 6
+    count = {"twice": 12, "mixed": 6, "empty": 0}[listing]
     assert ss.n_children_spawned == count
     assert ss.spawn(1)[0].spawn_key == (count,)
+
+
+@pytest.mark.parametrize("spawned", [2**32 - 7, 2**32 - 6])
+def test_the_child_counters_end_is_an_input_error(spawned):
+    # numpy counts children in 32 bits: SeedSequence(0, n_children_spawned=
+    # 2**32 - 7).spawn(6) returns, while at 2**32 - 6 spawn(6) never returns
+    problem = make_quadratic(4, 3, rng=np.random.default_rng(0))
+    ss = np.random.SeedSequence(0, n_children_spawned=spawned)
+    if spawned == 2**32 - 6:
+        with pytest.raises(InputError, match="reaches 2"):
+            streams.spawn_keys([ss], 6)
+        with pytest.raises(InputError, match="reaches 2"):
+            init_state(problem, 3, "dcd", ss)
+        assert ss.n_children_spawned == spawned  # the keys are read before the advance
+        return
+    fresh = _fresh(ss)
+    want = np.array([c.generate_state(2, np.uint64) for c in fresh.spawn(6)])
+    assert streams.spawn_keys([ss], 6).tobytes() == want.tobytes()
+    state = init_state(problem, 3, "dcd", ss)
+    assert state.sample_streams._sources.tobytes() == want[:3].tobytes()
+    assert ss.n_children_spawned == fresh.n_children_spawned == 2**32 - 1
 
 
 SEQUENCES = {
@@ -186,7 +217,7 @@ def test_other_draws_within_a_block_rejected():
     (1024, 64, 60, True),  # wide_ring1024
 ])
 def test_which_sets_draw_ahead(count, width, rounds, ahead, background_fills):
-    s = StreamSet(np.random.SeedSequence(4).spawn(count), rounds)
+    s = StreamSet(streams.spawn_keys([np.random.SeedSequence(4)], count), rounds)
     for _ in range(5):
         s.take("standard_normal", width)
     assert bool(background_fills) == ahead
