@@ -28,14 +28,11 @@ SWEEP_AXES = ("gamma", "levels", "n", "seed", "bandwidth", "latency")
 SEEDED_AXES = ("gamma", "levels", "n")  # the axes that take --seeds
 COST_AXES = {"bandwidth": "bandwidths", "latency": "latencies"}  # axis: network field
 
-RUN_ROW_FIELDS = (
-    "axis", "value", "seed", "status", "gamma", "iterations", "final_loss",
-    "final_grad_norm2", "min_grad_norm2", "final_consensus", "time_to_threshold",
-    "total_bits",
-)
-COST_ROW_FIELDS = ("axis", "value", "seed", "status",
-                   "allreduce_s", "decen_full_s", "decen_compressed_s")
-GRID_FIELDS = ("bandwidth", "latency", "allreduce_s", "decen_full_s", "decen_compressed_s")
+# the columns of a sweep row, and of a cost-axis sweep row: its first four
+# and the grid point's epoch times
+RUN_ROW_FIELDS = ("axis", "value") + tuple(f.name for f in dataclasses.fields(engine.RunSummary))
+COST_ROW_FIELDS = RUN_ROW_FIELDS[:4] + costmodel.GRID_FIELDS[2:]
+TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(engine.TraceRecord))
 
 _CONFIG_ERRORS = (ConfigError, InfeasibleError, TopologyError, InputError)
 
@@ -85,7 +82,7 @@ def sweep(cfg: RunConfig, axis: str, values, seeds=None) -> list[dict]:
         entries = [(v, int(s)) for v in values for s in seeds or [cfg.seed]]
     rows, runnable = [], []
     for value, seed in entries:
-        row = dict.fromkeys(COST_ROW_FIELDS if axis in COST_AXES else RUN_ROW_FIELDS, "")
+        row = dict.fromkeys(COST_ROW_FIELDS if axis in COST_AXES else RUN_ROW_FIELDS)
         row.update(axis=axis, value=value, seed=seed)
         rows.append(row)
         try:
@@ -148,15 +145,7 @@ def _run_rows(entries: list) -> None:
             entries[0][0]["status"] = f"config_error: {_message(exc)}"
         return
     for (row, _), result in zip(entries, results):
-        s = result.summary
-        row.update(
-            status=s.status, gamma=s.gamma, iterations=s.iterations,
-            final_loss=s.final_loss, final_grad_norm2=s.final_grad_norm2,
-            min_grad_norm2=s.min_grad_norm2,
-            final_consensus=s.final_consensus,
-            time_to_threshold="" if s.time_to_threshold is None else s.time_to_threshold,
-            total_bits=s.total_bits,
-        )
+        row.update(_summary_cells(result.summary))
 
 
 def _derive_config(cfg: RunConfig, axis: str, value, seed: int) -> RunConfig:
@@ -208,8 +197,9 @@ def _metadata_lines(cfg: RunConfig, extra: dict | None = None) -> list[str]:
 
 
 def _format_cell(v) -> str:
-    """A float's repr or anything else's str, quoted as csv.QUOTE_MINIMAL would."""
-    text = repr(v) if isinstance(v, float) else str(v)
+    """A float's repr, nothing for None, or anything else's str, quoted as
+    csv.QUOTE_MINIMAL would."""
+    text = repr(v) if isinstance(v, float) else "" if v is None else str(v)
     if any(ch in text for ch in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
@@ -218,9 +208,9 @@ def _format_cell(v) -> str:
 def write_trace_csv(path: str, cfg: RunConfig, result: engine.RunResult) -> None:
     lines = _metadata_lines(cfg, {"resolved_gamma": result.summary.gamma,
                                   "status": result.summary.status})
-    lines.append(",".join(engine.TraceRecord.FIELDS))
+    lines.append(",".join(TRACE_FIELDS))
     for r in result.records:
-        lines.append(",".join(_format_cell(getattr(r, f)) for f in engine.TraceRecord.FIELDS))
+        lines.append(",".join(_format_cell(getattr(r, f)) for f in TRACE_FIELDS))
     _write_lines(path, lines)
 
 
@@ -260,12 +250,11 @@ def _write_lines(path: str, lines: list[str]) -> None:
             fh.write(text)
 
 
-def _summary_dict(summary: engine.RunSummary) -> dict:
-    doc = dataclasses.asdict(summary)
-    for k, v in doc.items():
-        if isinstance(v, float) and not math.isfinite(v):
-            doc[k] = repr(v)
-    return doc
+def _summary_cells(summary: engine.RunSummary) -> dict:
+    """The summary's fields in order, a non-finite float as its repr: the
+    ``run`` JSON and a sweep row's cells."""
+    return {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in dataclasses.asdict(summary).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +276,7 @@ def _cmd_run(args) -> int:
     result = engine.run(cfg)
     if args.out:
         write_trace_csv(args.out, cfg, result)
-    print(json.dumps(_summary_dict(result.summary), sort_keys=True))
+    print(json.dumps(_summary_cells(result.summary), sort_keys=True))
     return 0 if result.summary.status == "completed" else 2
 
 
@@ -317,7 +306,7 @@ def _cmd_theory(args) -> int:
 def _cmd_cost(args) -> int:
     cfg = _load_config(args)
     _check_out(args.out)
-    write_rows_csv(args.out, cfg, _grid(cfg), GRID_FIELDS)
+    write_rows_csv(args.out, cfg, _grid(cfg), costmodel.GRID_FIELDS)
     return 0
 
 

@@ -79,6 +79,9 @@ def _check_steps(steps_per_epoch: int) -> None:
 # 0.13 ms up to 5 ms, mirroring the sweep used for the qualitative claims.
 DEFAULT_BANDWIDTHS = (1.4e9, 500e6, 100e6, 25e6, 5e6)
 DEFAULT_LATENCIES = (0.13e-3, 0.5e-3, 1e-3, 2.5e-3, 5e-3)
+# the keys of a cost_grid row: the grid point, then the epoch times of the
+# full-precision allreduce, full-precision gossip and compressed gossip
+GRID_FIELDS = ("bandwidth", "latency", "allreduce_s", "decen_full_s", "decen_compressed_s")
 
 
 def cost_grid(
@@ -91,11 +94,8 @@ def cost_grid(
     bandwidths=DEFAULT_BANDWIDTHS,
     latencies=DEFAULT_LATENCIES,
 ) -> list[dict]:
-    """Epoch times of the three variants over a (bandwidth, latency) grid.
-
-    Returns one row per grid point with keys bandwidth, latency,
-    allreduce_s, decen_full_s, decen_compressed_s.
-    """
+    """Epoch times of the three variants over a (bandwidth, latency) grid:
+    one row per grid point, keyed by ``GRID_FIELDS``."""
     rows = []
     for bw in bandwidths:
         for lat in latencies:
@@ -107,11 +107,9 @@ def cost_grid(
                 bandwidth=bw, latency=lat, n=n, model_bits=model_bits,
                 compression_ratio=compression_ratio, compute_s=compute_s,
             )
-            rows.append({
-                "bandwidth": bw,
-                "latency": lat,
-                "allreduce_s": epoch_time_allreduce(full, steps_per_epoch),
-                "decen_full_s": epoch_time_decentralized(full, steps_per_epoch, degree),
-                "decen_compressed_s": epoch_time_decentralized(compressed, steps_per_epoch, degree),
-            })
+            rows.append(dict(zip(GRID_FIELDS, (
+                bw, lat, epoch_time_allreduce(full, steps_per_epoch),
+                epoch_time_decentralized(full, steps_per_epoch, degree),
+                epoch_time_decentralized(compressed, steps_per_epoch, degree),
+            ))))
     return rows

@@ -210,19 +210,20 @@ class TraceRecord:
     g_norm2: float
     bits: int  # cumulative
 
-    FIELDS = ("t", "loss", "grad_norm2", "consensus", "q_norm2", "g_norm2", "bits")
-
 
 @dataclass
 class RunSummary:
-    status: str
-    iterations: int
-    gamma: float
+    """A trial's outcome; its fields, in order, are the ``run`` JSON keys and
+    the sweep columns after ``axis,value``."""
+
     seed: int
+    status: str
+    gamma: float
+    iterations: int
     final_loss: float
     final_grad_norm2: float
-    final_consensus: float
     min_grad_norm2: float
+    final_consensus: float
     time_to_threshold: int | None
     total_bits: int
 
@@ -627,15 +628,13 @@ def run(config):
             for k in np.flatnonzero(done):
                 j = int(stop[k]) if stopped[k] else P  # the trial's stop pass, t + j
                 i, ttt, iterations = trials[k], int(time_to_threshold[k]), t + j - 1
+                final = [math.inf if stopped[k] else float(a[j, k]) for a in (losses, grads, cons)]
                 summaries[i] = RunSummary(
-                    "diverged" if stopped[k] else "completed", iterations, gammas[i],
-                    batch[i].seed,
-                    *((math.inf,) * 3 if stopped[k]
-                      else (float(losses[j, k]), float(grads[j, k]), float(cons[j, k]))),
-                    min_grad_norm2=float(min_grad_norm2[k]),
-                    time_to_threshold=None if ttt < 0 else ttt,
-                    total_bits=iterations * step_bits,
-                )
+                    seed=batch[i].seed, status="diverged" if stopped[k] else "completed",
+                    gamma=gammas[i], iterations=iterations, final_loss=final[0],
+                    final_grad_norm2=final[1], min_grad_norm2=float(min_grad_norm2[k]),
+                    final_consensus=final[2], time_to_threshold=None if ttt < 0 else ttt,
+                    total_bits=iterations * step_bits)
                 ends[i] = t + j
             if np.count_nonzero(done):
                 keep = ~done

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dcsgd import ConfigError, RunConfig, parse_config, serialize_config
-from dcsgd import cli, config, engine, topology
+from dcsgd import cli, config, costmodel, engine, topology
 from dcsgd.cli import main, sweep
 from dcsgd.config import config_from_dict, resolve_gamma, build_topology, build_problem, build_compressor
 from dcsgd.compression import effective_alpha
@@ -570,7 +570,7 @@ class TestCliCost:
         out = tmp_path / "cost.csv"
         assert main(["cost", "--config", path, "--out", str(out)]) == 0
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-        assert lines[1:] == [",".join(repr(row[k]) for k in cli.GRID_FIELDS)
+        assert lines[1:] == [",".join(repr(row[k]) for k in costmodel.GRID_FIELDS)
                              for row in cost_reference([3e8, 1e6], [1e-4, 2e-3])]
 
     def test_payload_beyond_the_float_range_is_a_config_error(self, tmp_path, capsys):
@@ -762,6 +762,64 @@ class TestSweep:
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert lines[0].startswith("axis,value,seed,status,gamma")
         assert len(lines) == 3
+
+
+SUMMARY_FIELDS = [f.name for f in dataclasses.fields(engine.RunSummary)]
+
+
+class TestOutputSchema:
+    """Each output names its columns or keys after the type that holds the
+    values: RunSummary for the run JSON and the sweep rows, TraceRecord for
+    the trace, cost_grid's rows for the cost grid."""
+
+    def test_sweep_header_and_run_keys_are_the_summary_fields(self, tmp_path, capsys):
+        path = write_config(tmp_path, {**BASE, "T": 20})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", path, "--axis", "seed", "--values", "0",
+                     "--out", str(out)]) == 0
+        assert csv_rows(out)[0] == ["axis", "value"] + SUMMARY_FIELDS
+        assert main(["run", "--config", path]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == sorted(SUMMARY_FIELDS)
+
+    def test_sweep_cells_equal_the_run_json(self, tmp_path, capsys):
+        # gamma 0.1 completes and reaches the threshold; gamma 5.0 diverges,
+        # so its final values are inf and it has no threshold round
+        path = write_config(tmp_path, BASE)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", path, "--axis", "gamma", "--values", "0.1,5.0",
+                     "--out", str(out)]) == 0
+        header, *rows = csv_rows(out)
+        assert len(rows) == 2
+        for row in rows:
+            cells = dict(zip(header, row))
+            gamma_path = write_config(tmp_path, {**BASE, "gamma": float(cells["value"])},
+                                      name="gamma.json")
+            capsys.readouterr()
+            main(["run", "--config", gamma_path])
+            doc = json.loads(capsys.readouterr().out)
+            for key, value in doc.items():  # a number's cell is its repr
+                assert cells[key] == ("" if value is None else
+                                      value if isinstance(value, str) else repr(value))
+        done, diverged = (dict(zip(header, row)) for row in rows)
+        assert done["status"] == "completed" and done["time_to_threshold"] != ""
+        assert diverged["status"] == "diverged" and diverged["time_to_threshold"] == ""
+        assert diverged["final_loss"] == "inf"
+
+    def test_cost_header_is_the_grid_row_keys(self, tmp_path):
+        path = write_config(tmp_path, COST_DOC)
+        out = tmp_path / "cost.csv"
+        assert main(["cost", "--config", path, "--out", str(out)]) == 0
+        grid = cost_reference([3e8, 1e6], [1e-4, 2e-3])
+        assert csv_rows(out)[0] == list(grid[0])
+        assert main(["sweep", "--config", path, "--axis", "latency", "--values", "0.0",
+                     "--out", str(out)]) == 0
+        assert csv_rows(out)[0] == ["axis", "value", "seed", "status"] + list(grid[0])[2:]
+
+    def test_trace_header_is_the_record_fields(self, tmp_path):
+        path = write_config(tmp_path, {**BASE, "T": 20})
+        out = tmp_path / "trace.csv"
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        assert csv_rows(out)[0] == [f.name for f in dataclasses.fields(engine.TraceRecord)]
 
 
 class TestBatchedSweep:

@@ -14,7 +14,7 @@ from dcsgd import (
     ConfigError, DivergedError, InputError, compress, estimate_error_trace, identity, init_state,
     make_quadratic, metrics, round_step, run, stochastic_quantize, streams, synthetic_noise,
 )
-from dcsgd import compression, engine
+from dcsgd import compression, config, engine
 from dcsgd.config import build_run, build_topology, config_from_dict, resolve_gamma
 from dcsgd.engine import ALGORITHMS, LOSS_CAP
 from dcsgd.problems import Problem, stack_problems
@@ -799,6 +799,36 @@ class TestTrialBatch:
         with pytest.raises(ConfigError, match="seed and gamma"):
             run([cfg, other])
         assert run([]) == []
+
+    RULE_DOC = {**BASE, "algorithm": "naive", "problem": TRIAL_PROBLEMS["quadratic"],
+                "compressor": TRIAL_COMPRESSORS["quantize127"], "gamma": 0.05, "T": 20}
+
+    @pytest.mark.parametrize("patch", [
+        {"T": 21}, {"algorithm": "ecd"}, {"compressor": {"kind": "quantize", "levels": 63}},
+        {"topology": {"kind": "ring", "n": 7}}, {"trace_every": 2},
+    ], ids=["T", "algorithm", "levels", "n", "trace_every"])
+    def test_batch_rule_is_checked_before_any_trial_runs(self, patch, monkeypatch):
+        # the odd trial also differs in seed and gamma, which alone are allowed
+        configs = [config_from_dict({**self.RULE_DOC, "seed": 1}),
+                   config_from_dict({**self.RULE_DOC, **patch, "seed": 2, "gamma": 0.1}),
+                   config_from_dict(self.RULE_DOC)]
+
+        def built(*args, **kwargs):
+            raise AssertionError("a trial was built")
+
+        monkeypatch.setattr(config, "build_run", built)
+        with pytest.raises(ConfigError) as err:
+            run(configs)
+        assert str(err.value) == "the trials of a batch may differ only in seed and gamma"
+
+    def test_batch_differing_in_seed_and_gamma_runs(self):
+        configs = [config_from_dict({**self.RULE_DOC, "seed": s, "gamma": g})
+                   for s, g in ((1, 0.05), (2, 0.1), (1, 0.02))]
+        batch = run(configs)
+        for cfg, result in zip(configs, batch, strict=True):
+            assert result_bits(result) == result_bits(run(cfg))
+            assert (result.summary.seed, result.summary.gamma) == (cfg.seed, cfg.gamma)
+            assert result.summary.status == "completed"
 
 
 def float_bits(value):

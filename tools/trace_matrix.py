@@ -15,8 +15,15 @@ then dpsgd on ring 2048 with dim 8 and the theory step size, which resolves
 from the ring's closed-form spectrum.  The small configs draw their random
 streams in blocks of up to ``streams.MAX_BLOCK_ROUNDS`` rounds; the large
 ones are where the value budget ``streams.BLOCK_VALUES`` sets the block
-length instead.  A change that must keep traces byte-identical runs this on
-the parent commit and on the change and diffs the two outputs:
+length instead.  With ``--sweep`` it runs ``dcsgd sweep`` instead, on each
+algorithm (ring 8, dim-8 noisy quadratic, T 60, quantize 127 for naive, dcd
+and ecd, a gradient threshold that some rows reach) over every axis: seed,
+bandwidth and latency once, and gamma, levels and n without and with
+``--seeds 0,1``.  Each axis's values hold one that fails its row with
+``config_error`` (a quoted cell) and the gamma values one that diverges
+(3.0, so ``inf`` cells), and each line digests the sweep CSV, stdout and
+stderr, warnings included.  A change that must keep traces byte-identical
+runs this on the parent commit and on the change and diffs the two outputs:
 
     PYTHONPATH=src python tools/trace_matrix.py > after.txt
 
@@ -70,6 +77,18 @@ PROBLEMS = (
     {"kind": "logistic", "dim": 6, "samples_per_node": 8},
 )
 GAMMAS = (0.05, "theory", 3.0)
+# (axis, --values) of the sweep mode; the axes that take --seeds run
+# without and with SWEEP_SEEDS
+SWEEP_VALUES = (
+    ("seed", "-1,0,5"),
+    ("gamma", "0.05,3.0,nan"),
+    ("levels", "7,127,0"),
+    ("n", "4,2,8"),
+    ("bandwidth", "1e8,5e6,nan"),
+    ("latency", "0.001,-0.001,0.0"),
+)
+SEEDED_AXES = ("gamma", "levels", "n")
+SWEEP_SEEDS = "0,1"
 LARGE_SHAPES = ((1024, 64), (256, 256))  # (ring n, dim)
 LARGE_GAMMAS = (0.05, 0.2)
 # a decimal number as Python's repr and json print it
@@ -104,6 +123,21 @@ def large_configs():
     }
 
 
+def sweep_runs():
+    """(config, sweep arguments) of the sweep mode."""
+    for alg in ALGORITHMS:
+        comp = ({"kind": "quantize", "levels": 127} if alg in ("naive", "dcd", "ecd")
+                else {"kind": "identity"})
+        cfg = {
+            "algorithm": alg, "compressor": comp, "topology": {"kind": "ring", "n": 8},
+            "problem": PROBLEMS[0], "gamma": 0.05, "T": 60, "seed": 3, "grad_threshold": 0.005,
+        }
+        for axis, values in SWEEP_VALUES:
+            for seeds in (None, SWEEP_SEEDS) if axis in SEEDED_AXES else (None,):
+                yield cfg, ["--axis", axis, f"--values={values}"] + (
+                    ["--seeds", seeds] if seeds else [])
+
+
 def digest(argv: list[str], csv_path: str | None = None,
            keep: str | None = None, stderr: bool = False) -> tuple[int, str]:
     """Exit code of one dcsgd invocation and sha256 of its CSV plus stdout,
@@ -115,7 +149,7 @@ def digest(argv: list[str], csv_path: str | None = None,
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("always" if stderr else "ignore")  # a digested warning is pinned
         code = dcsgd_main(argv)
     h = hashlib.sha256()
     if csv_path and os.path.exists(csv_path):
@@ -179,6 +213,8 @@ def main() -> None:
                       help="digest `dcsgd theory` on the same configs instead")
     mode.add_argument("--large", action="store_true",
                       help="digest `dcsgd run` on the 13 wide-state configs instead")
+    mode.add_argument("--sweep", action="store_true",
+                      help="digest `dcsgd sweep` on every axis of five small configs instead")
     mode.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
                       help="compare two --keep directories value by value instead")
     parser.add_argument("--keep", metavar="DIR",
@@ -191,11 +227,18 @@ def main() -> None:
         os.makedirs(args.keep, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path, csv_path = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "trace.csv")
-        for index, cfg in enumerate(large_configs() if args.large else configs()):
+        if args.sweep:
+            runs = sweep_runs()
+        else:
+            runs = ((cfg, None) for cfg in (large_configs() if args.large else configs()))
+        for index, (cfg, sweep_args) in enumerate(runs):
             with open(cfg_path, "w") as fh:
                 json.dump(cfg, fh)
             keep = os.path.join(args.keep, str(index)) if args.keep else None
-            if args.theory:
+            if sweep_args:
+                code, sha = digest(["sweep", "--config", cfg_path, *sweep_args,
+                                    "--out", csv_path], csv_path, keep, stderr=True)
+            elif args.theory:
                 code, sha = digest(["theory", "--config", cfg_path], keep=keep, stderr=True)
             else:
                 code, sha = digest(["run", "--config", cfg_path, "--out", csv_path],
