@@ -10,11 +10,14 @@ Exit codes: 0 completed, 1 configuration or argument error, 2 diverged run.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import dataclasses
 import errno
 import functools
 import json
 import math
+import operator
 import os
 import sys
 import warnings
@@ -36,23 +39,6 @@ TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(engine.TraceRecord))
 
 _CONFIG_ERRORS = (ConfigError, InfeasibleError, TopologyError, InputError)
 
-# A seed or gamma sweep runs its entries as trial batches of at most
-# MAX_TRIALS trials and BATCH_BYTES bytes of per-trial data (_trial_bytes).
-# Measured on 2-core x86, one BLAS thread, seed sweeps by batch size: ring 8
-# x dim 8 goes from 6,300 trial-rounds/s at 1 trial to 54,100 at 64 (47,100
-# at 128); dim 64 x ring 16 and logistic dim 16 x ring 16 gain about 1.8x by
-# 8 to 32 trials; ring 256 x dim 16 is fastest at 8 and slower past 32; a
-# dim-1024 quadratic or 512 samples per logistic node gain nothing, while
-# peak RSS grows by the problem's size per trial.  The byte cap gave these
-# shapes 64, about 45, 11 and 1 trial(s) before the draw blocks were
-# counted; with them, 64, 36, 9 and 1 at T 200 and trace_every 10: against
-# one run at a time, peak RSS grew by at most 10 MB, and wall time fell
-# except on the dim-1024 sweep (1 trial per batch), whose QR and eigvalsh
-# set-up kept it within 5%.
-MAX_TRIALS = 64
-# per-trial bytes; the batch's blocks of random draws (streams.BLOCK_VALUES) come on top
-BATCH_BYTES = 7 * 2**20
-
 
 # ---------------------------------------------------------------------------
 # sweep
@@ -63,13 +49,12 @@ def sweep(cfg: RunConfig, axis: str, values, seeds=None) -> list[dict]:
     """One summary row per (value, seed), in deterministic order.
 
     Per-entry failures land in the status column instead of aborting the
-    sweep.  The seed and gamma axes only change a trial's seed and step
-    size, so their entries run as trial batches through one ``engine.run``
-    call each, every row bit for bit what a solo run gives; the n axis
-    changes shapes and the levels axis the compressor, which a batch
-    shares, so they run one entry at a time.  The bandwidth / latency
-    axes evaluate the communication model of a one-point network grid rather
-    than running the simulator.  ``seeds`` applies to ``SEEDED_AXES`` only.
+    sweep.  On every axis, consecutive entries that differ only in seed and
+    gamma run as one trial batch per ``engine.run`` call, sized by
+    ``engine.batch_length``, every row bit for bit what a solo run gives.
+    The bandwidth / latency axes evaluate the communication model of a
+    one-point network grid rather than running the simulator.  ``seeds``
+    applies to ``SEEDED_AXES`` only.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -94,38 +79,11 @@ def sweep(cfg: RunConfig, axis: str, values, seeds=None) -> list[dict]:
                 runnable.append((row, derived))
         except _CONFIG_ERRORS as exc:
             row["status"] = f"config_error: {exc}"
-    size = _batch_size(cfg) if axis in ("seed", "gamma") else 1
     while runnable:
+        size = engine.batch_length(derived for _, derived in runnable)
         _run_rows(runnable[:size])
         del runnable[:size]  # filled rows drop their configs and the matrices they keep
     return rows
-
-
-def _batch_size(cfg: RunConfig) -> int:
-    """Trials per batch of a seed or gamma sweep of ``cfg``."""
-    return max(1, min(MAX_TRIALS, BATCH_BYTES // _trial_bytes(cfg)))
-
-
-def _trial_bytes(cfg: RunConfig) -> int:
-    """Bytes one trial holds in a running batch, from the config's shapes.
-
-    Counts the state matrix and its round temporaries (about ten (dim, n)
-    arrays), the problem arrays twice (a trial's own problem and its slice
-    of the stacked one coexist while the batch is built), the trace rows
-    (five floats per recorded round, in a buffer that grows by doubling),
-    one round of draws for each of the two purposes (at most dim values per
-    node; past the block budget a block holds one round) and the 2 n random
-    streams at 640 bytes each.  A stream holds a 16-byte row of its set's key
-    array until its first draw and about 800 bytes once its Generator is
-    built (tracemalloc, three trials of a ring of 1024 at dim 4, numpy 2.4).
-    """
-    dim, n = cfg.problem.dim, cfg.topology.n
-    if cfg.problem.kind == "logistic":
-        problem = n * cfg.problem.samples_per_node * (dim + 1)
-    else:
-        problem = dim * (dim + n)
-    rows = cfg.T // cfg.trace_every + 2
-    return 8 * (10 * dim * n + 2 * problem + 2 * 5 * rows + 2 * dim * n) + 2 * n * 640
 
 
 def _run_rows(entries: list) -> None:
@@ -189,37 +147,27 @@ def _grid(cfg: RunConfig) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _metadata_lines(cfg: RunConfig, extra: dict | None = None) -> list[str]:
-    doc = dataclasses.asdict(cfg)
-    if extra:
-        doc.update(extra)
-    return ["# dcsgd output", f"# config: {json.dumps(doc, sort_keys=True)}"]
-
-
-def _format_cell(v) -> str:
-    """A float's repr, nothing for None, or anything else's str, quoted as
-    csv.QUOTE_MINIMAL would."""
-    text = repr(v) if isinstance(v, float) else "" if v is None else str(v)
-    if any(ch in text for ch in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def write_trace_csv(path: str, cfg: RunConfig, result: engine.RunResult) -> None:
-    lines = _metadata_lines(cfg, {"resolved_gamma": result.summary.gamma,
-                                  "status": result.summary.status})
-    lines.append(",".join(TRACE_FIELDS))
-    for r in result.records:
-        lines.append(",".join(_format_cell(getattr(r, f)) for f in TRACE_FIELDS))
-    _write_lines(path, lines)
+    _write_csv(path, cfg, TRACE_FIELDS, map(operator.attrgetter(*TRACE_FIELDS), result.records),
+               {"resolved_gamma": result.summary.gamma, "status": result.summary.status})
 
 
 def write_rows_csv(path: str, cfg: RunConfig, rows: list[dict], fields) -> None:
-    lines = _metadata_lines(cfg)
-    lines.append(",".join(fields))
-    for row in rows:
-        lines.append(",".join(_format_cell(row[f]) for f in fields))
-    _write_lines(path, lines)
+    _write_csv(path, cfg, fields, ([row[f] for f in fields] for row in rows))
+
+
+def _write_csv(path: str, cfg: RunConfig, fields, rows, extra: dict | None = None) -> None:
+    """Two ``#`` lines echoing the config (and ``extra``), then the header and
+    the rows, to ``path`` or stdout ('-'): a float as its repr, None as an
+    empty cell, minimal quoting."""
+    doc = dataclasses.asdict(cfg)
+    if extra:
+        doc.update(extra)
+    with contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w") as fh:
+        fh.write(f"# dcsgd output\n# config: {json.dumps(doc, sort_keys=True)}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows(rows)
 
 
 def _check_out(path: str | None) -> None:
@@ -239,15 +187,6 @@ def _check_out(path: str | None) -> None:
     else:
         return
     raise OSError(code, os.strerror(code), path)
-
-
-def _write_lines(path: str, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
 
 
 def _summary_cells(summary: engine.RunSummary) -> dict:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import cached_property
 
 import numpy as np
@@ -112,43 +112,35 @@ class RunConfig:
         validate_config(self)
 
 
-_SECTION_TYPES = {
-    "topology": TopologySpec,
-    "problem": ProblemSpec,
-    "compressor": CompressorSpec,
-    "network": NetworkConfig,
-}
-
-
 def config_from_dict(doc: dict) -> RunConfig:
-    """Build and validate a RunConfig from a plain dict."""
+    """Build and validate a RunConfig from a plain dict.
+
+    Its keys are RunConfig's fields; a field whose default is a dataclass is
+    a section, an object of that dataclass's fields."""
     if not isinstance(doc, dict):
         raise ConfigError(f"config root must be an object, got {type(doc).__name__}")
-    doc = dict(doc)
-    known = {"algorithm", "gamma", "T", "seed", "trace_every", "grad_threshold",
-             "z_norm_cap", *_SECTION_TYPES}
-    unknown = sorted(set(doc) - known)
+    unknown = sorted(set(doc) - {f.name for f in fields(RunConfig)})
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
-    kwargs = {}
-    for section, cls in _SECTION_TYPES.items():
-        sub = doc.get(section, {})
+    kwargs = {"algorithm": ""}  # validate_config names a missing algorithm
+    for f in fields(RunConfig):
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        if not is_dataclass(default):
+            if f.name in doc:
+                kwargs[f.name] = doc[f.name]
+            continue
+        sub = doc.get(f.name, {})
         if not isinstance(sub, dict):
-            raise ConfigError(f"section {section!r} must be an object")
-        valid = set(cls.__dataclass_fields__)
-        bad = sorted(set(sub) - valid)
+            raise ConfigError(f"section {f.name!r} must be an object")
+        bad = sorted(set(sub) - {g.name for g in fields(default)})
         if bad:
-            raise ConfigError(f"unknown key(s) in {section!r}: {', '.join(bad)}")
+            raise ConfigError(f"unknown key(s) in {f.name!r}: {', '.join(bad)}")
         # lists become tuples, an edge list a tuple of tuples; validate_config
         # checks their shapes and types
         sub = {k: tuple(tuple(e) if k == "edges" and isinstance(e, list) else e for e in v)
                if isinstance(v, list) else v for k, v in sub.items()}
-        kwargs[section] = cls(**sub)
-    for key in ("gamma", "T", "seed", "trace_every", "grad_threshold", "z_norm_cap"):
-        if key in doc:
-            kwargs[key] = doc[key]
-    kwargs["algorithm"] = doc.get("algorithm", "")
+        kwargs[f.name] = type(default)(**sub)
     return RunConfig(**kwargs)
 
 

@@ -46,9 +46,9 @@ gets the bits of its solo run.  Every reduction is taken per trial, so
 each trial's records and summary are bit for bit those of its solo run; a
 trial that stops is summarized and dropped when its block ends, and its
 streams are not drawn after that.  A single config is the S = 1 case of
-the same loop.  ``dcsgd sweep`` runs its seed and gamma axes as such
-batches; its n axis changes shapes and its levels axis the compressor,
-which a batch shares, so they run one by one.
+the same loop.  ``dcsgd sweep`` runs the consecutive entries of any axis
+that differ only in seed and gamma as such batches, :func:`batch_length`
+trials at a time.
 
 Randomness: every (trial, node, purpose) triple owns an independent
 counter-based stream (Philox) derived from the trial's master seed, so
@@ -125,6 +125,23 @@ LOSS_CAP = 1e12  # a run whose loss passes this is declared diverged
 # views.  Paired benchmark runs: BENCH_lean_rounds.json.
 METRIC_BLOCK_VALUES = 2**16
 MAX_METRIC_PASSES = 64
+
+# A batch (``batch_length``) holds at most MAX_TRIALS trials and BATCH_BYTES
+# bytes of per-trial data (_trial_bytes).
+# Measured on 2-core x86, one BLAS thread, seed sweeps by batch size: ring 8
+# x dim 8 goes from 6,300 trial-rounds/s at 1 trial to 54,100 at 64 (47,100
+# at 128); dim 64 x ring 16 and logistic dim 16 x ring 16 gain about 1.8x by
+# 8 to 32 trials; ring 256 x dim 16 is fastest at 8 and slower past 32; a
+# dim-1024 quadratic or 512 samples per logistic node gain nothing, while
+# peak RSS grows by the problem's size per trial.  The byte cap gave these
+# shapes 64, about 45, 11 and 1 trial(s) before the draw blocks were
+# counted; with them, 64, 36, 9 and 1 at T 200 and trace_every 10: against
+# one run at a time, peak RSS grew by at most 10 MB, and wall time fell
+# except on the dim-1024 sweep (1 trial per batch), whose QR and eigvalsh
+# set-up kept it within 5%.
+MAX_TRIALS = 64
+# per-trial bytes; the batch's blocks of random draws (streams.BLOCK_VALUES) come on top
+BATCH_BYTES = 7 * 2**20
 
 FULL_PRECISION = compression.identity()  # how dpsgd's messages are priced
 
@@ -489,7 +506,8 @@ def run(config):
     RunResult, or a list of them in the order of the batch, each trial's
     records and summary bit for bit those of its solo run.  A batch holds
     S times one trial's arrays (problem, state, trace), so a caller sizes
-    it to fit memory, as ``dcsgd sweep`` does (``cli._batch_size``).
+    it to fit memory with :func:`batch_length`, as ``dcsgd sweep`` does on
+    every axis.
 
     Each trial's master seed spawns its problem-construction stream and
     its per-node simulation streams, so identical configs give
@@ -511,7 +529,8 @@ def run(config):
     if not batch:
         return []
     cfg = batch[0]
-    if any(dataclasses.replace(b, seed=cfg.seed, gamma=cfg.gamma) != cfg for b in batch):
+    key = _batch_key(cfg)
+    if any(_batch_key(b) != key for b in batch):
         raise ConfigError("the trials of a batch may differ only in seed and gamma")
     W, problems, seeds, gammas = None, [], [], []
     for trial in batch:
@@ -650,6 +669,53 @@ def run(config):
     results = [RunResult(summaries[i], rounds, step_bits,
                          values[:bisect.bisect_left(rounds, ends[i]), i]) for i in range(S)]
     return results if isinstance(config, list) else results[0]
+
+
+def batch_length(configs) -> int:
+    """How many leading configs of the nonempty iterable ``configs`` run as
+    one batch of :func:`run`: those that share the first one's fields other
+    than ``seed`` and ``gamma``, at most the first one's ``_batch_size``."""
+    configs = iter(configs)
+    first = next(configs)
+    key, size, length = _batch_key(first), _batch_size(first), 1
+    for cfg in configs:
+        if length == size or _batch_key(cfg) != key:
+            break
+        length += 1
+    return length
+
+
+def _batch_key(cfg) -> tuple:
+    """The fields that a batch's trials share: all but ``seed`` and ``gamma``."""
+    return tuple(getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+                 if f.name not in ("seed", "gamma"))
+
+
+def _batch_size(cfg) -> int:
+    """Trials per batch of configs shaped like ``cfg``."""
+    return max(1, min(MAX_TRIALS, BATCH_BYTES // _trial_bytes(cfg)))
+
+
+def _trial_bytes(cfg) -> int:
+    """Bytes one trial holds in a running batch, from the config's shapes.
+
+    Counts the state matrix and its round temporaries (about ten (dim, n)
+    arrays), the problem arrays twice (a trial's own problem and its slice
+    of the stacked one coexist while the batch is built), the trace rows
+    (five floats per recorded round, in a buffer that grows by doubling),
+    one round of draws for each of the two purposes (at most dim values per
+    node; past the block budget a block holds one round) and the 2 n random
+    streams at 640 bytes each.  A stream holds a 16-byte row of its set's key
+    array until its first draw and about 800 bytes once its Generator is
+    built (tracemalloc, three trials of a ring of 1024 at dim 4, numpy 2.4).
+    """
+    dim, n = cfg.problem.dim, cfg.topology.n
+    if cfg.problem.kind == "logistic":
+        problem = n * cfg.problem.samples_per_node * (dim + 1)
+    else:
+        problem = dim * (dim + n)
+    rows = cfg.T // cfg.trace_every + 2
+    return 8 * (10 * dim * n + 2 * problem + 2 * 5 * rows + 2 * dim * n) + 2 * n * 640
 
 
 def _pass_values(problem: Problem, n: int) -> int:

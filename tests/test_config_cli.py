@@ -823,15 +823,16 @@ class TestOutputSchema:
 
 
 class TestBatchedSweep:
-    """Seed and gamma sweeps run as trial batches; every row must be the
-    row the entry gives when it is swept on its own."""
+    """Every axis runs its consecutive entries that differ only in seed and
+    gamma as trial batches; every row must be the row the entry gives when
+    it is swept on its own."""
 
     DOC = {**BASE, "algorithm": "dcd", "T": 30, "trace_every": 1,
            "problem": {"kind": "quadratic", "dim": 6, "heterogeneity": 0.5, "noise": 0.2},
            "compressor": {"kind": "quantize", "levels": 127}}
 
-    def sweep_lines(self, tmp_path, *args):
-        path = write_config(tmp_path, self.DOC)
+    def sweep_lines(self, tmp_path, *args, doc=None):
+        path = write_config(tmp_path, doc or self.DOC)
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", path, *args, "--out", str(out)]) == 0
         return out.read_bytes().splitlines(keepends=True)
@@ -852,6 +853,49 @@ class TestBatchedSweep:
         assert batched == solo[0][:-1] + [lines[-1] for lines in solo]
         statuses = [line.split(b",")[3] for line in batched[-9:]]
         assert statuses.count(b"diverged") == 3 and statuses.count(b"completed") == 6
+
+    @pytest.mark.parametrize("algorithm", engine.ALGORITHMS)
+    @pytest.mark.parametrize("axis,values", [("levels", "1,7,127"), ("n", "5,8")])
+    def test_levels_and_n_sweeps_with_seeds_equal_solo_rows(
+            self, tmp_path, monkeypatch, axis, values, algorithm):
+        # dcd's levels 1 and 7 are outside the budget on this ring of 8 at
+        # dim 6 (alpha 2.4 and 0.35 against 0.073)
+        doc = {**self.DOC, "algorithm": algorithm, "gamma": 0.05}
+        seeds = ("0", "1", "2")
+        solo = [self.sweep_lines(tmp_path, "--axis", axis, "--values", v, "--seeds", s, doc=doc)
+                for v in values.split(",") for s in seeds]
+        run, calls = engine.run, []
+
+        def counted(configs):
+            calls.append(len(configs))
+            return run(configs)
+
+        monkeypatch.setattr(engine, "run", counted)
+        batched = self.sweep_lines(tmp_path, "--axis", axis, "--values", values,
+                                   "--seeds", ",".join(seeds), doc=doc)
+        assert batched == solo[0][:-1] + [lines[-1] for lines in solo]
+        assert calls == [len(seeds)] * len(values.split(","))  # one batch per value
+        assert len({line.split(b",")[6] for line in batched[-3:]}) == 3  # final losses differ
+
+    def test_batch_length_stops_at_another_key(self):
+        cfg = config_from_dict(self.DOC)
+        configs = [cfg, dataclasses.replace(cfg, seed=4, gamma=0.2),
+                   dataclasses.replace(cfg, T=31), cfg]
+        assert engine.batch_length(configs) == 2
+        assert engine.batch_length(configs[2:]) == 1
+        assert engine.batch_length(iter(configs[3:])) == 1
+
+    def test_batch_length_stops_at_the_first_configs_cap(self):
+        def configs(n):
+            cfg = config_from_dict({**self.DOC, "topology": {"kind": "ring", "n": n}})
+            return [dataclasses.replace(cfg, seed=s) for s in range(30)]
+
+        assert engine.batch_length(configs(8)) == 30
+        # a ring of 200 fills the footprint budget sooner: the batch stops at
+        # its first config's cap, however many configs share its key
+        wide = configs(200)
+        assert 1 < engine.batch_length(wide) == engine._batch_size(wide[0]) < 30
+        assert engine.batch_length(configs(8) + wide) == 30
 
     @pytest.mark.parametrize("algorithm", engine.ALGORITHMS)
     def test_seeds_of_different_widths_in_one_batch_equal_solo_rows(self, tmp_path, algorithm):
@@ -899,14 +943,19 @@ class TestBatchedSweep:
                    for s in statuses[:8])
         assert statuses[8:] == ["completed", "completed"]
 
-    @pytest.mark.parametrize("axis,values,failing,error", [
+    @pytest.mark.parametrize("axis,values,seeds,failing,error", [
         # a seed batch fails as a whole, then runs one entry at a time
-        ("seed", "3,7,11", 7, MemoryError()),
-        # the n axis runs one entry at a time from the start
-        ("n", "6,9,12", 9, MemoryError("Unable to allocate 298. GiB")),
+        pytest.param("seed", "3,7,11", (), 7, MemoryError(), id="seed-3,7,11-7-error0"),
+        # each n value is a batch of one entry
+        pytest.param("n", "6,9,12", (), 9, MemoryError("Unable to allocate 298. GiB"),
+                     id="n-6,9,12-9-error1"),
+        # each n value's seeds are one batch: n 9's fails as a whole, then
+        # each of its entries fails on its own
+        pytest.param("n", "6,9,12", ("--seeds", "0,1"), 9,
+                     MemoryError("Unable to allocate 298. GiB"), id="n-6,9,12-seeds-9-error2"),
     ])
     def test_out_of_memory_entry_becomes_a_row_error(
-            self, tmp_path, monkeypatch, axis, values, failing, error):
+            self, tmp_path, monkeypatch, axis, values, seeds, failing, error):
         run = engine.run
 
         def run_or_fail(configs):
@@ -914,15 +963,18 @@ class TestBatchedSweep:
                 raise error
             return run(configs)
 
-        whole = self.sweep_lines(tmp_path, "--axis", axis, "--values", values)
+        args = ("--axis", axis, "--values", values, *seeds)
+        whole = self.sweep_lines(tmp_path, *args)
         monkeypatch.setattr(engine, "run", run_or_fail)
-        lines = self.sweep_lines(tmp_path, "--axis", axis, "--values", values)
+        lines = self.sweep_lines(tmp_path, *args)
         message = str(error) or "out of memory"
-        rows = [line.split(b",") for line in lines[-3:]]
-        assert [r[3] for r in rows] == [b"completed", f"config_error: {message}".encode(),
-                                        b"completed"]
-        for k in (0, 2):  # the other rows are the rows of the sweep that did not fail
-            assert lines[-3 + k] == whole[-3 + k]
+        per = len(seeds[1].split(",")) if seeds else 1  # rows per value
+        rows = [line.split(b",") for line in lines[-3 * per:]]
+        assert [r[3] for r in rows] == ([b"completed"] * per
+                                        + [f"config_error: {message}".encode()] * per
+                                        + [b"completed"] * per)
+        for k in [*range(per), *range(2 * per, 3 * per)]:  # the rows that did not fail
+            assert lines[-3 * per + k] == whole[-3 * per + k]
 
     def test_sweep_split_into_several_batches_equals_solo_rows(self, tmp_path, monkeypatch):
         # 12 seeds and 9 gamma entries in batches of at most 5 trials; a
@@ -931,8 +983,8 @@ class TestBatchedSweep:
         solo = [self.sweep_lines(tmp_path, "--axis", "seed", "--values", s) for s in seeds]
         gamma_args = ("--axis", "gamma", "--values", "0.05,1.5,0.1", "--seeds", "4,0,9")
         whole = self.sweep_lines(tmp_path, *gamma_args)
-        monkeypatch.setattr(cli, "MAX_TRIALS", 5)
-        assert cli._batch_size(config_from_dict(self.DOC)) == 5
+        monkeypatch.setattr(engine, "MAX_TRIALS", 5)
+        assert engine._batch_size(config_from_dict(self.DOC)) == 5
         split = self.sweep_lines(tmp_path, "--axis", "seed", "--values", ",".join(seeds))
         assert split == solo[0][:-1] + [lines[-1] for lines in solo]
         assert self.sweep_lines(tmp_path, *gamma_args) == whole
@@ -940,26 +992,26 @@ class TestBatchedSweep:
     def test_batch_size_follows_the_trial_footprint(self):
         def size(**problem):
             cfg = config_from_dict({**self.DOC, "problem": problem})
-            return cli._batch_size(cfg), cli._trial_bytes(cfg)
+            return engine._batch_size(cfg), engine._trial_bytes(cfg)
 
-        assert size(kind="quadratic", dim=8)[0] == cli.MAX_TRIALS
+        assert size(kind="quadratic", dim=8)[0] == engine.MAX_TRIALS
         # a dim-1024 design matrix (8 MB) or 512 samples of dim 64 on each
         # of 8 nodes fill the budget alone: such sweeps run one trial at a time
         assert size(kind="quadratic", dim=1024)[0] == 1
         assert size(kind="logistic", dim=64, samples_per_node=512)[0] == 1
         trials, footprint = size(kind="quadratic", dim=128)
-        assert 1 < trials < cli.MAX_TRIALS and trials * footprint <= cli.BATCH_BYTES
+        assert 1 < trials < engine.MAX_TRIALS and trials * footprint <= engine.BATCH_BYTES
 
     def test_batch_size_of_the_measured_shapes(self):
         # the shapes of the MAX_TRIALS comment keep their batch sizes: the
         # per-trial budget does not count the draw blocks, which come on top
-        sizes = [cli._batch_size(config_from_dict({
+        sizes = [engine._batch_size(config_from_dict({
             **BASE, "algorithm": "dcd", "topology": {"kind": "ring", "n": n},
             "problem": {"kind": "quadratic", "dim": dim},
             "compressor": {"kind": "quantize", "levels": 127}}))
             for n, dim in ((8, 8), (16, 64), (256, 16), (8, 1024))]
         assert sizes == [64, 36, 9, 1]
-        assert cli.BATCH_BYTES == 7 * 2**20
+        assert engine.BATCH_BYTES == 7 * 2**20
 
     def test_huge_levels_value_becomes_a_row_error(self):
         cfg = config_from_dict({**self.DOC, "T": 10})

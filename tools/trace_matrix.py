@@ -19,7 +19,8 @@ length instead.  With ``--sweep`` it runs ``dcsgd sweep`` instead, on each
 algorithm (ring 8, dim-8 noisy quadratic, T 60, quantize 127 for naive, dcd
 and ecd, a gradient threshold that some rows reach) over every axis: seed,
 bandwidth and latency once, and gamma, levels and n without and with
-``--seeds 0,1``.  Each axis's values hold one that fails its row with
+``--seeds 0,1`` (with it, each levels and n value's two seeds run as one
+trial batch).  Each axis's values hold one that fails its row with
 ``config_error`` (a quoted cell) and the gamma values one that diverges
 (3.0, so ``inf`` cells), and each line digests the sweep CSV, stdout and
 stderr, warnings included.  A change that must keep traces byte-identical
@@ -56,7 +57,7 @@ import shutil
 import tempfile
 import warnings
 
-from dcsgd.cli import main as dcsgd_main
+from dcsgd.cli import SEEDED_AXES, main as dcsgd_main
 from dcsgd.engine import ALGORITHMS
 
 COMPRESSORS = (
@@ -77,8 +78,8 @@ PROBLEMS = (
     {"kind": "logistic", "dim": 6, "samples_per_node": 8},
 )
 GAMMAS = (0.05, "theory", 3.0)
-# (axis, --values) of the sweep mode; the axes that take --seeds run
-# without and with SWEEP_SEEDS
+# (axis, --values) of the sweep mode; the axes that take --seeds
+# (SEEDED_AXES) run without and with SWEEP_SEEDS
 SWEEP_VALUES = (
     ("seed", "-1,0,5"),
     ("gamma", "0.05,3.0,nan"),
@@ -87,7 +88,6 @@ SWEEP_VALUES = (
     ("bandwidth", "1e8,5e6,nan"),
     ("latency", "0.001,-0.001,0.0"),
 )
-SEEDED_AXES = ("gamma", "levels", "n")
 SWEEP_SEEDS = "0,1"
 LARGE_SHAPES = ((1024, 64), (256, 256))  # (ring n, dim)
 LARGE_GAMMAS = (0.05, 0.2)
