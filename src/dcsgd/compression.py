@@ -171,14 +171,16 @@ def _quantize(z: np.ndarray, levels: int, u: np.ndarray) -> np.ndarray:
     probability one.
     """
     y = np.abs(z)
-    scale = y.max(axis=-2, keepdims=True) if z.ndim >= 2 else y.max()
-    safe_scale = np.where(scale == 0.0, 1.0, scale)
+    # np.maximum.reduce is what .max() calls, without the wrapper's overhead
+    scale = np.maximum.reduce(y, axis=-2, keepdims=True) if z.ndim >= 2 else np.maximum.reduce(y)
+    # an all-zero column's scale 0 becomes 1 (scale >= 0, and x + 0.0 is x);
+    # its entries have sign(z) = 0, so safe_scale never leaks into the output
+    safe_scale = scale + (scale == 0.0)
     y /= safe_scale
     y *= levels
     level = np.floor(y)
     y -= level  # the fractional part
     level += u < y
-    # all-zero columns have sign(z) = 0 everywhere, so safe_scale never leaks
     level *= np.sign(z)
     level *= safe_scale / levels
     return level

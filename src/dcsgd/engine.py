@@ -24,17 +24,18 @@ with one gamma per trial.  Each round is one step of the kernel behind
 ``round_step``, without its checks and bookkeeping: one ``W.mix(seen)``
 over the (S, dim, n) stack, one oracle call and one compression call.
 ``run`` measures the rounds in blocks: a block steps K rounds, or the
-rounds left, keeping the models each round starts from, its Q and G, and
-the trials its broadcast guard marks.  One ``metrics`` call then measures
-those models as a (P, S, dim, n) stack, and one reduction each gives the
-rounds' squared norms; every slice gives the bits of a one-pass
-computation.  The models after the block's last round start the next
-block, and the block that reaches pass T + 1 measures them too, which
-completes the trials still running.  K is ``METRIC_BLOCK_VALUES`` over
-what one pass holds and allocates, at most ``MAX_METRIC_PASSES``.  Every
-stop (the broadcast guard, the loss cap, non-finite models),
-``min_grad_norm2``, ``time_to_threshold`` and the trace rows are settled
-per block, each trial from the passes before its stop; a stopped trial
+rounds left, each round writing its new models, its Q and its G into a row
+of the block's (P, S, dim, n) arrays (``out=`` on the kernel's last
+operations, so nothing is stacked or copied) and marking the trials its
+broadcast guard stops.  One ``metrics`` call then measures the block's
+models, and one reduction each gives the rounds' squared norms; every slice
+gives the bits of a one-pass computation.  The block's last round writes
+its models into the next block's first row, and the block that reaches
+pass T + 1 measures them too, which completes the trials still running.
+K is ``METRIC_BLOCK_VALUES`` over what one pass holds and allocates, at
+most ``MAX_METRIC_PASSES``.  Every stop (the broadcast guard, the loss
+cap, non-finite models), ``min_grad_norm2``, ``time_to_threshold`` and
+the trace rows are settled per block, each trial from the passes before its stop; a stopped trial
 steps on to the block's last round, and what those rounds draw is
 dropped with it.  Every round sends the same bits, so round r has sent r
 rounds' bits.  ``MixingMatrix.mix``
@@ -77,11 +78,14 @@ column reading its node's row of the slab.  Rounds are synchronous by
 construction; each step reads the frozen previous round and writes
 disjoint columns.
 
-Non-finite values are caught at two sites.  Each round the kernel scans
+Non-finite values are caught at two sites.  Each round the kernel checks
 dcd's and ecd's broadcast Z before it is compressed (ecd also caps its
-norm): a bad trial's message is zeroed and the kernel returns the trial
-marked.  Then ``round_step`` marks the state diverged there and where the
-new X is not finite, so a library caller sees ``state.diverged`` at once.
+norm): one sum over the whole batch is finite unless some entry is not, and
+only a non-finite sum is followed by the scan trial by trial, so a finite Z
+whose sum overflows marks no trial.  A bad trial's message is zeroed and
+the kernel returns the trial marked.  Then ``round_step`` marks the state
+diverged there and where the new X is not finite, so a library caller sees
+``state.diverged`` at once.
 ``run`` instead settles the rounds' marks and the scan of the models of
 a block's passes once, when the block ends: a trial stops at the pass
 after its guard's round or at its first non-finite pass, whichever comes
@@ -145,6 +149,11 @@ BATCH_BYTES = 7 * 2**20
 
 FULL_PRECISION = compression.identity()  # how dpsgd's messages are priced
 
+# numpy's overflow warnings are noise: blow-up is read from the values.  The
+# library entry points run under this errstate as decorators, each call with
+# its own context token.
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
 
 @dataclass
 class StepStats:
@@ -154,9 +163,11 @@ class StepStats:
     common update form X_{t+1} = X_t W - gamma G + Q_t; g_norm2 / g_bar
     describe the stochastic gradient matrix.  bits is the total traffic of
     the round over all links.  For a stacked state each statistic holds one
-    entry per trial.  Q is None when Q_t = 0.  The norms are reduced on
-    first use.  ``run`` keeps none: it reduces the Q and G of a block's
-    recorded rounds at once, with the same bits.
+    entry per trial.  Q is None for dpsgd and centralized, whose Q_t = 0
+    (a dcd round in which every trial's broadcast is guarded holds zeros).
+    The norms are reduced on first use.  ``run`` keeps none: its rounds write
+    Q and G into a metric block's arrays, whose recorded rows it reduces at
+    once, with the same bits.
     """
 
     bits: int
@@ -323,6 +334,7 @@ def _new_state(problem: Problem, n: int, algorithm: str, keys: np.ndarray, stack
 # ---------------------------------------------------------------------------
 
 
+@_quiet
 def round_step(
     state: WorldState, W: MixingMatrix, c: Compressor, problem: Problem,
     gamma: float, z_norm_cap: float = math.inf,
@@ -350,9 +362,11 @@ def round_step(
     norm (the sparsifier's noise grows with its input), commits X + delta,
     draws nothing for the exchange and is marked diverged; so is a trial
     whose new X is not finite.  These are the round's only scans for
-    non-finite values (module docstring).  On a stacked
-    state ``gamma`` broadcasts against X, one value per trial; unless each
-    is finite and >= 0 the round raises InputError before drawing anything.
+    non-finite values (module docstring).  Overflow ends as ``diverged``,
+    without numpy warnings.  ``gamma`` is a scalar or, on a stacked state,
+    one value per trial, of shape (S,) or (S, 1, 1); unless it has such a
+    shape and each value is finite and >= 0 the round raises InputError
+    before drawing anything.
 
     These checks and dcd's finite-alpha check come before a private round
     kernel, which ``run`` steps directly (module docstring); then
@@ -362,6 +376,12 @@ def round_step(
     if W.n != state.n:
         raise ConfigError(f"topology has {W.n} nodes but state has {state.n}")
     gammas = np.asarray(gamma)
+    if gammas.ndim:  # one value per trial, applied as (S, 1, 1)
+        S = len(state.X) if state.X.ndim == 3 else None
+        if gammas.shape not in ((S,), (S, 1, 1)):
+            raise InputError(f"gamma must be a scalar or one value per trial, of shape (S,) or "
+                             f"(S, 1, 1), for a state of S = {S} trials; got shape {gammas.shape}")
+        gamma = gammas = gammas.reshape(S, 1, 1)
     if np.count_nonzero((gammas >= 0.0) & (gammas < math.inf)) < gammas.size:  # NaN fails both
         raise InputError(f"gamma must be finite and >= 0, got {gamma}")
     if state.status == "diverged":
@@ -372,7 +392,9 @@ def round_step(
     # the previous round's Q and G are two state-sized arrays; free them
     # before this round allocates its own
     state.last_step = None
-    X, Q, G, bad = _advance(state, W, c, problem, gamma, z_norm_cap)
+    X = np.empty_like(state.X)
+    Q, G = _exchange_arrays(state)
+    bad = _advance(state, W, c, problem, gamma, z_norm_cap, X, Q, G)
     bits = _round_bits(state.algorithm, W, c, problem)
     state.X, state.t = X, state.t + 1
     state.bits_total += bits
@@ -391,43 +413,59 @@ def _round_bits(algorithm: str, W: MixingMatrix, c: Compressor, problem: Problem
 
 
 def _advance(state: WorldState, W: MixingMatrix, c: Compressor, problem: Problem,
-             gamma, z_norm_cap: float) -> tuple:
-    """One round of :func:`round_step` without its checks or bookkeeping:
-    returns the new models, Q (None when Q_t = 0), G, and the trials that
-    dcd's and ecd's broadcast guard marks (None for the other algorithms).
-    It writes only ecd's estimate error, and draws from the state's streams."""
+             gamma, z_norm_cap: float, X_new: np.ndarray, Q: np.ndarray | None,
+             G: np.ndarray) -> np.ndarray | None:
+    """One round of :func:`round_step` without its checks or bookkeeping.
+
+    Writes the new models into X_new, Q into Q and G into G, arrays that do
+    not overlap the state's X: X_new shaped like X, Q and G with one column
+    per node, and Q None for dpsgd and centralized, whose Q_t = 0 (see
+    :func:`_exchange_arrays`).  Returns the trials that dcd's and ecd's
+    broadcast guard marks, or None when it marks none.  It writes only
+    these arrays and ecd's estimate error, and draws from the state's
+    streams."""
     algorithm, X = state.algorithm, state.X
     if algorithm == "centralized":  # X is (..., dim, 1)
-        G = problem._samples(np.repeat(X, state.n, axis=-1), state.sample_streams)
-        return X - gamma * G.mean(axis=-1, keepdims=True), None, G, None
-    # dpsgd and dcd see X (dcd's replicas equal it); dcd's Q_t stays zero for
-    # a trial that diverges before the exchange
-    seen, Q = X, None
+        problem._samples(np.repeat(X, state.n, axis=-1), state.sample_streams, G)
+        np.subtract(X, gamma * G.mean(axis=-1, keepdims=True), out=X_new)
+        return None
+    seen = X  # dpsgd and dcd see X (dcd's replicas equal it)
     if algorithm == "naive":
         seen = compression._compress(c, X, state.compress_streams)
-        Q = seen - X
+        np.subtract(seen, X, out=Q)
     elif algorithm == "ecd":
-        seen, Q = X + state.estimate_err, W.mix(state.estimate_err)
+        seen = X + state.estimate_err
+        W.mix(state.estimate_err, out=Q)
     elif algorithm not in ("dpsgd", "dcd"):
         raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-    G = problem._samples(X, state.sample_streams)
-    # seen W - gamma * G - X, left to right, in one buffer
-    delta = W.mix(seen)
+    problem._samples(X, state.sample_streams, G)
+    # seen W - gamma * G - X, left to right, in X_new's buffer
+    delta = W.mix(seen, out=X_new)
     delta -= gamma * G
     delta -= X
-    X_new = X + delta
-    if algorithm in ("dpsgd", "naive"):
-        return X_new, Q, G, None
+    if algorithm != "dcd":  # dcd commits X + C(delta) below
+        np.add(X, delta, out=X_new)
+        if algorithm != "ecd":
+            return None
 
     s = state.t + 1
     Z = delta if algorithm == "dcd" else _extrapolate(X, X_new, s)
-    # nothing sane to broadcast: overflowed or past the input-norm guard
-    bad = _non_finite(Z)
+    # nothing sane to broadcast: overflowed or past the input-norm guard.  A
+    # non-finite entry makes the whole batch's sum non-finite, so only then
+    # is Z scanned trial by trial; a finite Z whose sum overflows marks none
+    bad = None if math.isfinite(np.add.reduce(Z, axis=None)) else _non_finite(Z)
     if algorithm == "ecd" and z_norm_cap < math.inf:  # nothing is past an infinite cap
-        bad |= np.maximum.reduce(np.add.reduce(Z * Z, axis=-2), axis=-1) > z_norm_cap * z_norm_cap
-    n_bad = np.count_nonzero(bad)
-    if n_bad == bad.size:
-        return X_new, Q, G, bad
+        norms2 = np.maximum.reduce(np.add.reduce(Z * Z, axis=-2), axis=-1)
+        capped = norms2 > z_norm_cap * z_norm_cap
+        bad = capped if bad is None else bad | capped
+    n_bad = 0 if bad is None else np.count_nonzero(bad)
+    if not n_bad:
+        bad = None
+    elif n_bad == bad.size:
+        if algorithm == "dcd":  # no trial exchanges: X + delta, and Q_t = 0
+            np.add(X, delta, out=X_new)
+            Q[...] = 0.0
+        return bad
     # the other trials exchange; a bad trial compresses zeros (its draws are
     # discarded with it) and Z stands in for its message, so dcd commits it
     # X + delta like the path above
@@ -437,11 +475,20 @@ def _advance(state: WorldState, W: MixingMatrix, c: Compressor, problem: Problem
         CZ[bad] = Z[bad]
     if algorithm == "ecd":
         state.estimate_err = _fold(state.estimate_err, CZ - Z, s)
-        return X_new, Q, G, bad
-    Q = CZ - Z
+        return bad
+    np.subtract(CZ, Z, out=Q)
     if n_bad:
         Q[bad] = 0.0
-    return X + CZ, Q, G, bad
+    np.add(X, CZ, out=X_new)  # Z, in this buffer, is read for the last time above
+    return bad
+
+
+def _exchange_arrays(state: WorldState, rounds: tuple = ()) -> tuple:
+    """Empty (Q, G) arrays for :func:`_advance`, with one column per node and
+    a leading ``rounds`` axis if given; Q is None for dpsgd and centralized."""
+    shape = rounds + state.X.shape[:-1] + (state.n,)
+    Q = None if state.algorithm in ("dpsgd", "centralized") else np.empty(shape)
+    return Q, np.empty(shape)
 
 
 def _per_trial(a: np.ndarray) -> np.ndarray:
@@ -450,6 +497,7 @@ def _per_trial(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
 
 
+@_quiet  # StepStats reduces its norms after the round
 def _norm2(a: np.ndarray) -> np.ndarray:
     """Squared norm per trial of a (..., dim, k) array; np.add.reduce and
     np.logical_and.reduce (below) are what .sum() and .all() call."""
@@ -459,11 +507,6 @@ def _norm2(a: np.ndarray) -> np.ndarray:
 def _non_finite(a: np.ndarray) -> np.ndarray:
     """Per trial of a (..., dim, k) array: is any entry not finite?"""
     return ~np.logical_and.reduce(_per_trial(np.isfinite(a)), axis=-1)
-
-
-def _stack(arrays: list) -> np.ndarray:
-    """The arrays stacked on a new first axis; one array as a view."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _extrapolate(x_prev: np.ndarray, x: np.ndarray, s: int) -> np.ndarray:
@@ -481,6 +524,7 @@ def _fold(estimate: np.ndarray, message: np.ndarray, s: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@_quiet
 def metrics(state: WorldState, problem: Problem) -> tuple[float, float, float]:
     """(loss, squared gradient norm, consensus error) at the current average model.
 
@@ -517,11 +561,12 @@ def run(config):
     Rounds are stepped in blocks of K, or the rounds left, through the
     kernel behind ``round_step``, without its checks or bookkeeping:
     ``RunConfig`` validates gamma and dcd's compressor, and
-    ``resolve_gamma`` returns a finite gamma > 0.  A block's models, squared
-    norms, guard marks and non-finite scan are each reduced in one call, and
-    every stop is settled when the block ends (module docstring): a stopped
-    trial steps on to its block's last round, and those rounds draw only
-    from its own streams and are dropped with it.
+    ``resolve_gamma`` returns a finite gamma > 0.  Each round writes its
+    models, Q and G in place into the block's arrays, where the next round
+    reads them, and the block's models, squared norms and non-finite scan
+    are each reduced in one call; every stop is settled when the block ends
+    (module docstring): a stopped trial steps on to its block's last round,
+    and those rounds draw only from its own streams and are dropped with it.
     """
     from .config import build_run, resolve_gamma
 
@@ -568,57 +613,57 @@ def run(config):
     ends = [0] * S  # each trial's stop pass: it records the rounds before it
     summaries = [None] * S
 
-    # numpy's overflow warnings are noise: blow-up is detected from the values.
-    # Pass t measures the models round t starts from (after round t - 1).  A
-    # block steps rounds t, t + 1, ..., keeping each round's starting models,
-    # its Q and G by reference (the kernel never writes them in place) and
-    # its guard's marks.  One metrics call measures the passes of the stepped
-    # rounds, and pass T + 1 too in the block that reaches it; the models
-    # after the block's last round are the next block's first pass.
+    # Numpy's warnings are off as in ``_quiet`` (a fresh errstate, safe if
+    # several threads run at once).  Pass t measures the models round t
+    # starts from (after round t - 1).  A block steps rounds t, t + 1, ...,
+    # each writing its new models, Q and G into the block's arrays and
+    # marking the trials its guard stops.  Row j of ``models`` is pass t + j;
+    # the block's last round writes the next block's row 0, or row P in the
+    # block that reaches pass T + 1, so no model is copied.  One metrics call
+    # measures the block's rows.
     step_bits = _round_bits(cfg.algorithm, W, c, problem)
     pass_values = _pass_values(problem, W.n)
     t = 1  # the block's first round
+    models = None  # the block's models, once its row 0 holds pass t
     with np.errstate(over="ignore", invalid="ignore"):
         while trials.size:
             K = max(1, min(MAX_METRIC_PASSES, METRIC_BLOCK_VALUES // (trials.size * pass_values)))
             P = min(K, cfg.T + 1 - t)  # the block's rounds, t .. t + P - 1
-            models, steps = [], []  # steps[j]: round t + j's (X_new, Q, G, bad)
-            for j in range(P):
-                models.append(state.X)
-                steps.append(_advance(state, W, c, problem, gamma, z_norm_cap))
-                state.X, state.t = steps[j][0], state.t + 1
-            qs, gs = [step[1] for step in steps], [step[2] for step in steps]
-            # the trials each round's broadcast guard marked, if it has one
-            guarded = [step[3] for step in steps if step[3] is not None]
-            del steps
             final = t + P > cfg.T  # the block reaches pass T + 1
-            if final:
-                models.append(state.X)
+            if models is None:  # the first block, or the first after trials stopped
+                models = _block_models(K, t, cfg.T, state.X)
+                models[0] = state.X
+            # the next block's models, sized for the trials still running
+            following = None if final else _block_models(K, t + P, cfg.T, state.X)
+            Q, G = _exchange_arrays(state, (P,))
+            over = np.zeros((P + 1, trials.size), bool)
+            for j in range(P):
+                state.X = models[j]
+                X_new = models[j + 1] if j + 1 < len(models) else following[0]
+                bad = _advance(state, W, c, problem, gamma, z_norm_cap,
+                               X_new, None if Q is None else Q[j], G[j])
+                if bad is not None:  # the guard stops the trial at the next pass
+                    over[j + 1] = bad
+                state.t += 1
+            state.X = models[P] if final else following[0]
             # the recorded rounds' squared norms; Q_t = 0 reads +0.0
             recorded = [j for j in range(P)
                         if (t + j - 1) % cfg.trace_every == 0 or t + j == cfg.T]
             if recorded:
-                g_norm2 = _norm2(_stack([gs[j] for j in recorded]))
-                q_norm2 = (_norm2(_stack([np.zeros_like(gs[j]) if qs[j] is None else qs[j]
-                                          for j in recorded]))
-                           if any(qs[j] is not None for j in recorded) else np.zeros_like(g_norm2))
-            del qs, gs
-            # (passes, S) arrays, one row per pass; one pass is measured as a view
-            stacked = _stack(models)
-            del models  # the passes' models go before metrics allocates
-            losses, grads, cons = metrics(SimpleNamespace(X=stacked), problem)
+                g_norm2 = _norm2(G)[recorded]
+                q_norm2 = np.zeros_like(g_norm2) if Q is None else _norm2(Q)[recorded]
+            del Q, G  # freed before metrics allocates
+            # (passes, S) arrays, one row per pass
+            losses, grads, cons = metrics(SimpleNamespace(X=models), problem)
 
             # a trial stops at its first pass over the loss cap (a NaN loss
             # stops too), with non-finite models (passes t + 1 .. t + P: rows
-            # of the stack, then the state), or after a round whose broadcast
+            # of the block, then the state), or after a round whose broadcast
             # guard marked it; only the passes before it count
-            over = np.zeros((P + 1, trials.size), bool)
-            over[:len(losses)] = ~(losses <= LOSS_CAP)
-            over[1:P] |= _non_finite(stacked[1:P])
+            over[:len(losses)] |= ~(losses <= LOSS_CAP)
+            over[1:P] |= _non_finite(models[1:P])
             over[P] |= _non_finite(state.X)
-            if guarded:
-                over[1:] |= np.stack(guarded)
-            del stacked
+            models = following
             stopped = np.logical_or.reduce(over, axis=0)
             counted = grads
             if np.count_nonzero(stopped):
@@ -664,6 +709,7 @@ def run(config):
                     min_grad_norm2 = min_grad_norm2[keep]
                     time_to_threshold = time_to_threshold[keep]
                     _keep_trials(state, keep)
+                    models = None  # the next block copies the kept trials' models
             t += P
 
     results = [RunResult(summaries[i], rounds, step_bits,
@@ -722,6 +768,14 @@ def _pass_values(problem: Problem, n: int) -> int:
     """Values one pass of a metric block holds and allocates per trial: its
     models, its round's Q and G, and what measuring it allocates."""
     return 3 * problem.dim * n + problem._metric_values()
+
+
+def _block_models(K: int, t: int, T: int, X: np.ndarray) -> np.ndarray:
+    """Empty models of the metric block of at most K rounds from round t of
+    T, for states shaped like X: one row per pass the block measures, its
+    rounds' and, in the block that reaches it, pass T + 1."""
+    P = min(K, T + 1 - t)
+    return np.empty((P + (t + P > T),) + X.shape)
 
 
 def _keep_trials(state: WorldState, keep: np.ndarray) -> None:

@@ -42,7 +42,8 @@ class Problem:
     """n-node objective f(x) = (1/n) sum_i f_i(x) with stochastic oracles.
 
     A family implements primitives over all n nodes at once, ``_gradients``,
-    ``_samples`` (C-contiguous (..., dim, n) results) and ``_losses``, plus
+    ``_samples`` (C-contiguous (..., dim, n) results, which ``_samples``
+    writes into its ``out`` array when given one) and ``_losses``, plus
     the global ``_loss`` and ``_grad_mean``; node i's value is column i of
     an all-node result.  The primitives treat any leading axis of the
     problem's arrays and of their arguments as the trial axis (see
@@ -121,12 +122,12 @@ class QuadraticProblem(Problem):
         resid = _matvec(self.A, x)[..., None] - self.B
         return 0.5 * np.sum(resid * resid, axis=-2) / self.A.shape[-2]
 
-    def _gradients(self, X):
+    def _gradients(self, X, out=None):
         # the full-width product of a C-ordered X, its residual in place
         A = self.A
         t = A @ np.ascontiguousarray(X)
         t -= self.B
-        G = A.mT @ t
+        G = np.matmul(A.mT, t, out=out)
         G /= A.shape[-2]
         return G
 
@@ -137,8 +138,8 @@ class QuadraticProblem(Problem):
         # _loss's (m, n) residuals: tracemalloc counts 202 values at m = n = 8
         return 3 * self.A.shape[-2] * self.n
 
-    def _samples(self, X, rngs):
-        G = self._gradients(X)
+    def _samples(self, X, rngs, out=None):
+        G = self._gradients(X, out)
         if self.noise > 0.0:
             rows = as_streams(rngs).take("standard_normal", self.dim)
             G += self.noise * np.swapaxes(rows.reshape(G.shape[:-2] + (-1, self.dim)), -1, -2)
@@ -177,12 +178,12 @@ class LogisticProblem(Problem):
         # 1,156 at n 8, 8 samples, dim 64
         return 4 * self.n * self.labels.shape[-1] + 2 * self.n * self.dim
 
-    def _samples(self, X, rngs):
+    def _samples(self, X, rngs, out=None):
         picks = as_streams(rngs).take("integers", 1, self.labels.shape[-1])
         trials = tuple(np.arange(k)[:, None, None] for k in X.shape[:-2])  # () or trials
         # each node's drawn row as a one-sample dataset: (..., n, 1, dim) and (..., n, 1)
         at = trials + (np.arange(self.n)[:, None], picks.reshape(X.shape[:-2] + (-1, 1)))
-        return _logistic_gradients(self.data[at], self.labels[at], self.reg, X)
+        return _logistic_gradients(self.data[at], self.labels[at], self.reg, X, out)
 
 
 def stack_problems(problems) -> Problem:
@@ -228,14 +229,17 @@ def _with_fields(problem: Problem, values: dict) -> Problem:
     return new
 
 
-def _logistic_gradients(d, y, reg: float, X: np.ndarray) -> np.ndarray:
+def _logistic_gradients(d, y, reg: float, X: np.ndarray, out=None) -> np.ndarray:
     """Gradients at X's columns of the nodes holding d (..., n, samples, dim) and
-    y (..., n, samples)."""
+    y (..., n, samples), as a new C-contiguous array or written into ``out``."""
     # stacked @ makes the same BLAS call per node as for a single node
     Xt = np.swapaxes(X, -1, -2)
     s = _sigmoid(-y * (d @ Xt[..., None])[..., 0])
     g = -(np.swapaxes(d, -1, -2) @ (y * s)[..., None])[..., 0] / y.shape[-1] + reg * Xt
-    return np.ascontiguousarray(np.swapaxes(g, -1, -2))
+    if out is None:
+        return np.ascontiguousarray(np.swapaxes(g, -1, -2))
+    np.copyto(out, np.swapaxes(g, -1, -2))
+    return out
 
 
 def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:

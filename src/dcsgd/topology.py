@@ -165,8 +165,9 @@ class MixingMatrix:
         weights.flags.writeable = False
         return shifts, weights
 
-    def mix(self, X: np.ndarray) -> np.ndarray:
-        """X W for a state X of shape (..., dim, n), as a new array.
+    def mix(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """X W for a state X of shape (..., dim, n), as a new array or
+        written into ``out``, an array of X's shape that X does not overlap.
 
         With ``bands`` the columns are sum_d X[..., (j + d) % n] * b_d[j] in
         ascending d: plain multiplies and adds in a fixed order, so the bits
@@ -174,10 +175,11 @@ class MixingMatrix:
         Otherwise it is the dense product ``X @ W``.
         """
         if self.bands is None:
-            return X @ self.entries
+            return np.matmul(X, self.entries, out=out)
         shifts, weights = self.bands
         n = self.n
-        out, term = np.empty(X.shape), np.empty(X.shape)
+        out = np.empty(X.shape) if out is None else out
+        term = np.empty(X.shape)
         for k, d in enumerate(shifts.tolist()):
             # X[..., (j + d) % n] is X[..., d:] for j < n - d, X[..., :d] after
             dst = term if k else out

@@ -558,6 +558,55 @@ class TestEcdSparsifyGuard:
         assert res.summary.final_loss < res.records[0].loss
 
 
+class TestBroadcastGuard:
+    @pytest.mark.parametrize("alg", ["dcd", "ecd"])
+    def test_batch_check_marks_what_the_exact_scan_marks(self, alg):
+        # dcd's and ecd's guard sums the whole batch's Z once and scans it
+        # trial by trial only when the sum is not finite.  Trial 0's Z is
+        # finite, but its entries of about -5e307 sum past the float range;
+        # trial 1's models hold a NaN; trial 2 is an ordinary round.  Only
+        # trial 1 may be marked, and each trial must equal its solo round.
+        n, c = 8, stochastic_quantize(127)
+        W = build_ring(n)
+        problems = [quad_problem(1, n, het=0.5, noise=0.3, seed=s) for s in (26, 27, 28)]
+        X = np.zeros((3, 1, n))
+        X[0] = 1e300  # its gradient is about 2e300 at every node
+        X[1, 0, 3] = math.nan
+        X[2] = np.linspace(-1.0, 1.0, n)
+        gammas = np.array([2.5e7, 0.1, 0.1])
+
+        def advance(problem, seed, X, gamma):
+            state = init_state(problem, n, alg, seed)
+            state.X = X
+            X_new = np.empty_like(X)
+            Q, G = engine._exchange_arrays(state)
+            with np.errstate(over="ignore", invalid="ignore"):
+                bad = engine._advance(state, W, c, problem, gamma, math.inf, X_new, Q, G)
+            # a marked trial stops, so its estimate error is never read again
+            kept = [X_new, Q, G]
+            if bad is None or not bad.all():
+                kept.append(state.estimate_err)
+            return bad, [a for a in kept if a is not None]
+
+        bad, batch = advance(stack_problems(problems), [0, 1, 2], X, gammas[:, None, None])
+        assert bad.tolist() == [False, True, False]
+        for s in range(3):
+            solo_bad, solo = advance(problems[s], s, X[s].copy(), gammas[s])
+            assert (solo_bad is not None) == (s == 1)
+            assert [a[s].tobytes() for a in batch[:len(solo)]] == [a.tobytes() for a in solo]
+
+        # trial 0's Z (dcd's delta, or ecd's z_2, the new models) is finite
+        # and sums past the float range, so its round took the exact scan
+        state = init_state(problems[0], n, alg, 0)
+        state.X = X[0].copy()
+        round_step(state, W, c, problems[0], gammas[0])
+        G = state.last_step.G
+        Z = W.mix(X[0]) - gammas[0] * G - X[0] if alg == "dcd" else state.X
+        assert np.isfinite(Z).all() and state.status == "running"
+        with np.errstate(over="ignore"):
+            assert np.add.reduce(Z, axis=None) == -math.inf
+
+
 class TestStateValidation:
     def test_mismatched_topology_rejected(self):
         problem = quad_problem(4, 8, seed=19)
@@ -594,6 +643,69 @@ class TestStateValidation:
         assert state.t == 1 and np.array_equal(state.X, X) and state.last_step is None
         assert draws == []
 
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_per_trial_gamma_of_shape_s_steps_like_s_1_1(self, n):
+        # three trials on a 3-node ring: a (3,) gamma must not broadcast
+        # along the node axis, and on a ring of 8 it must not fail
+        problem = stack_problems([quad_problem(4, n, het=0.5, noise=0.3, seed=s)
+                                  for s in (1, 2, 3)])
+        W, c = build_ring(n), stochastic_quantize(7)
+        gammas = np.array([0.05, 0.1, 0.2])
+        for alg in ALGORITHMS:
+            got = []
+            for gamma in (gammas, gammas[:, None, None]):
+                state = init_state(problem, n, alg, [4, 5, 6])
+                for _ in range(3):
+                    round_step(state, W, c, problem, gamma)
+                got.append(state.X.tobytes())
+            assert got[0] == got[1], alg
+
+    @pytest.mark.parametrize("stacked,shape", [
+        (True, (2,)), (True, (4,)), (True, (3, 1)), (True, (1, 3)), (True, (3, 1, 8)),
+        (True, (1, 1, 1)), (False, (1,)), (False, (1, 1, 1)),
+    ])
+    def test_gamma_of_another_shape_rejected_before_anything_is_drawn(
+            self, stacked, shape, monkeypatch):
+        draws = []
+        draw = streams._draw
+        monkeypatch.setattr(streams, "_draw", lambda *args: draws.append(args) or draw(*args))
+        problem = quad_problem(4, 8, noise=0.3, seed=22)
+        seed = 0
+        if stacked:
+            problem, seed = stack_problems([problem] * 3), [0, 1, 2]
+        state = init_state(problem, 8, "dcd", seed)
+        with pytest.raises(InputError, match="one value per trial"):
+            round_step(state, build_ring(8), stochastic_quantize(7), problem, np.full(shape, 0.1))
+        assert state.t == 1 and state.last_step is None and draws == []
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_step_loop_from_overflowing_models_diverges_without_numpy_warnings(self, alg):
+        # a library caller's round_step loop; numpy's overflow warnings are
+        # noise, blow-up must end as diverged
+        problem = quad_problem(8, 8, het=0.5, noise=0.3, seed=24)
+        W, c = build_ring(8), stochastic_quantize(127)
+        state = init_state(problem, 8, alg, 0)
+        state.X = np.full_like(state.X, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(10):
+                round_step(state, W, c, problem, 1e10)
+                state.last_step.q_norm2, state.last_step.g_norm2  # reduced on first use
+                metrics(state, problem)
+                if state.status == "diverged":
+                    break
+        assert state.status == "diverged"
+
+    def test_metrics_of_overflowing_models_warn_nothing(self):
+        problem = quad_problem(8, 8, het=0.5, seed=25)
+        state = init_state(problem, 8, "dpsgd", 0)
+        state.X = np.full_like(state.X, 1e200)
+        state.X[:, ::2] = -1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grad_norm2, consensus = metrics(state, problem)
+        assert math.isinf(consensus)
+
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_state_made_non_finite_by_hand_diverges_at_the_commit(self, alg):
         # the round does not scan X before its oracle and compressor: that
@@ -603,8 +715,7 @@ class TestStateValidation:
         state = init_state(problem, 8, alg, 0)
         round_step(state, W, c, problem, 0.1)
         state.X[2, -1] = math.nan
-        with np.errstate(invalid="ignore"):
-            round_step(state, W, c, problem, 0.1)
+        round_step(state, W, c, problem, 0.1)
         assert state.status == "diverged" and state.t == 3
         with pytest.raises(DivergedError, match="already diverged"):
             round_step(state, W, c, problem, 0.1)
@@ -910,21 +1021,20 @@ class TestBlockDraws:
         gamma = resolve_gamma(cfg, problem, W, c)
         z_norm_cap = cfg.z_norm_cap if c.kind == "sparsify" else math.inf
         state = init_state(problem, W.n, alg, state_ss)  # one round per draw
-        with np.errstate(over="ignore", invalid="ignore"):
-            for r in records:
-                before = metrics(state, problem)
-                round_step(state, W, c, problem, gamma, z_norm_cap)
-                step = state.last_step
-                got = (state.t - 1, *before, step.q_norm2, step.g_norm2, state.bits_total)
-                want = (r.t, r.loss, r.grad_norm2, r.consensus, r.q_norm2, r.g_norm2, r.bits)
-                assert [float_bits(v) for v in got] == [float_bits(v) for v in want]
-                if state.status == "diverged":
-                    break
-            if result.summary.status == "completed":
-                final = metrics(state, problem)
-                summary = result.summary
-                assert [float_bits(v) for v in final] == [float_bits(v) for v in (
-                    summary.final_loss, summary.final_grad_norm2, summary.final_consensus)]
+        for r in records:
+            before = metrics(state, problem)
+            round_step(state, W, c, problem, gamma, z_norm_cap)
+            step = state.last_step
+            got = (state.t - 1, *before, step.q_norm2, step.g_norm2, state.bits_total)
+            want = (r.t, r.loss, r.grad_norm2, r.consensus, r.q_norm2, r.g_norm2, r.bits)
+            assert [float_bits(v) for v in got] == [float_bits(v) for v in want]
+            if state.status == "diverged":
+                break
+        if result.summary.status == "completed":
+            final = metrics(state, problem)
+            summary = result.summary
+            assert [float_bits(v) for v in final] == [float_bits(v) for v in (
+                summary.final_loss, summary.final_grad_norm2, summary.final_consensus)]
         return records
 
     @pytest.mark.parametrize("trace_every", [1, 7])
@@ -1026,9 +1136,8 @@ class TestBlockDraws:
         configs = [config_from_dict({**doc, "gamma": g}) for g in (0.05, 1e60, 0.1)]
         W, problem, c, state_ss = build_run(configs[1])
         state = init_state(problem, W.n, alg, state_ss)
-        with np.errstate(over="ignore", invalid="ignore"):
-            while state.status == "running":
-                round_step(state, W, c, problem, 1e60)
+        while state.status == "running":
+            round_step(state, W, c, problem, 1e60)
         diverged_at = state.t - 1
         solo = [result_bits(run(cfg)) for cfg in configs]
         assert [(r[-1]["status"][1], r[-1]["iterations"][1]) for r in solo] == [
@@ -1068,10 +1177,9 @@ class TestBlockDraws:
         configs = [config_from_dict({**doc, "gamma": g}) for g in (0.05, gamma, 0.1)]
         W, problem, c, state_ss = build_run(configs[1])
         state = init_state(problem, W.n, alg, state_ss)
-        with np.errstate(over="ignore", invalid="ignore"):
-            while state.status == "running":
-                round_step(state, W, c, problem, gamma,
-                           z_norm_cap if c.kind == "sparsify" else math.inf)
+        while state.status == "running":
+            round_step(state, W, c, problem, gamma,
+                       z_norm_cap if c.kind == "sparsify" else math.inf)
         guarded_at = state.t - 1
         # the sparsifier's trial is stopped by its guard alone
         assert np.isfinite(state.X).all() == (compressor == "sparsify")
